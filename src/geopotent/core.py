@@ -8,6 +8,7 @@ read-only across concurrent tasks.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -436,6 +437,9 @@ class CavitySchedule:
                     f"segment {i}: radius reaches {seg.max_radius()}, observer "
                     f"at {self.observer_radius} must stay outside the source",
                     segment=i)
+        # Boundary times between consecutive segments, for segment_at.
+        object.__setattr__(self, "_ends",
+                           tuple(seg.t_end for seg in self.segments[:-1]))
 
     @property
     def t_start(self):
@@ -450,7 +454,4 @@ class CavitySchedule:
         if not (self.t_start <= t <= self.t_end):
             raise ScheduleError(
                 f"time {t} outside schedule span [{self.t_start}, {self.t_end}]")
-        for seg in self.segments[:-1]:
-            if t < seg.t_end:
-                return seg
-        return self.segments[-1]
+        return self.segments[bisect_right(self._ends, t)]

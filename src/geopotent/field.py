@@ -16,13 +16,18 @@ observed velocity and local gravity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import kernels
 from .core import DEFAULT_CONSTANTS, UniformSphere
-from .errors import NonPhysicalInputError, OutOfDomainError
+from .errors import (
+    NonPhysicalInputError,
+    NonPhysicalValueError,
+    OutOfDomainError,
+)
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
@@ -40,6 +45,66 @@ class FieldSample:
     gravity: float
     equipotential_velocity: float
     kinetic_potential: float
+
+
+_COLUMNS = tuple(f.name for f in fields(FieldSample))
+
+
+@dataclass(frozen=True, eq=False)
+class FieldTable:
+    """Field quantities at many radii, as columns.
+
+    Columns are float64, one-dimensional, of equal length and read-only;
+    they are named like the fields of FieldSample. The constructor keeps
+    read-only views of contiguous float64 arrays instead of copying them,
+    so pass arrays nobody else writes to, as :func:`sample_field` does.
+
+    The table also reads like the list of FieldSample it stands for:
+    ``len``, iteration and integer indexing give FieldSample rows,
+    slicing gives a table, and a table equals a list holding the same
+    rows.
+    """
+
+    radius: np.ndarray
+    potential: np.ndarray
+    gravity: np.ndarray
+    equipotential_velocity: np.ndarray
+    kinetic_potential: np.ndarray
+
+    def __post_init__(self):
+        for name in _COLUMNS:
+            arr = np.ascontiguousarray(getattr(self, name),
+                                       dtype=np.float64).view()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if self.radius.ndim != 1 or any(
+                getattr(self, name).shape != self.radius.shape
+                for name in _COLUMNS):
+            raise NonPhysicalValueError(
+                "field columns must be one-dimensional and of equal length")
+
+    def _columns(self):
+        return [getattr(self, name) for name in _COLUMNS]
+
+    def __len__(self):
+        return self.radius.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return FieldTable(*(col[index] for col in self._columns()))
+        i = operator.index(index)
+        return FieldSample(*(float(col[i]) for col in self._columns()))
+
+    def __iter__(self):
+        return map(FieldSample, *(col.tolist() for col in self._columns()))
+
+    def __eq__(self, other):
+        if isinstance(other, FieldTable):
+            return all(np.array_equal(a, b) for a, b in
+                       zip(self._columns(), other._columns()))
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 def _require_radius(r):
@@ -156,12 +221,14 @@ def kinetic_potential(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
 def sample_field(sphere: UniformSphere, radii, gamma=_DEFAULT_GAMMA):
     """Evaluate the field bundle at every radius in `radii`.
 
-    Returns a list of FieldSample in input order. Raises
-    NonPhysicalInputError naming the index of the first negative radius.
+    Returns a FieldTable in input order: one read-only column per
+    FieldSample field, with FieldSample rows on indexing and iteration.
+    The radii are copied once, so the table does not change when the
+    caller's array does. Raises NonPhysicalInputError naming the index of
+    the first negative or non-finite radius.
     """
-    r = np.asarray(list(radii), dtype=np.float64)
-    if r.size == 0:
-        return []
+    r = np.array(radii if isinstance(radii, np.ndarray) else list(radii),
+                 dtype=np.float64)
     bad = np.flatnonzero(~(np.isfinite(r) & (r >= 0.0)))
     if bad.size:
         i = int(bad[0])
@@ -171,5 +238,4 @@ def sample_field(sphere: UniformSphere, radii, gamma=_DEFAULT_GAMMA):
     u_inf = u_infinity_homogeneous(sphere, gamma)
     u, g, vs, kin = kernels.field_arrays(gm, sphere.radius, rho_gamma_pi,
                                          u_inf, r)
-    return [FieldSample(float(ri), float(ui), float(gi), float(vi), float(ki))
-            for ri, ui, gi, vi, ki in zip(r, u, g, vs, kin)]
+    return FieldTable(r, u, g, vs, kin)

@@ -5,7 +5,12 @@ import sys
 
 import pytest
 
-from geopotent.cli import PROFILE_HEADER, PULSE_HEADER, main
+from geopotent.cli import (
+    PROFILE_HEADER,
+    PULSE_HEADER,
+    PULSE_MAX_SAMPLES,
+    main,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -268,6 +273,19 @@ class TestPulseCommand:
         assert main(["pulse", "--schedule",
                      "tests/fixtures/growth_schedule.json",
                      "--times", "0,1e9"]) == 2
+
+    def test_num_samples_above_ceiling_rejected(self, capsys, monkeypatch):
+        # 1e8 samples would take gigabytes; the flag check must fail before
+        # the sample times or the series are built
+        def never(*args, **kwargs):
+            raise AssertionError("series built for a rejected sample count")
+
+        monkeypatch.chdir(ROOT)
+        monkeypatch.setattr("geopotent.cli.evaluate_schedule", never)
+        assert main(["pulse", "--schedule",
+                     "tests/fixtures/growth_schedule.json",
+                     "--num-samples", "100000000"]) == 2
+        assert str(PULSE_MAX_SAMPLES) in capsys.readouterr().err
 
 
 class TestConfigHandling:

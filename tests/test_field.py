@@ -5,6 +5,8 @@ import pytest
 from scipy import integrate
 
 from geopotent import (
+    FieldSample,
+    FieldTable,
     UniformSphere,
     absolute_potential,
     equipotential_velocity,
@@ -16,7 +18,12 @@ from geopotent import (
     sample_field,
     u_infinity_homogeneous,
 )
-from geopotent.errors import NonPhysicalInputError, OutOfDomainError
+from geopotent import kernels
+from geopotent.errors import (
+    NonPhysicalInputError,
+    NonPhysicalValueError,
+    OutOfDomainError,
+)
 
 from conftest import GAMMA, random_sphere
 
@@ -286,3 +293,91 @@ class TestSampleField:
 
     def test_empty_list(self, earth_sphere):
         assert sample_field(earth_sphere, []) == []
+
+
+COLUMNS = ("radius", "potential", "gravity", "equipotential_velocity",
+           "kinetic_potential")
+
+
+class TestFieldTable:
+    radii = np.linspace(0.0, 3.0 * 6.371e6, 101)
+
+    def test_columns_match_kernel_bitwise(self, earth_sphere):
+        table = sample_field(earth_sphere, self.radii)
+        gm = GAMMA * earth_sphere.mass
+        rho_gamma_pi = GAMMA * earth_sphere.density * math.pi
+        want = (self.radii,) + kernels.field_arrays(
+            gm, earth_sphere.radius, rho_gamma_pi,
+            u_infinity_homogeneous(earth_sphere), self.radii)
+        for name, col in zip(COLUMNS, want):
+            got = getattr(table, name)
+            assert got.dtype == np.float64
+            assert got.tobytes() == col.tobytes()
+
+    def test_list_and_array_input_agree(self, earth_sphere):
+        from_list = sample_field(earth_sphere, self.radii.tolist())
+        from_array = sample_field(earth_sphere, self.radii)
+        from_generator = sample_field(earth_sphere,
+                                      (r for r in self.radii.tolist()))
+        assert from_list == from_array == from_generator
+        for name in COLUMNS:
+            assert np.array_equal(getattr(from_list, name),
+                                  getattr(from_array, name))
+
+    def test_columns_read_only(self, earth_sphere):
+        table = sample_field(earth_sphere, self.radii)
+        for name in COLUMNS:
+            col = getattr(table, name)
+            assert not col.flags.writeable
+            with pytest.raises(ValueError):
+                col[0] = 1.0
+
+    def test_caller_array_changes_do_not_reach_table(self, earth_sphere):
+        radii = self.radii.copy()
+        table = sample_field(earth_sphere, radii)
+        radii[:] = 1.0
+        assert radii.flags.writeable
+        assert np.array_equal(table.radius, self.radii)
+
+    def test_constructor_checks_shapes_and_keeps_caller_writable(self):
+        col = np.arange(4.0)
+        table = FieldTable(col, col, col, col, col)
+        assert col.flags.writeable and not table.gravity.flags.writeable
+        with pytest.raises(NonPhysicalValueError):
+            FieldTable(col, col, col, col, col[:3])
+        with pytest.raises(NonPhysicalValueError):
+            FieldTable(*[np.ones((2, 2))] * 5)
+
+    def test_rows_behave_like_a_list(self, earth_sphere):
+        table = sample_field(earth_sphere, self.radii)
+        rows = [FieldSample(*values) for values in zip(
+            *(getattr(table, name).tolist() for name in COLUMNS))]
+        assert len(table) == len(rows) == 101
+        assert list(table) == rows
+        assert table == rows
+        for i in (0, 1, 50, -1, -101, np.int64(7)):
+            assert table[i] == rows[i]
+            assert type(table[i].potential) is float
+        for i in (101, -102):
+            with pytest.raises(IndexError):
+                table[i]
+        with pytest.raises(TypeError):
+            table[1.0]
+        assert isinstance(table[10:20], FieldTable)
+        assert table[10:20] == rows[10:20]
+        assert table[::-3] == rows[::-3]
+
+    def test_empty_table(self, earth_sphere):
+        table = sample_field(earth_sphere, np.empty(0))
+        assert len(table) == 0 and not table
+        assert list(table) == []
+        with pytest.raises(IndexError):
+            table[0]
+
+    @pytest.mark.parametrize("bad", [-3.0, math.nan, math.inf])
+    def test_error_message_unchanged(self, earth_sphere, bad):
+        want = f"radii[2] must be >= 0, got {np.float64(bad)!r}"
+        for radii in ([1.0, 2.0, bad], np.array([1.0, 2.0, bad])):
+            with pytest.raises(NonPhysicalInputError) as err:
+                sample_field(earth_sphere, radii)
+            assert str(err.value) == want

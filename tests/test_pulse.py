@@ -7,14 +7,20 @@ from geopotent import (
     BackgroundState,
     CavitySchedule,
     EarthParameters,
+    PulseSample,
     ScheduleSegment,
     buoyancy_pressure,
     cavity_mass_deficit,
     evaluate_schedule,
+    point_mass_signal,
     pulsating_potential,
     surface_background,
 )
-from geopotent.errors import NonPhysicalInputError, OutOfDomainError
+from geopotent.errors import (
+    NonPhysicalInputError,
+    OutOfDomainError,
+    ScheduleError,
+)
 
 from conftest import GAMMA
 
@@ -172,6 +178,87 @@ class TestEvaluateSchedule:
         bg = BackgroundState(u0=6.258e7, g0=9.823, u_infinity=11.1652e7)
         samples = evaluate_schedule(GROWTH, [0.0, 86400.0], background=bg)
         assert samples[1].delta_v_s > 0.0
+
+
+def random_schedule(rng, n_segments):
+    """Contiguous schedule mixing all three segment kinds."""
+    ends = np.cumsum(rng.uniform(1.0, 500.0, n_segments))
+    starts = np.concatenate([[0.0], ends[:-1]])
+    kinds = rng.choice(["constant", "linear", "coalesce_step"], n_segments)
+    segments = []
+    for t0, t1, kind in zip(starts.tolist(), ends.tolist(), kinds):
+        n_params = 1 if kind == "constant" else 2
+        params = tuple(rng.uniform(100.0, 2000.0, n_params))
+        segments.append(ScheduleSegment(t0, t1, str(kind), params))
+    return make_schedule(segments)
+
+
+def scan_segment_at(schedule, t):
+    """Reference lookup: scan segments in order; end times belong to the
+    next segment."""
+    if not (schedule.t_start <= t <= schedule.t_end):
+        raise ScheduleError(f"time {t} outside schedule span")
+    for seg in schedule.segments[:-1]:
+        if t < seg.t_end:
+            return seg
+    return schedule.segments[-1]
+
+
+def scan_evaluate_schedule(schedule, times):
+    """Reference series, one scan lookup per sample, same arithmetic as
+    evaluate_schedule."""
+    background = surface_background()
+    first = scan_segment_at(schedule, times[0])
+    base_deficit = ((4.0 / 3.0) * math.pi * first.radius_cubed(times[0])
+                    * schedule.host_density_contrast)
+    out = []
+    for t in times:
+        cubed = scan_segment_at(schedule, t).radius_cubed(t)
+        radius = cubed ** (1.0 / 3.0)
+        deficit = ((4.0 / 3.0) * math.pi * cubed
+                   * schedule.host_density_contrast)
+        sig = point_mass_signal(deficit - base_deficit,
+                                schedule.observer_radius, background)
+        out.append(PulseSample(
+            t, radius,
+            pulsating_potential(schedule.source_mass, radius,
+                                schedule.observer_radius),
+            sig.delta_u, sig.delta_g, sig.delta_v_s))
+    return out
+
+
+class TestSegmentLookupParity:
+    rng = np.random.default_rng(2024)
+    schedule = random_schedule(rng, 1200)
+    boundaries = [seg.t_start for seg in schedule.segments] + [schedule.t_end]
+    times = (boundaries
+             + [math.nextafter(b, -math.inf) for b in boundaries[1:]]
+             + rng.uniform(schedule.t_start, schedule.t_end, 2000).tolist())
+
+    def test_segment_at_matches_scan(self):
+        kinds = {seg.kind for seg in self.schedule.segments}
+        assert kinds == {"constant", "linear", "coalesce_step"}
+        for t in self.times:
+            assert self.schedule.segment_at(t) \
+                is scan_segment_at(self.schedule, t)
+
+    def test_boundary_belongs_to_next_segment(self):
+        segments = self.schedule.segments
+        for i, seg in enumerate(segments[1:], start=1):
+            assert self.schedule.segment_at(seg.t_start) is segments[i]
+        assert self.schedule.segment_at(self.schedule.t_end) is segments[-1]
+
+    @pytest.mark.parametrize("offset", ["before", "after", "nan", "inf"])
+    def test_outside_span_raises(self, offset):
+        t = {"before": math.nextafter(self.schedule.t_start, -math.inf),
+             "after": math.nextafter(self.schedule.t_end, math.inf),
+             "nan": math.nan, "inf": math.inf}[offset]
+        with pytest.raises(ScheduleError):
+            self.schedule.segment_at(t)
+
+    def test_evaluate_schedule_matches_scan_reference(self):
+        assert evaluate_schedule(self.schedule, self.times) \
+            == scan_evaluate_schedule(self.schedule, self.times)
 
 
 class TestBuoyancyPressure:
