@@ -11,6 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -136,9 +137,10 @@ class EarthParameters:
 class RadialProfile:
     """Tabulated (radius, density, pressure) model of a real body.
 
-    Arrays are float64 and read-only. Radii are strictly increasing;
-    density is positive; pressure is non-negative and non-increasing
-    within ``pressure_slack``. Construct through :func:`validate_profile`.
+    Arrays are read-only float64 copies of the inputs. Radii are strictly
+    increasing; density is positive; pressure is non-negative and
+    non-increasing within ``pressure_slack``. Construct through
+    :func:`validate_profile`.
     """
 
     radii: np.ndarray
@@ -148,11 +150,24 @@ class RadialProfile:
 
     def __post_init__(self):
         for name in ("radii", "densities", "pressures"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            # a copy: freezing it leaves the caller's array writable, and
+            # later writes to the caller's array cannot reach the profile
+            # or its cached mass table
+            arr = np.array(getattr(self, name), dtype=np.float64, order="C")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         _validate_columns(self.radii, self.densities, self.pressures,
                           self.pressure_slack)
+
+    @cached_property
+    def mass_table(self):
+        """Exact enclosed mass at the knots, built on first use and kept.
+
+        A :class:`geopotent.profiles.MassTable`; every mass and potential
+        integral over this profile is evaluated from it.
+        """
+        from .profiles import build_mass_table  # profiles imports this module
+        return build_mass_table(self.radii, self.densities)
 
     @property
     def body_radius(self):

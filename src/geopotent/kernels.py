@@ -1,147 +1,19 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
+"""Array kernel for dense uniform-sphere field sampling.
 
-The backend is fixed at import time. Set ``GEOPOTENT_NO_NUMBA=1`` in the
-environment to force the numpy path; it is also used automatically when
-numba is not importable. Both backends evaluate identical arithmetic, so
-results agree to floating-point roundoff (the loop and vector paths may
-differ in summation order by ~1e-15 relative).
-
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+Profile numerics need no kernel: mass, potential integral and the
+steepest pressure gradient are exact piecewise polynomials evaluated in
+:mod:`geopotent.profiles`. What is left here is the one vectorized
+evaluation that works on many radii at once.
 """
-
-import os
 
 import numpy as np
 
-__all__ = [
-    "USING_NUMBA",
-    "refined_grid",
-    "cumulative_mass",
-    "integral_m_over_r2",
-    "max_abs_gradient",
-    "field_arrays",
-]
-
-FOUR_PI = 4.0 * np.pi
+__all__ = ["field_arrays"]
 
 
-def _numba_disabled():
-    return os.environ.get("GEOPOTENT_NO_NUMBA", "").strip().lower() in (
-        "1", "true", "yes", "on")
-
-
-def refined_grid(knots, refine):
-    """Subdivide each knot interval into `refine` equal substeps.
-
-    Returns (len(knots)-1)*refine + 1 radii; every knot is a grid point,
-    so integrands with kinks at the knots stay piecewise smooth between
-    grid points.
-    """
-    knots = np.asarray(knots, dtype=np.float64)
-    frac = np.arange(refine, dtype=np.float64) / refine
-    blocks = knots[:-1, None] + np.diff(knots)[:, None] * frac[None, :]
-    return np.concatenate([blocks.ravel(), knots[-1:]])
-
-
-# -- loop bodies ------------------------------------------------------------
-# Plain-python definitions; compiled with numba when the jit path is active.
-# Keep the arithmetic expression-for-expression identical to the numpy
-# versions below.
-
-def _cumulative_mass_loop(s, rho, rho_mid):
-    out = np.empty(s.shape[0])
-    out[0] = 0.0
-    total = 0.0
-    for k in range(s.shape[0] - 1):
-        a = s[k]
-        b = s[k + 1]
-        m = 0.5 * (a + b)
-        total += ((b - a) / 6.0) * FOUR_PI * (
-            a * a * rho[k] + 4.0 * (m * m) * rho_mid[k] + b * b * rho[k + 1])
-        out[k + 1] = total
-    return out
-
-
-def _integral_blocks_loop(s, f, refine, skip_blocks):
-    total = 0.0
-    nblocks = (s.shape[0] - 1) // refine
-    for i in range(skip_blocks, nblocks):
-        base = i * refine
-        for k in range(0, refine, 2):
-            j = base + k
-            total += ((s[j + 2] - s[j]) / 6.0) * (
-                f[j] + 4.0 * f[j + 1] + f[j + 2])
-    return total
-
-
-def _max_abs_gradient_loop(s, p):
-    best = 0.0
-    for j in range(1, s.shape[0] - 1):
-        g = abs((p[j + 1] - p[j - 1]) / (s[j + 1] - s[j - 1]))
-        if g > best:
-            best = g
-    # first point within 1e-12 relative of the max: plateaus caused by
-    # linear segments resolve to their smallest radius regardless of
-    # last-ulp interpolation noise, and rescaling p cannot move the pick
-    cut = best * (1.0 - 1e-12)
-    idx = 1
-    for j in range(1, s.shape[0] - 1):
-        g = abs((p[j + 1] - p[j - 1]) / (s[j + 1] - s[j - 1]))
-        if g >= cut:
-            idx = j
-            break
-    return idx, best
-
-
-def _field_arrays_loop(gm, radius, rho_gamma_pi, u_inf, r):
-    n = r.shape[0]
-    u = np.empty(n)
-    g = np.empty(n)
-    vs = np.empty(n)
-    kin = np.empty(n)
-    for i in range(n):
-        ri = r[i]
-        if ri <= radius:
-            u[i] = (2.0 / 3.0) * rho_gamma_pi * ri * ri
-            g[i] = (4.0 / 3.0) * rho_gamma_pi * ri
-        else:
-            u[i] = ((2.0 / 3.0) * rho_gamma_pi * radius * radius
-                    + gm / radius - gm / ri)
-            g[i] = gm / (ri * ri)
-        vs[i] = np.sqrt(g[i] * ri)
-        kin[i] = u_inf - u[i]
-    return u, g, vs, kin
-
-
-# -- numpy twins ------------------------------------------------------------
-
-def _cumulative_mass_numpy(s, rho, rho_mid):
-    a = s[:-1]
-    b = s[1:]
-    m = 0.5 * (a + b)
-    inc = ((b - a) / 6.0) * FOUR_PI * (
-        a * a * rho[:-1] + 4.0 * (m * m) * rho_mid + b * b * rho[1:])
-    out = np.empty(s.shape[0])
-    out[0] = 0.0
-    np.cumsum(inc, out=out[1:])
-    return out
-
-
-def _integral_blocks_numpy(s, f, refine, skip_blocks):
-    start = skip_blocks * refine
-    j = np.arange(start, s.shape[0] - 2, 2)
-    return float(np.sum(((s[j + 2] - s[j]) / 6.0)
-                        * (f[j] + 4.0 * f[j + 1] + f[j + 2])))
-
-
-def _max_abs_gradient_numpy(s, p):
-    g = np.abs((p[2:] - p[:-2]) / (s[2:] - s[:-2]))
-    best = float(np.max(g))
-    idx = int(np.argmax(g >= best * (1.0 - 1e-12)))
-    return idx + 1, best
-
-
-def _field_arrays_numpy(gm, radius, rho_gamma_pi, u_inf, r):
+def field_arrays(gm, radius, rho_gamma_pi, u_inf, r):
+    """Potential, gravity, equipotential velocity, kinetic potential arrays."""
+    r = np.ascontiguousarray(r, dtype=np.float64)
     inside = r <= radius
     u = np.where(
         inside,
@@ -153,62 +25,3 @@ def _field_arrays_numpy(gm, radius, rho_gamma_pi, u_inf, r):
     vs = np.sqrt(g * r)
     kin = u_inf - u
     return u, g, vs, kin
-
-
-USING_NUMBA = False
-if not _numba_disabled():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        _cumulative_mass_jit = njit(cache=True)(_cumulative_mass_loop)
-        _integral_blocks_jit = njit(cache=True)(_integral_blocks_loop)
-        _max_abs_gradient_jit = njit(cache=True)(_max_abs_gradient_loop)
-        _field_arrays_jit = njit(cache=True)(_field_arrays_loop)
-        USING_NUMBA = True
-
-
-def cumulative_mass(s, rho, rho_mid):
-    """Cumulative mass of 4*pi*s^2*rho(s) at every grid point.
-
-    One Simpson step per grid interval using the midpoint density, exact
-    for a piecewise-linear density between grid points.
-    """
-    if USING_NUMBA:
-        return _cumulative_mass_jit(s, rho, rho_mid)
-    return _cumulative_mass_numpy(s, rho, rho_mid)
-
-
-def integral_m_over_r2(s, f, refine, skip_blocks=0):
-    """Composite Simpson over refined blocks; f sampled on the grid.
-
-    `refine` must be even so Simpson pairs never straddle a knot.
-    `skip_blocks` drops leading knot intervals from the integral.
-    """
-    if refine % 2:
-        raise ValueError("refine must be even")
-    if USING_NUMBA:
-        return float(_integral_blocks_jit(s, f, refine, skip_blocks))
-    return _integral_blocks_numpy(s, f, refine, skip_blocks)
-
-
-def max_abs_gradient(s, p):
-    """Index and value of the largest |dp/ds| central difference.
-
-    Endpoints are excluded. Ties (values within 1e-12 relative of the
-    maximum, as on a plateau from a linear segment) resolve to the
-    smallest radius.
-    """
-    if USING_NUMBA:
-        idx, best = _max_abs_gradient_jit(s, p)
-        return int(idx), float(best)
-    return _max_abs_gradient_numpy(s, p)
-
-
-def field_arrays(gm, radius, rho_gamma_pi, u_inf, r):
-    """Potential, gravity, equipotential velocity, kinetic potential arrays."""
-    r = np.ascontiguousarray(r, dtype=np.float64)
-    if USING_NUMBA:
-        return _field_arrays_jit(gm, radius, rho_gamma_pi, u_inf, r)
-    return _field_arrays_numpy(gm, radius, rho_gamma_pi, u_inf, r)

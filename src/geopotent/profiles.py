@@ -1,26 +1,43 @@
-"""Numerics over tabulated radial profiles.
+"""Numerics over tabulated radial profiles, as exact piecewise polynomials.
 
 Both columns of a profile are interpolated piecewise-linearly (splines
 would overshoot at sharp density jumps and could break the monotonicity
-and positivity the analysis relies on). Integrals use composite Simpson
-on a refined grid, ten substeps per knot interval by default, which is
-exact for the piecewise-cubic mass integrand and converges far below
-test tolerances for everything else. Below the first sampled radius the
-innermost density is extended as a constant.
+and positivity the analysis relies on). Below the first sampled radius
+the innermost density is extended as a constant.
+
+With density linear between knots, the enclosed mass M(r) is a quartic
+on each knot interval and the integral of M(s)/s^2 over an interval has
+a closed form, so both are exact to roundoff. They are evaluated from
+one table of M at the knots, built once per profile
+(:attr:`RadialProfile.mass_table`). The pressure interpolant has a
+constant slope on each interval, so its steepest point is found from the
+knot segments alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels
 from .core import RadialProfile
 from .errors import DegenerateProfileError, OutOfDomainError
 
-DEFAULT_REFINE = 10
+FOUR_PI = 4.0 * math.pi
+
+# pressure_gradient_max reports a point of the uniform grid that earlier
+# releases scanned with central differences, step = (smallest knot gap) /
+# _GRAD_P_SUBSTEPS, so the reported radius and pressure stay as released.
+# Only the grid's points on the steepest segment are ever computed.
+_GRAD_P_SUBSTEPS = 10
+
+# Segments whose |dP/dr| is within this relative margin of the steepest
+# tie, and the smallest radius wins: a linear run of segments resolves to
+# its first one regardless of last-ulp noise, and rescaling P cannot move
+# the pick.
+_GRAD_P_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,6 +47,47 @@ class GradPResult:
     radius_at_max: float
     pressure_at_max: float
     gradient_magnitude: float
+
+
+class MassTable(NamedTuple):
+    """Enclosed mass at the knots of a profile, from the center outward.
+
+    ``knots`` are the sampled radii, preceded by ``0`` when the first
+    sampled radius is above zero; ``densities`` are the densities there,
+    the innermost one repeated at that added center knot. ``mass[i]`` is
+    M(knots[i]). The arrays are float64 and read-only.
+    """
+
+    knots: np.ndarray
+    densities: np.ndarray
+    mass: np.ndarray
+
+
+def _shell_mass(r, rho, slope, t):
+    # 4*pi * integral of (rho + slope*x) * (r + x)^2 over x in [0, t].
+    # Written in the offset t from the knot r: the same polynomial in s
+    # loses ~1e-10 to cancellation on narrow intervals far from the center.
+    # Plain products, not powers, so array and scalar calls agree bitwise.
+    t2 = t * t
+    t3 = t2 * t
+    return FOUR_PI * (rho * (r * r * t + r * t2 + t3 / 3.0)
+                      + slope * (r * r * t2 / 2.0 + 2.0 * r * t3 / 3.0
+                                 + t3 * t / 4.0))
+
+
+def build_mass_table(radii, densities):
+    """The MassTable of a piecewise-linear density sampled at `radii`."""
+    if radii[0] > 0.0:
+        radii = np.concatenate(([0.0], radii))
+        densities = np.concatenate((densities[:1], densities))
+    t = np.diff(radii)
+    shells = _shell_mass(radii[:-1], densities[:-1], np.diff(densities) / t, t)
+    mass = np.zeros(radii.shape[0])
+    np.cumsum(shells, out=mass[1:])
+    table = MassTable(radii.view(), densities.view(), mass)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def interpolate(profile: RadialProfile, r):
@@ -48,20 +106,7 @@ def interpolate(profile: RadialProfile, r):
             float(np.interp(r, profile.radii, profile.pressures)))
 
 
-def _mass_to(profile, r, refine):
-    # integration knots: 0, every sampled radius below r, then r itself
-    inner = profile.radii[profile.radii < r]
-    if inner.size == 0 or inner[0] > 0.0:
-        inner = np.concatenate(([0.0], inner))
-    knots = np.concatenate([inner, [r]])
-    grid = kernels.refined_grid(knots, refine)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    rho = np.interp(grid, profile.radii, profile.densities)
-    rho_mid = np.interp(mids, profile.radii, profile.densities)
-    return grid, kernels.cumulative_mass(grid, rho, rho_mid)
-
-
-def enclosed_mass(profile: RadialProfile, r, refine=DEFAULT_REFINE):
+def enclosed_mass(profile: RadialProfile, r):
     """Mass inside radius r: integral of 4*pi*s^2*rho(s) from the center.
 
     Monotone non-decreasing in r; zero at r = 0.
@@ -69,71 +114,99 @@ def enclosed_mass(profile: RadialProfile, r, refine=DEFAULT_REFINE):
     if not (0.0 <= r <= profile.body_radius):
         raise OutOfDomainError(
             f"r = {r!r} outside [0, {profile.body_radius}]")
-    if r == 0.0:
-        return 0.0
-    _, mass = _mass_to(profile, r, refine)
-    return float(mass[-1])
+    knots, rho, mass = profile.mass_table
+    i = min(int(np.searchsorted(knots, r, side="right")) - 1,
+            knots.shape[0] - 2)
+    slope = (rho[i + 1] - rho[i]) / (knots[i + 1] - knots[i])
+    return float(mass[i] + _shell_mass(knots[i], rho[i], slope, r - knots[i]))
 
 
-def surface_potential_integral(profile: RadialProfile, gamma,
-                               refine=DEFAULT_REFINE):
+def surface_potential_integral(profile: RadialProfile, gamma):
     """gamma * integral of M(s)/s^2 from the first sampled radius to the surface.
 
     The center-to-surface potential of the tabulated body. The integrand
     is finite at s -> 0 for bounded density (M ~ s^3), so a profile
     starting at zero radius poses no difficulty.
     """
-    first = profile.radii[0]
-    if first > 0.0:
-        knots = np.concatenate(([0.0], profile.radii))
-        skip_blocks = 1
-    else:
-        knots = profile.radii
-        skip_blocks = 0
-    grid = kernels.refined_grid(knots, refine)
-    mids = 0.5 * (grid[:-1] + grid[1:])
-    rho = np.interp(grid, profile.radii, profile.densities)
-    rho_mid = np.interp(mids, profile.radii, profile.densities)
-    mass = kernels.cumulative_mass(grid, rho, rho_mid)
-    f = np.zeros_like(grid)
-    nz = grid > 0.0
-    f[nz] = mass[nz] / grid[nz] ** 2
-    return gamma * kernels.integral_m_over_r2(grid, f, refine, skip_blocks)
+    knots, rho, mass = profile.mass_table
+    # skip the interval below the first sampled radius, if the table has one
+    first = knots.shape[0] - len(profile)
+    r0, r1 = knots[first:-1], knots[first + 1:]
+    rho0, mass0 = rho[first:-1], mass[first:-1]
+    t = r1 - r0
+    # M_i * (1/r_i - 1/r_{i+1}), which is 0 on an interval from the center
+    inner = np.divide(mass0 * t, r0 * r1, out=np.zeros_like(t),
+                      where=r0 > 0.0)
+    shell = FOUR_PI * t * t / (12.0 * r1) * (
+        2.0 * rho0 * (3.0 * r0 + t) + np.diff(rho[first:]) * (r0 + r1))
+    return gamma * float(np.sum(inner + shell))
 
 
-def pressure_gradient_max(profile: RadialProfile, refine=DEFAULT_REFINE):
+def _first_grid_point(first, step, r):
+    """Smallest m >= 0 with m * step + first >= r, in float arithmetic.
+
+    m * step + first is grid point m exactly as np.linspace computes it;
+    the quotient estimate can be one off when a grid point meets r to
+    roundoff, so it is corrected against that expression.
+    """
+    m = max(math.ceil((r - first) / step), 0)
+    while m > 0 and (m - 1) * step + first >= r:
+        m -= 1
+    while m * step + first < r:
+        m += 1
+    return m
+
+
+def pressure_gradient_max(profile: RadialProfile):
     """Interior radius where |dP/dr| of the interpolant is largest.
 
-    Central differences on a uniform grid with step = (smallest sample
-    spacing) / refine. The two boundary grid points are excluded so the
-    result is strictly interior; plateau ties resolve toward smaller r.
+    The interpolant's slope is constant on each knot segment, so the
+    maximum is the steepest segment's |dP/dr|; ties (within 1e-12
+    relative) resolve toward smaller r. The reported point is the first
+    point of the uniform grid with step (smallest sample spacing) / 10
+    whose central-difference stencil lies within that segment, where a
+    stencil end missing the lower knot by roundoff still counts as
+    within. The point is computed directly; the grid is never built.
 
     Raises
     ------
     DegenerateProfileError
         If the pressure is constant (no gradient maximum exists).
     """
-    first = float(profile.radii[0])
-    body = profile.body_radius
-    step = float(np.min(np.diff(profile.radii))) / refine
-    n = max(int(math.ceil((body - first) / step)) + 1, 5)
-    grid = np.linspace(first, body, n)
-    p = np.interp(grid, profile.radii, profile.pressures)
-    idx, grad = kernels.max_abs_gradient(grid, p)
+    radii, pressures = profile.radii, profile.pressures
+    slopes = np.abs(np.diff(pressures) / np.diff(radii))
+    grad = float(np.max(slopes))
     if grad <= 0.0:
         raise DegenerateProfileError(
             "pressure is constant; the gradient has no maximum")
-    return GradPResult(float(grid[idx]), float(p[idx]), grad)
+    cut = grad * (1.0 - _GRAD_P_TIE_RTOL)
+    k = int(np.argmax(slopes >= cut))
+    first, body = float(radii[0]), profile.body_radius
+    min_gap = float(np.min(np.diff(radii)))
+    n = max(math.ceil((body - first) / (min_gap / _GRAD_P_SUBSTEPS)) + 1, 5)
+    step = (body - first) / (n - 1)
+    m = _first_grid_point(first, step, float(radii[k]))
+    # the central difference at m straddles the knot. It ties with the
+    # segment's slope only when point m - 1 misses the knot by roundoff;
+    # otherwise m + 1 is the first point whose stencil lies inside.
+    j = m + 1
+    if m > 0:
+        stencil = np.array([m - 1, m + 1]) * step + first
+        p = np.interp(stencil, radii, pressures)
+        if abs((p[1] - p[0]) / (stencil[1] - stencil[0])) >= cut:
+            j = m
+    radius = j * step + first
+    return GradPResult(radius,
+                       float(np.interp(radius, radii, pressures)), grad)
 
 
-def mean_density(profile: RadialProfile, refine=DEFAULT_REFINE):
+def mean_density(profile: RadialProfile):
     """Total tabulated mass divided by the body volume, kg/m^3."""
-    total = enclosed_mass(profile, profile.body_radius, refine)
+    total = float(profile.mass_table.mass[-1])
     return total / ((4.0 / 3.0) * math.pi * profile.body_radius**3)
 
 
-def core_equilibrium_gravity(profile: RadialProfile, core_radius,
-                             refine=DEFAULT_REFINE):
+def core_equilibrium_gravity(profile: RadialProfile, core_radius):
     """Mean field strength balancing the pressure on a core surface.
 
     P(core) * 4*pi*core^2 / (M_total - M(core)): the force pressing on
@@ -145,6 +218,6 @@ def core_equilibrium_gravity(profile: RadialProfile, core_radius,
             f"(0, {profile.body_radius})")
     _, pressure = interpolate(profile, core_radius)
     area = 4.0 * math.pi * core_radius**2
-    outside = (enclosed_mass(profile, profile.body_radius, refine)
-               - enclosed_mass(profile, core_radius, refine))
+    outside = (float(profile.mass_table.mass[-1])
+               - enclosed_mass(profile, core_radius))
     return pressure * area / outside

@@ -139,8 +139,8 @@ def locate_boundary(result: InversionResult, reference: BoundaryReference):
     return offset, offset <= reference.layer_half_thickness
 
 
-def homogeneity_bound(profile: RadialProfile, gamma,
-                      refine=profiles.DEFAULT_REFINE) -> HomogeneityBoundReport:
+def homogeneity_bound(profile: RadialProfile,
+                      gamma) -> HomogeneityBoundReport:
     """Evaluate both sides of the surface-potential bound on a profile.
 
     The integral side is the center-to-surface potential of the tabulated
@@ -148,8 +148,8 @@ def homogeneity_bound(profile: RadialProfile, gamma,
     equivalent. Centrally condensed bodies come out above the uniform
     side, so `holds` is reported, never assumed.
     """
-    left = profiles.surface_potential_integral(profile, gamma, refine)
-    rho0 = profiles.mean_density(profile, refine)
+    left = profiles.surface_potential_integral(profile, gamma)
+    rho0 = profiles.mean_density(profile)
     right = (2.0 / 3.0) * gamma * rho0 * math.pi * profile.body_radius**2
     gap = (left - right) / right
     return HomogeneityBoundReport(

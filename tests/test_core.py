@@ -13,6 +13,7 @@ from geopotent import (
     InversionResult,
     PhysicalConstants,
     PotentialBreakdown,
+    RadialProfile,
     ScheduleSegment,
     UniformSphere,
     validate_profile,
@@ -160,6 +161,18 @@ class TestValidateProfile:
         profile = uniform_profile()
         with pytest.raises(ValueError):
             profile.radii[0] = 1.0
+
+    def test_caller_arrays_stay_writable(self):
+        r = np.array([0.0, 1.0e6, 2.0e6, 3.0e6])
+        d = np.array([9000.0, 8000.0, 6000.0, 3000.0])
+        p = np.array([3.0e11, 2.0e11, 1.0e11, 0.0])
+        profile = RadialProfile(r, d, p)
+        for caller, own in ((r, profile.radii), (d, profile.densities),
+                            (p, profile.pressures)):
+            assert caller.flags.writeable
+            assert not own.flags.writeable
+        r[1] = 1.5e6
+        assert profile.radii[1] == 1.0e6
 
 
 class TestPotentialBreakdown:

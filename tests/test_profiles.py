@@ -1,4 +1,8 @@
 import math
+import os
+import time
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,9 +16,16 @@ from geopotent import (
     surface_potential_integral,
     validate_profile,
 )
+from geopotent import cli, profiles
 from geopotent.errors import DegenerateProfileError, OutOfDomainError
 
-from conftest import EARTH_MEAN_DENSITY, EARTH_RADIUS, GAMMA, uniform_profile
+from conftest import (
+    EARTH_MEAN_DENSITY,
+    EARTH_RADIUS,
+    GAMMA,
+    PREM_CSV,
+    uniform_profile,
+)
 
 # Oracles for the 20-row reference fixture, frozen from an independent
 # dense-trapezoid evaluation of the same piecewise-linear table (see
@@ -39,6 +50,153 @@ def two_shell_profile(rho_inner, rho_outer, body_radius=EARTH_RADIUS):
     p0 = 1e10
     pressure = [p0 * (1.0 - r / body_radius / 1.0001) for r in radii]
     return validate_profile(list(zip(radii, rho, pressure)))
+
+
+def profile_with_narrow_pairs(rng, first_radius):
+    """Random profile on [first_radius, R] with knots 20 m apart in pairs."""
+    n = int(rng.integers(12, 24))
+    radii = np.sort(rng.uniform(first_radius, EARTH_RADIUS, n))
+    radii[0], radii[-1] = first_radius, EARTH_RADIUS
+    pairs = rng.choice(np.arange(1, n - 1), size=3, replace=False)
+    radii = np.unique(np.concatenate((radii, radii[pairs] + 20.0)))
+    rho = rng.uniform(1.0e3, 1.3e4, radii.size)
+    pressure = np.linspace(3.6e11, 0.0, radii.size)
+    return validate_profile(list(zip(radii, rho, pressure)))
+
+
+class ExactProfile:
+    """M(r) / (4 pi) and the integral of M / (4 pi s^2), in exact rationals.
+
+    Only the final conversion to float rounds; 4 pi is applied after it.
+    """
+
+    def __init__(self, profile):
+        r = [Fraction(x) for x in profile.radii.tolist()]
+        rho = [Fraction(x) for x in profile.densities.tolist()]
+        if r[0] > 0:
+            r, rho = [Fraction(0)] + r, rho[:1] + rho
+        self.first = len(r) - len(profile)
+        self.r = r
+        # rho = a + b s on interval i; Q(s) = a s^3/3 + b s^4/4 is a
+        # primitive of rho s^2 there
+        self.coef = []
+        self.mass = [Fraction(0)]
+        for i in range(len(r) - 1):
+            b = (rho[i + 1] - rho[i]) / (r[i + 1] - r[i])
+            self.coef.append((rho[i] - b * r[i], b))
+            self.mass.append(self.mass[-1] + self._q(i, r[i + 1])
+                             - self._q(i, r[i]))
+
+    def _q(self, i, s):
+        a, b = self.coef[i]
+        return a * s**3 / 3 + b * s**4 / 4
+
+    def mass_at(self, s):
+        s = Fraction(s)
+        i = max(j for j in range(len(self.r) - 1) if self.r[j] <= s)
+        return self.mass[i] + self._q(i, s) - self._q(i, self.r[i])
+
+    def potential_integral(self):
+        """From the first sampled radius to the surface."""
+        total = Fraction(0)
+        for i in range(self.first, len(self.r) - 1):
+            r0, r1 = self.r[i], self.r[i + 1]
+            a, b = self.coef[i]
+            # M / (4 pi) = c + Q(s) on the interval; c = 0 from the center
+            c = self.mass[i] - self._q(i, r0)
+            if r0 > 0:
+                total += c * (1 / r0 - 1 / r1)
+            total += a * (r1**2 - r0**2) / 6 + b * (r1**3 - r0**3) / 12
+        return total
+
+
+def _golden_profile_cells():
+    path = os.path.join(os.path.dirname(__file__), "golden", "profile.csv")
+    with open(path, encoding="utf-8") as fh:
+        return dict(line.rstrip("\n").split(",", 1) for line in fh
+                    if line.count(",") == 1 and not line.startswith("#"))
+
+
+class TestMassTable:
+    def test_matches_exact_rationals(self):
+        four_pi = 4.0 * math.pi
+        rng = np.random.default_rng(61)
+        for k in range(60):
+            first = 0.0 if k % 2 else float(rng.uniform(1.0e3, 1.0e6))
+            profile = profile_with_narrow_pairs(rng, first)
+            exact = ExactProfile(profile)
+            body = profile.body_radius
+            knots = profile.radii.tolist()
+            between = [float(rng.uniform(lo, hi))
+                       for lo, hi in zip([0.0] + knots, knots)]
+            for r in knots + between:
+                want = four_pi * float(exact.mass_at(r))
+                assert enclosed_mass(profile, r) == pytest.approx(
+                    want, rel=1e-14, abs=0.0)
+            want = GAMMA * four_pi * float(exact.potential_integral())
+            assert surface_potential_integral(profile, GAMMA) == \
+                pytest.approx(want, rel=1e-14, abs=0.0)
+            want = four_pi * float(exact.mass[-1]) \
+                / ((4.0 / 3.0) * math.pi * body**3)
+            assert mean_density(profile) == pytest.approx(want, rel=1e-14,
+                                                          abs=0.0)
+
+    def test_prem_golden_against_quad(self, prem_profile):
+        # the golden homogeneity cells are the exact values rounded to 10
+        # digits; quad confirms them without the program's formulas, using
+        # int_0^R M/s^2 ds = int_0^R 4 pi s rho ds - M(R)/R (by parts)
+        integrate = pytest.importorskip("scipy.integrate")
+        radii, rho = prem_profile.radii, prem_profile.densities
+        body = prem_profile.body_radius
+        assert radii[0] == 0.0
+
+        def quad(power):
+            value, _ = integrate.quad(
+                lambda s: 4.0 * math.pi * s**power * np.interp(s, radii, rho),
+                0.0, body, points=radii[1:-1].tolist(), limit=200,
+                epsabs=0.0, epsrel=1e-13)
+            return value
+
+        total = quad(2)
+        integral = GAMMA * (quad(1) - total / body)
+        rho_mean = total / ((4.0 / 3.0) * math.pi * body**3)
+        uniform = (2.0 / 3.0) * GAMMA * rho_mean * math.pi * body**2
+        gap = (integral - uniform) / uniform
+        assert surface_potential_integral(prem_profile, GAMMA) == \
+            pytest.approx(integral, rel=1e-13)
+        cells = _golden_profile_cells()
+        assert cells["homogeneity_integral_j_kg"] == f"{integral:.10g}"
+        assert cells["homogeneity_relative_gap"] == f"{gap:.10g}"
+
+    def test_built_once_and_read_only(self, prem_profile):
+        table = prem_profile.mass_table
+        assert prem_profile.mass_table is table
+        for arr in table:
+            assert not arr.flags.writeable
+        assert table.mass[0] == 0.0
+        assert table.knots[0] == 0.0
+
+    def test_center_knot_added_above_zero(self):
+        profile = validate_profile([
+            (1.0e5, 9000.0, 3e11), (1.0e6, 8000.0, 2e11),
+            (2.0e6, 5000.0, 1e11), (3.0e6, 3000.0, 0.0)])
+        knots, densities, mass = profile.mass_table
+        assert knots.tolist() == [0.0, 1.0e5, 1.0e6, 2.0e6, 3.0e6]
+        assert densities[0] == densities[1] == 9000.0
+        assert mass[1] == pytest.approx(
+            (4.0 / 3.0) * math.pi * 9000.0 * 1.0e5**3, rel=1e-15)
+
+    def test_profile_report_builds_one_table(self, monkeypatch, capsys):
+        builds = []
+        build = profiles.build_mass_table
+
+        def counting(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(profiles, "build_mass_table", counting)
+        assert cli.main(["profile", "--profile", PREM_CSV]) == 0
+        assert len(builds) == 1
 
 
 class TestInterpolate:
@@ -89,12 +247,6 @@ class TestEnclosedMass:
         radii = np.sort(rng.uniform(0.0, prem_profile.body_radius, 60))
         masses = [enclosed_mass(prem_profile, r) for r in radii]
         assert all(b >= a for a, b in zip(masses, masses[1:]))
-
-    def test_refinement_convergence(self, prem_profile):
-        r = prem_profile.body_radius
-        coarse = enclosed_mass(prem_profile, r, refine=10)
-        fine = enclosed_mass(prem_profile, r, refine=20)
-        assert abs(fine - coarse) / coarse < 1e-7
 
     def test_out_of_range(self, prem_profile):
         with pytest.raises(OutOfDomainError):
@@ -149,13 +301,116 @@ class TestSurfacePotentialIntegral:
             else:
                 assert value <= bound * (1.0 + 1e-9)
 
-    def test_refinement_convergence(self, prem_profile):
-        coarse = surface_potential_integral(prem_profile, GAMMA, refine=10)
-        fine = surface_potential_integral(prem_profile, GAMMA, refine=20)
-        assert abs(fine - coarse) / coarse < 1e-7
+
+def grid_gradient_max(profile):
+    """The grid finder of earlier releases, kept as the reference.
+
+    Central differences on np.linspace(first, body, n) with step
+    (smallest knot gap) / 10; the first point within 1e-12 relative of the
+    largest difference wins. Returns (radius, pressure, gradient).
+    """
+    first, body = float(profile.radii[0]), profile.body_radius
+    step = float(np.min(np.diff(profile.radii))) / 10
+    n = max(int(math.ceil((body - first) / step)) + 1, 5)
+    grid = np.linspace(first, body, n)
+    p = np.interp(grid, profile.radii, profile.pressures)
+    g = np.abs((p[2:] - p[:-2]) / (grid[2:] - grid[:-2]))
+    best = float(np.max(g))
+    idx = int(np.argmax(g >= best * (1.0 - 1e-12))) + 1
+    return float(grid[idx]), float(p[idx]), best
+
+
+def random_gradient_profile(rng):
+    """Random profile whose smallest knot gap is >= 1/1000 of its span.
+
+    Some carry a run of 2-4 segments sharing the steepest slope. The grid
+    reference's differences carry roundoff of about eps * span / step
+    relative; past a span/gap ratio near 1e4 that exceeds its 1e-12 tie
+    margin and its pick wanders among the tied points, so the ratio is
+    held where the reference itself is stable.
+    """
+    n = int(rng.integers(5, 40))
+    body = 10.0 ** rng.uniform(3.0, 7.0)
+    gaps = rng.uniform(0.2, 1.0, n - 1)
+    for i in rng.choice(n - 1, size=int(rng.integers(0, 3)), replace=False):
+        gaps[i] = gaps.sum() / 1000.0 * rng.uniform(1.0, 3.0)
+    first = 0.0 if rng.random() < 0.5 else rng.uniform(0.01, 0.3)
+    radii = np.concatenate(([0.0], np.cumsum(gaps)))
+    radii = (first + radii / radii[-1] * (1.0 - first)) * body
+    radii[-1] = body
+    slopes = rng.uniform(0.0, 1.0, n - 1)
+    if rng.random() < 0.4:
+        k = int(rng.integers(0, n - 1))
+        slopes[k:k + int(rng.integers(2, 5))] = 1.5
+    drops = slopes * np.diff(radii) / body * 10.0 ** rng.uniform(5.0, 11.5)
+    pressure = np.concatenate((np.cumsum(drops[::-1])[::-1], [0.0]))
+    rho = rng.uniform(1.0e3, 1.3e4, n)
+    return validate_profile(list(zip(radii, rho, pressure)))
 
 
 class TestPressureGradientMax:
+    def test_matches_grid_reference(self, prem_profile):
+        rng = np.random.default_rng(67)
+        cases = [prem_profile] + [random_gradient_profile(rng)
+                                  for _ in range(240)]
+        for profile in cases:
+            radius, pressure, grad = grid_gradient_max(profile)
+            result = pressure_gradient_max(profile)
+            assert result.radius_at_max == radius
+            assert result.pressure_at_max == pressure
+            assert result.gradient_magnitude == pytest.approx(grad,
+                                                              rel=1e-12)
+
+    def test_matches_grid_reference_on_even_knots(self):
+        # with knots 1e6/17 apart most grid points meet a knot only to
+        # roundoff, some one ulp below it: the reference then counts the
+        # stencil around the next point as inside the segment
+        radii = np.linspace(0.0, 1.0e6, 18)
+        for k in range(17):
+            slopes = np.linspace(0.5, 1.0, 17)
+            slopes[k] = 2.0
+            drops = slopes * np.diff(radii) * 1.0e5
+            pressure = np.concatenate((np.cumsum(drops[::-1])[::-1], [0.0]))
+            profile = validate_profile(
+                list(zip(radii, np.full(18, 5000.0), pressure)))
+            radius, pressure_at, _ = grid_gradient_max(profile)
+            result = pressure_gradient_max(profile)
+            assert (result.radius_at_max, result.pressure_at_max) == \
+                (radius, pressure_at)
+
+    def test_first_grid_point_exact_where_quotient_is_not(self):
+        # the quotient (r - first) / step rounds below the answer for 9
+        # knots 1e6/17 apart on a 170-step grid, and above it for 84
+        # points of the 1000-step grid from 1 m to R taken as r
+        cases = [(0.0, 1.0e6, 171, np.linspace(0.0, 1.0e6, 18)),
+                 (1.0, EARTH_RADIUS, 1001,
+                  np.linspace(1.0, EARTH_RADIUS, 1001)[:-1])]
+        for first, body, n, points in cases:
+            grid = np.linspace(first, body, n)
+            step = (body - first) / (n - 1)
+            for r in points.tolist():
+                want = int(np.searchsorted(grid, r, side="left"))
+                assert profiles._first_grid_point(first, step, r) == want
+
+    def test_millimetre_gap_prompt_and_small(self):
+        # the grid of earlier releases would hold ~6e10 points here
+        rows = [(0.0, 9000.0, 3.6e11), (1.0e6, 8000.0, 3.0e11),
+                (1.0e6 + 1.0e-3, 8000.0, 2.9e11), (3.0e6, 5000.0, 1.0e11),
+                (EARTH_RADIUS, 3000.0, 0.0)]
+        profile = validate_profile(rows)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            result = pressure_gradient_max(profile)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+        assert 1.0e6 < result.radius_at_max < 1.0e6 + 1.0e-3
+        assert result.gradient_magnitude == pytest.approx(1.0e13, rel=1e-6)
+
     def test_parabolic_pressure(self):
         # P = P0 (1 - (r/R)^2): |dP/dr| grows to the boundary, so the
         # finder returns the last interior plateau, one knot in from R
