@@ -16,21 +16,34 @@ ratios and the crossover are physically meaningful outputs.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .core import DEFAULT_CONSTANTS, AnomalySource
+from .core import DEFAULT_CONSTANTS, AnomalySource, _require_positive
 from .errors import NonPhysicalInputError, OutOfDomainError
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
 
-class BackgroundState(NamedTuple):
-    """Unperturbed field at the observer: potential, gravity, at-infinity value."""
+class BackgroundState(namedtuple("BackgroundState", "u0 g0 u_infinity")):
+    """Unperturbed field at the observer: potential, gravity, at-infinity value.
 
-    u0: float
-    g0: float
-    u_infinity: float
+    A tuple, so ``BackgroundState(*t)`` accepts any 3-sequence; every
+    field must be positive and finite. The ordering u0 < u_infinity is
+    checked where a signal is evaluated.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u0, g0, u_infinity):
+        for name, value in (("u0", u0), ("g0", g0),
+                            ("u_infinity", u_infinity)):
+            _require_positive(name, value)
+        return super().__new__(cls, u0, g0, u_infinity)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,16 @@ Subcommands map one-to-one onto the solver pipelines:
 
 Reports embed the full constant set used. CSV output carries numbers at
 10 significant digits for readability; JSON carries full precision. Exit
-codes: 0 success, 2 input/validation error, 3 numerical-domain error.
+codes: 0 success, 2 for an ``InputError``, 3 for a ``DomainError`` or an
+arithmetic failure. A report is rendered whole before it is written, and
+a non-finite number in it is a ``DomainError``, so an exit-0 report holds
+only finite numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,20 +28,14 @@ import sys
 from . import __version__
 from .anomaly import BackgroundState, sensitivity_coefficients, sphere_anomaly
 from .config import ENV_CONFIG, RunConfig, resolve_config
-from .core import AnomalySource, CavitySchedule, ScheduleSegment, validate_profile
-from .errors import (
-    ConfigError,
-    DegenerateProfileError,
-    GeopotentError,
-    MissingPressureSourceError,
-    NonMonotonicRadiusError,
-    NonPhysicalInputError,
-    NonPhysicalValueError,
-    OutOfDomainError,
-    PressureIncreaseError,
-    ScheduleError,
-    TooFewSamplesError,
+from .core import (
+    SEGMENT_PARAMS,
+    AnomalySource,
+    CavitySchedule,
+    ScheduleSegment,
+    validate_profile,
 )
+from .errors import DomainError, InputError, MissingPressureSourceError
 from .profiles import (
     core_equilibrium_gravity,
     enclosed_mass,
@@ -65,28 +63,18 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 
-_INPUT_ERRORS = (ConfigError, MissingPressureSourceError,
-                 NonMonotonicRadiusError, NonPhysicalValueError,
-                 PressureIncreaseError, ScheduleError, TooFewSamplesError)
-_DOMAIN_ERRORS = (DegenerateProfileError, NonPhysicalInputError,
-                  OutOfDomainError)
-
-
-class _CliInputError(GeopotentError):
-    """Flag or file content failed validation before any computation."""
-
 
 # -- input files -------------------------------------------------------------
 
 def read_profile_csv(path):
     """Parse a profile CSV; errors carry 1-based line numbers."""
     if not os.path.exists(path):
-        raise _CliInputError(f"profile file not found: {path}")
+        raise InputError(f"profile file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != PROFILE_HEADER:
         got = lines[0].strip() if lines else "<empty file>"
-        raise _CliInputError(
+        raise InputError(
             f"{path}:1: bad header {got!r}; expected {PROFILE_HEADER!r}")
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -94,76 +82,66 @@ def read_profile_csv(path):
             continue
         parts = line.split(",")
         if len(parts) != 3:
-            raise _CliInputError(
+            raise InputError(
                 f"{path}:{lineno}: expected 3 comma-separated values, "
                 f"got {len(parts)}")
         try:
             rows.append(tuple(float(p) for p in parts))
         except ValueError:
-            raise _CliInputError(
+            raise InputError(
                 f"{path}:{lineno}: non-numeric value in {line!r}") from None
     try:
         return validate_profile(rows)
-    except (NonMonotonicRadiusError, NonPhysicalValueError,
-            PressureIncreaseError) as exc:
+    except InputError as exc:
         index = getattr(exc, "index", None)
         where = f"{path}:{index + 2}: " if index is not None else f"{path}: "
-        raise _CliInputError(where + str(exc)) from exc
-    except TooFewSamplesError as exc:
-        raise _CliInputError(f"{path}: {exc}") from exc
-
-
-_SEGMENT_PARAM_KEYS = {
-    "constant": ("radius",),
-    "linear": ("radius_start", "radius_end"),
-    "coalesce_step": ("radius_1", "radius_2"),
-}
+        raise InputError(where + str(exc)) from exc
 
 
 def read_schedule_json(path):
     """Parse a cavity schedule JSON; errors name the offending segment."""
     if not os.path.exists(path):
-        raise _CliInputError(f"schedule file not found: {path}")
+        raise InputError(f"schedule file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
-        raise _CliInputError(f"{path}: invalid JSON: {exc}") from exc
+        raise InputError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise _CliInputError(f"{path}: schedule must be a JSON object")
+        raise InputError(f"{path}: schedule must be a JSON object")
     allowed = {"source_mass", "observer_radius", "host_density_contrast",
                "segments"}
     unknown = set(data) - allowed
     if unknown:
-        raise _CliInputError(
+        raise InputError(
             f"{path}: unknown key(s): {', '.join(sorted(unknown))}")
     missing = allowed - set(data)
     if missing:
-        raise _CliInputError(
+        raise InputError(
             f"{path}: missing key(s): {', '.join(sorted(missing))}")
     if not isinstance(data["segments"], list):
-        raise _CliInputError(f"{path}: segments must be an array")
+        raise InputError(f"{path}: segments must be an array")
     segments = []
     for i, seg in enumerate(data["segments"]):
         where = f"{path}: segment {i}"
         if not isinstance(seg, dict):
-            raise _CliInputError(f"{where}: must be an object")
+            raise InputError(f"{where}: must be an object")
         for key in ("t_start", "t_end", "kind", "params"):
             if key not in seg:
-                raise _CliInputError(f"{where}: missing key {key!r}")
+                raise InputError(f"{where}: missing key {key!r}")
         unknown = set(seg) - {"t_start", "t_end", "kind", "params"}
         if unknown:
-            raise _CliInputError(
+            raise InputError(
                 f"{where}: unknown key(s): {', '.join(sorted(unknown))}")
         kind = seg["kind"]
-        param_keys = _SEGMENT_PARAM_KEYS.get(kind)
+        param_keys = SEGMENT_PARAMS.get(kind)
         if param_keys is None:
-            raise _CliInputError(
+            raise InputError(
                 f"{where}: unknown kind {kind!r}; expected one of "
-                f"{sorted(_SEGMENT_PARAM_KEYS)}")
+                f"{sorted(SEGMENT_PARAMS)}")
         params_obj = seg["params"]
         if not isinstance(params_obj, dict) or set(params_obj) != set(param_keys):
-            raise _CliInputError(
+            raise InputError(
                 f"{where}: params for kind {kind!r} must be an object with "
                 f"key(s) {list(param_keys)}")
         try:
@@ -172,18 +150,17 @@ def read_schedule_json(path):
                 kind=kind,
                 params=tuple(float(params_obj[k]) for k in param_keys)))
         except (TypeError, ValueError):
-            raise _CliInputError(f"{where}: non-numeric value") from None
+            raise InputError(f"{where}: non-numeric value") from None
     try:
         return CavitySchedule(
             segments=tuple(segments),
             source_mass=float(data["source_mass"]),
             observer_radius=float(data["observer_radius"]),
             host_density_contrast=float(data["host_density_contrast"]))
-    except ScheduleError as exc:
-        seg = f" (segment {exc.segment})" if exc.segment is not None else ""
-        raise _CliInputError(f"{path}: {exc}{seg}") from exc
-    except (TypeError, ValueError, NonPhysicalValueError) as exc:
-        raise _CliInputError(f"{path}: {exc}") from exc
+    except (InputError, TypeError, ValueError) as exc:
+        segment = getattr(exc, "segment", None)
+        seg = f" (segment {segment})" if segment is not None else ""
+        raise InputError(f"{path}: {exc}{seg}") from exc
 
 
 # -- report rendering --------------------------------------------------------
@@ -192,6 +169,8 @@ def _fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise DomainError(f"report holds a non-finite value: {value!r}")
         return f"{value:.10g}"
     return str(value)
 
@@ -225,7 +204,10 @@ def render_csv(report):
 
 
 def render_json(report):
-    return json.dumps(report, indent=2) + "\n"
+    try:
+        return json.dumps(report, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DomainError("report holds a non-finite value") from exc
 
 
 def emit(report, fmt, out_path):
@@ -238,17 +220,10 @@ def emit(report, fmt, out_path):
 
 
 def _base_report(command, cfg: RunConfig):
-    earth = cfg.earth
     return {
         "command": command,
         "constants": {"gamma": cfg.constants.gamma},
-        "earth": {
-            "mean_radius": earth.mean_radius,
-            "mass": earth.mass,
-            "mean_density": earth.mean_density,
-            "surface_first_cosmic_velocity": earth.surface_first_cosmic_velocity,
-            "gm": earth.gm,
-        },
+        "earth": dataclasses.asdict(cfg.earth),
     }
 
 
@@ -256,8 +231,6 @@ def _base_report(command, cfg: RunConfig):
 
 def cmd_direct(cfg: RunConfig, args):
     if args.p_g is not None:
-        if args.p_g <= 0:
-            raise _CliInputError(f"--p-g must be positive, got {args.p_g}")
         p_g, source = args.p_g, "flag"
     elif cfg.p_g_override is not None:
         p_g, source = cfg.p_g_override, "config_override"
@@ -283,8 +256,6 @@ def cmd_direct(cfg: RunConfig, args):
 
 
 def cmd_inverse(cfg: RunConfig, args):
-    if args.u_inf is None or not math.isfinite(args.u_inf) or args.u_inf <= 0:
-        raise _CliInputError(f"--u-inf must be positive, got {args.u_inf}")
     result = inverse_problem(cfg.earth.gm, args.u_inf, cfg.earth.mean_radius)
     report = _base_report("inverse", cfg)
     report["inputs"] = {"u_infinity": args.u_inf}
@@ -349,33 +320,27 @@ def _parse_float_list(text, flag):
     try:
         values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
-        raise _CliInputError(f"{flag} must be a comma-separated list of "
-                             f"numbers, got {text!r}") from None
+        raise InputError(f"{flag} must be a comma-separated list of "
+                         f"numbers, got {text!r}") from None
     if not values:
-        raise _CliInputError(f"{flag} is empty")
+        raise InputError(f"{flag} is empty")
     return values
 
 
 def _background(cfg: RunConfig, args):
     default = surface_background(cfg.earth)
-    u_inf = args.u_inf if args.u_inf is not None else default.u_infinity
-    u0 = args.u0 if args.u0 is not None else default.u0
-    g0 = args.g0 if args.g0 is not None else default.g0
-    if u0 <= 0 or g0 <= 0 or u_inf <= 0:
-        raise _CliInputError("--u0, --g0 and --u-inf must be positive")
-    return BackgroundState(u0=u0, g0=g0, u_infinity=u_inf)
+    flags = (args.u0, args.g0, args.u_inf)
+    return BackgroundState(*(d if f is None else f
+                             for f, d in zip(flags, default)))
 
 
 def cmd_anomaly(cfg: RunConfig, args):
-    try:
-        source = AnomalySource(depth=args.depth, radius=args.radius,
-                               density_contrast=args.density_contrast)
-    except NonPhysicalValueError as exc:
-        raise _CliInputError(str(exc)) from exc
+    source = AnomalySource(depth=args.depth, radius=args.radius,
+                           density_contrast=args.density_contrast)
     offsets = _parse_float_list(args.offsets, "--offsets")
     for off in offsets:
         if off < source.depth:
-            raise _CliInputError(
+            raise InputError(
                 f"--offsets entries must be >= source depth {source.depth}, "
                 f"got {off}")
     background = _background(cfg, args)
@@ -421,20 +386,22 @@ def cmd_pulse(cfg: RunConfig, args):
     schedule = read_schedule_json(args.schedule)
     if args.times:
         times = sorted(_parse_float_list(args.times, "--times"))
+        for t in times:
+            if not (schedule.t_start <= t <= schedule.t_end):
+                raise InputError(
+                    f"--times entry {t} outside schedule span "
+                    f"[{schedule.t_start}, {schedule.t_end}]")
     else:
         n = args.num_samples
         if n < 2:
-            raise _CliInputError(f"--num-samples must be >= 2, got {n}")
+            raise InputError(f"--num-samples must be >= 2, got {n}")
         if n > PULSE_MAX_SAMPLES:
-            raise _CliInputError(
+            raise InputError(
                 f"--num-samples must be <= {PULSE_MAX_SAMPLES}, got {n}")
         span = schedule.t_end - schedule.t_start
-        times = [schedule.t_start + span * i / (n - 1) for i in range(n)]
-    for t in times:
-        if not (schedule.t_start <= t <= schedule.t_end):
-            raise _CliInputError(
-                f"--times entry {t} outside schedule span "
-                f"[{schedule.t_start}, {schedule.t_end}]")
+        # t_start + span*(n-1)/(n-1) can round one ulp past t_end
+        times = [min(schedule.t_start + span * i / (n - 1), schedule.t_end)
+                 for i in range(n)]
     samples = evaluate_schedule(schedule, times,
                                 background=surface_background(cfg.earth),
                                 gamma=cfg.constants.gamma)
@@ -543,10 +510,10 @@ def main(argv=None):
         out_path = args.out or cfg.output_path
         emit(report, fmt, out_path)
         return EXIT_OK
-    except (_CliInputError, *_INPUT_ERRORS) as exc:
+    except InputError as exc:
         print(f"geopotent: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except _DOMAIN_ERRORS as exc:
+    except (DomainError, ArithmeticError) as exc:
         print(f"geopotent: domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from .core import DEFAULT_CONSTANTS, EarthParameters, PhysicalConstants
 from .errors import ConfigError, NonPhysicalValueError
@@ -86,8 +86,7 @@ def parse_config(data, source="config") -> RunConfig:
         block = data["earth"]
         if not isinstance(block, dict):
             raise ConfigError(f"{source}.earth must be an object")
-        allowed = ("mean_radius", "mass", "mean_density",
-                   "surface_first_cosmic_velocity", "gm")
+        allowed = tuple(f.name for f in fields(EarthParameters))
         _check_keys(block, allowed, f"{source}.earth")
         earth_fields = {k: _number(block, k, f"{source}.earth") for k in block}
     try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 
@@ -111,9 +111,15 @@ class EarthParameters:
     gm: float = 6.6743e-11 * 5.9737e24
 
     def __post_init__(self):
-        for name in ("mean_radius", "mass", "mean_density",
-                     "surface_first_cosmic_velocity", "gm"):
-            _require_positive(name, getattr(self, name))
+        for f in fields(self):
+            _require_positive(f.name, getattr(self, f.name))
+
+    @property
+    def uniform_surface_potential(self):
+        """(2/3)*gamma*rho*pi*R^2, gamma = gm/mass: the surface potential
+        of the uniform sphere with this mean radius and density."""
+        rho_gamma_pi = self.gm / self.mass * self.mean_density * math.pi
+        return (2.0 / 3.0) * rho_gamma_pi * self.mean_radius * self.mean_radius
 
     def check_gm(self, constants):
         """Raise unless gm matches constants.gamma * mass to 1e-9 relative."""
@@ -354,18 +360,23 @@ class AnomalySource:
                 f"density_contrast must be non-zero, got {self.density_contrast!r}")
 
 
-SEGMENT_KINDS = ("constant", "linear", "coalesce_step")
+# The one table of segment kinds: each kind and the names of its
+# parameters, in the order ScheduleSegment.params holds them.
+SEGMENT_PARAMS = {
+    "constant": ("radius",),
+    "linear": ("radius_start", "radius_end"),
+    "coalesce_step": ("radius_1", "radius_2"),
+}
+SEGMENT_KINDS = tuple(SEGMENT_PARAMS)
 
 
 @dataclass(frozen=True)
 class ScheduleSegment:
     """One time segment of a cavity schedule.
 
-    params by kind:
-      constant      (radius,)
-      linear        (radius_start, radius_end)
-      coalesce_step (radius_1, radius_2) -- two cavities merged into one
-                    of equal total volume for the whole segment
+    params hold the radii named by ``SEGMENT_PARAMS[kind]``;
+    coalesce_step is two cavities merged into one of equal total volume
+    for the whole segment.
     """
 
     t_start: float
@@ -381,15 +392,15 @@ class ScheduleSegment:
                 and self.t_end > self.t_start):
             raise ScheduleError(
                 f"segment {index}: t_end must exceed t_start", segment=index)
-        expected = {"constant": 1, "linear": 2, "coalesce_step": 2}
-        if self.kind not in expected:
+        names = SEGMENT_PARAMS.get(self.kind)
+        if names is None:
             raise ScheduleError(
                 f"segment {index}: unknown kind {self.kind!r}, expected one "
                 f"of {SEGMENT_KINDS}", segment=index)
-        if len(self.params) != expected[self.kind]:
+        if len(self.params) != len(names):
             raise ScheduleError(
                 f"segment {index}: kind {self.kind!r} takes "
-                f"{expected[self.kind]} parameter(s), got {len(self.params)}",
+                f"{len(names)} parameter(s), got {len(self.params)}",
                 segment=index)
         if any(not (math.isfinite(p) and p > 0.0) for p in self.params):
             raise ScheduleError(

@@ -1,9 +1,13 @@
 """Exception hierarchy.
 
-Errors fall into two families the CLI maps onto distinct exit codes:
-construction/validation problems (bad tables, bad schedules, bad
-parameters) and numerical-domain problems (an operation evaluated
-outside its mathematical domain).
+Every concrete error derives from exactly one of two bases, and the CLI
+sets its exit code from that base alone:
+
+    InputError    exit 2  the caller supplied something invalid: a bad
+                          table, schedule, config, flag or argument,
+                          including a non-positive or non-finite number
+    DomainError   exit 3  valid input took an operation outside its
+                          mathematical domain
 """
 
 
@@ -11,7 +15,15 @@ class GeopotentError(Exception):
     """Base class for all library errors."""
 
 
-class NonPhysicalValueError(GeopotentError):
+class InputError(GeopotentError):
+    """Invalid input: construction, validation or argument checks (exit 2)."""
+
+
+class DomainError(GeopotentError):
+    """An operation evaluated outside its mathematical domain (exit 3)."""
+
+
+class NonPhysicalValueError(InputError):
     """A constructed quantity violates a physical constraint.
 
     Carries the offending sample index when raised during table
@@ -23,11 +35,11 @@ class NonPhysicalValueError(GeopotentError):
         self.index = index
 
 
-class NonPhysicalInputError(GeopotentError):
+class NonPhysicalInputError(InputError):
     """An operation received a non-physical argument (negative radius, ...)."""
 
 
-class NonMonotonicRadiusError(GeopotentError):
+class NonMonotonicRadiusError(InputError):
     """Profile radii are not strictly increasing."""
 
     def __init__(self, message, index=None):
@@ -35,11 +47,11 @@ class NonMonotonicRadiusError(GeopotentError):
         self.index = index
 
 
-class TooFewSamplesError(GeopotentError):
+class TooFewSamplesError(InputError):
     """Profile has fewer samples than the minimum of four."""
 
 
-class PressureIncreaseError(GeopotentError):
+class PressureIncreaseError(InputError):
     """Pressure rises with radius beyond the monotonicity slack."""
 
     def __init__(self, message, index=None):
@@ -47,19 +59,19 @@ class PressureIncreaseError(GeopotentError):
         self.index = index
 
 
-class OutOfDomainError(GeopotentError):
+class OutOfDomainError(DomainError):
     """Argument lies outside the mathematical domain of the operation."""
 
 
-class DegenerateProfileError(GeopotentError):
+class DegenerateProfileError(DomainError):
     """Profile admits no answer (e.g. constant pressure has no gradient maximum)."""
 
 
-class MissingPressureSourceError(GeopotentError):
+class MissingPressureSourceError(InputError):
     """Neither a pressure override nor a profile was supplied."""
 
 
-class ScheduleError(GeopotentError):
+class ScheduleError(InputError):
     """Cavity schedule failed validation; carries the offending segment index."""
 
     def __init__(self, message, segment=None):
@@ -67,5 +79,5 @@ class ScheduleError(GeopotentError):
         self.segment = segment
 
 
-class ConfigError(GeopotentError):
+class ConfigError(InputError):
     """Run configuration file is malformed or contains unknown keys."""

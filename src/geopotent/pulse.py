@@ -73,9 +73,7 @@ def surface_background(earth: EarthParameters | None = None) -> BackgroundState:
     """
     if earth is None:
         earth = EarthParameters()
-    gamma = earth.gm / earth.mass
-    rho_gamma_pi = gamma * earth.mean_density * math.pi
-    u_r = (2.0 / 3.0) * rho_gamma_pi * earth.mean_radius * earth.mean_radius
+    u_r = earth.uniform_surface_potential
     v1k = earth.surface_first_cosmic_velocity
     g0 = earth.gm / (earth.mean_radius * earth.mean_radius)
     return BackgroundState(u0=u_r, g0=g0, u_infinity=u_r + 0.5 * v1k * v1k)

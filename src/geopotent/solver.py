@@ -96,12 +96,9 @@ def direct_problem(earth: EarthParameters, phi_g) -> PotentialBreakdown:
     """
     if not (math.isfinite(phi_g) and phi_g >= 0.0):
         raise NonPhysicalInputError(f"phi_g must be >= 0, got {phi_g!r}")
-    gamma = earth.gm / earth.mass
-    rho_gamma_pi = gamma * earth.mean_density * math.pi
-    u_r = (2.0 / 3.0) * rho_gamma_pi * earth.mean_radius * earth.mean_radius
     v1k = earth.surface_first_cosmic_velocity
-    c_r = 0.5 * v1k * v1k
-    return PotentialBreakdown.from_parts(u_r, c_r, phi_g)
+    return PotentialBreakdown.from_parts(
+        earth.uniform_surface_potential, 0.5 * v1k * v1k, phi_g)
 
 
 def inverse_problem(gm, u_infinity, body_radius,

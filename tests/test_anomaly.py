@@ -14,7 +14,11 @@ from geopotent import (
     sensitivity_coefficients,
     sphere_anomaly,
 )
-from geopotent.errors import NonPhysicalInputError, OutOfDomainError
+from geopotent.errors import (
+    NonPhysicalInputError,
+    NonPhysicalValueError,
+    OutOfDomainError,
+)
 
 from conftest import GAMMA
 
@@ -141,6 +145,26 @@ class TestSphereAnomaly:
         upside_down = BackgroundState(u0=2.0, g0=9.8, u_infinity=1.0)
         with pytest.raises(OutOfDomainError):
             point_mass_signal(1.0, 1000.0, upside_down)
+
+
+class TestBackgroundState:
+    @pytest.mark.parametrize("field", BackgroundState._fields)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_non_physical_field_rejected(self, field, bad):
+        values = {**BACKGROUND._asdict(), field: bad}
+        with pytest.raises(NonPhysicalValueError, match=f"^{field} "):
+            BackgroundState(**values)
+        with pytest.raises(NonPhysicalValueError, match=f"^{field} "):
+            BackgroundState(*values.values())
+        with pytest.raises(NonPhysicalValueError, match=f"^{field} "):
+            BACKGROUND._replace(**{field: bad})
+
+    def test_plain_tuple_accepted(self):
+        plain = (6.258e7, 9.823, 11.1652e7)
+        assert BackgroundState(*plain) == BACKGROUND
+        assert isinstance(BACKGROUND, tuple)
+        assert sphere_anomaly(GAS_CAVITY, plain) == \
+            sphere_anomaly(GAS_CAVITY, BACKGROUND)
 
 
 class TestDetectabilityReport:

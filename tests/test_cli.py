@@ -134,6 +134,12 @@ class TestDirect:
         assert main(["direct"]) == 2
         assert "pressure source" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p_g", ["nan", "inf"])
+    def test_non_finite_pressure_is_input_error(self, p_g, capsys):
+        assert main(["direct", "--p-g", p_g]) == 2
+        err = capsys.readouterr().err
+        assert "p_g must be positive" in err and "Traceback" not in err
+
     def test_flag_beats_config_override(self, capsys, monkeypatch):
         monkeypatch.chdir(ROOT)
         assert main(["direct", "--config", "tests/fixtures/earth_config.json",
@@ -232,6 +238,33 @@ class TestAnomalyCommand:
                      "--density-contrast", "1e12", "--offsets", "1000"]) == 3
         assert "domain error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--g0", "inf"), ("--u0", "nan"), ("--u-inf", "inf"),
+        ("--g0", "0"), ("--u0", "-1")])
+    def test_non_physical_background_is_input_error(self, flag, value,
+                                                    capsys):
+        assert main(["anomaly", "--depth", "5000", "--radius", "500",
+                     "--density-contrast", "-2700", "--offsets", "5000",
+                     flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "must be positive and finite" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [
+        ["--offsets", "5000", "--g0", "1e-320"],  # relative_g overflows
+        ["--offsets", "5000", "--u0", "1e-320"],  # relative_u overflows
+        ["--offsets", "1e308"],                   # delta_g underflows to 0
+        ["--offsets", "5000", "--radius", "1e-200"],  # mass underflows to 0
+    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_result_is_domain_error(self, extra, fmt, capsys):
+        argv = ["anomaly", "--depth", "5000", "--radius", "500",
+                "--density-contrast", "-2700", "--format", fmt] + extra
+        assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "domain error" in err and "Traceback" not in err
+
 
 class TestPulseCommand:
     def test_exact_header_after_preamble(self, capsys, monkeypatch):
@@ -273,6 +306,24 @@ class TestPulseCommand:
         assert main(["pulse", "--schedule",
                      "tests/fixtures/growth_schedule.json",
                      "--times", "0,1e9"]) == 2
+
+    def test_num_samples_ends_exactly_at_span_end(self, tmp_path, capsys):
+        # the last uniform time t_start + span*24/24 rounds one ulp past
+        # t_end here
+        t_start, t_end = -432.50272317966005, 5161.532111187979
+        assert t_start + (t_end - t_start) * 24 / 24 > t_end
+        path = tmp_path / "one_segment.json"
+        path.write_text(json.dumps({
+            "source_mass": 1e12, "observer_radius": 5000.0,
+            "host_density_contrast": -2700.0,
+            "segments": [{"t_start": t_start, "t_end": t_end,
+                          "kind": "constant", "params": {"radius": 500.0}}]}))
+        assert main(["pulse", "--schedule", str(path), "--num-samples", "25",
+                     "--format", "json"]) == 0
+        times = [row["t_s"] for row in json.loads(capsys.readouterr().out)["rows"]]
+        assert len(times) == 25
+        assert times[0] == t_start and times[-1] == t_end
+        assert times == sorted(times)
 
     def test_num_samples_above_ceiling_rejected(self, capsys, monkeypatch):
         # 1e8 samples would take gigabytes; the flag check must fail before
