@@ -139,7 +139,7 @@ def sphere_anomaly(source: AnomalySource, background: BackgroundState,
 
 @dataclass(frozen=True)
 class DetectabilityRow:
-    """Relative signals at one observation distance.
+    """Signals at one observation distance.
 
     advantage = relative_u / relative_g grows linearly with the offset:
     the raw delta_u/delta_g ratio of a point source is the distance itself.
@@ -149,28 +149,37 @@ class DetectabilityRow:
     relative_u: float
     relative_g: float
     advantage: float
+    delta_u: float
+    delta_g: float
+    delta_v_s: float
 
 
 def detectability_report(source: AnomalySource, observer_offsets,
                          background: BackgroundState, gamma=_DEFAULT_GAMMA):
-    """Relative potential and gravity signals at each observation distance.
+    """Potential and gravity signals at each observation distance.
 
     Offsets must be at least the burial depth (the point reduction is not
-    valid closer in). Returns one row per offset, input order preserved.
+    valid closer in); every offset is checked before any signal is
+    evaluated. Returns one row per offset, input order preserved.
     """
     background = BackgroundState(*background)
+    offsets = [float(offset) for offset in observer_offsets]
+    for offset in offsets:
+        if not (math.isfinite(offset) and offset >= source.depth):
+            raise NonPhysicalInputError(
+                f"offset {offset!r} must be finite and at least the source "
+                f"depth {source.depth!r}")
     delta_mass = anomalous_mass(source)
     rows = []
-    for offset in observer_offsets:
-        if not (math.isfinite(offset) and offset >= source.depth):
-            raise OutOfDomainError(
-                f"offset {offset!r} is closer than the source depth "
-                f"{source.depth!r}")
+    for offset in offsets:
         sig = point_mass_signal(delta_mass, offset, background, gamma)
         rows.append(DetectabilityRow(
-            offset=float(offset),
+            offset=offset,
             relative_u=sig.relative_u,
             relative_g=sig.relative_g,
             advantage=sig.relative_u / sig.relative_g,
+            delta_u=sig.delta_u,
+            delta_g=sig.delta_g,
+            delta_v_s=sig.delta_v_s,
         ))
     return rows

@@ -9,7 +9,8 @@ Subcommands map one-to-one onto the solver pipelines:
     pulse     cavity schedule -> precursor time series
 
 Reports embed the full constant set used. CSV output carries numbers at
-10 significant digits for readability; JSON carries full precision. Exit
+10 significant digits for readability, or in full where 10 digits would
+read back as inf; JSON carries full precision. Exit
 codes: 0 success, 2 for an ``InputError``, 3 for a ``DomainError`` or an
 arithmetic failure. A report is rendered whole before it is written, and
 a non-finite number in it is a ``DomainError``, so an exit-0 report holds
@@ -22,13 +23,25 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 
 from . import __version__
-from .anomaly import BackgroundState, sensitivity_coefficients, sphere_anomaly
-from .config import ENV_CONFIG, RunConfig, resolve_config
+from .anomaly import (
+    BackgroundState,
+    detectability_report,
+    sensitivity_coefficients,
+)
+from .config import (
+    ENV_CONFIG,
+    RunConfig,
+    _check_keys,
+    _number,
+    read_json,
+    read_text,
+    resolve_config,
+)
 from .core import (
+    SEGMENT_KINDS,
     SEGMENT_PARAMS,
     AnomalySource,
     CavitySchedule,
@@ -68,15 +81,12 @@ EXIT_DOMAIN = 3
 
 def read_profile_csv(path):
     """Parse a profile CSV; errors carry 1-based line numbers."""
-    if not os.path.exists(path):
-        raise InputError(f"profile file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != PROFILE_HEADER:
         got = lines[0].strip() if lines else "<empty file>"
         raise InputError(
             f"{path}:1: bad header {got!r}; expected {PROFILE_HEADER!r}")
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -90,77 +100,51 @@ def read_profile_csv(path):
         except ValueError:
             raise InputError(
                 f"{path}:{lineno}: non-numeric value in {line!r}") from None
+        linenos.append(lineno)
     try:
         return validate_profile(rows)
     except InputError as exc:
         index = getattr(exc, "index", None)
-        where = f"{path}:{index + 2}: " if index is not None else f"{path}: "
-        raise InputError(where + str(exc)) from exc
+        line = f":{linenos[index]}" if index is not None else ""
+        raise InputError(f"{path}{line}: {exc}") from exc
 
 
 def read_schedule_json(path):
     """Parse a cavity schedule JSON; errors name the offending segment."""
-    if not os.path.exists(path):
-        raise InputError(f"schedule file not found: {path}")
+    data = read_json(path)
+    keys = ("source_mass", "observer_radius", "host_density_contrast",
+            "segments")
+    seg_keys = ("t_start", "t_end", "kind", "params")
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: schedule must be a JSON object")
-    allowed = {"source_mass", "observer_radius", "host_density_contrast",
-               "segments"}
-    unknown = set(data) - allowed
-    if unknown:
-        raise InputError(
-            f"{path}: unknown key(s): {', '.join(sorted(unknown))}")
-    missing = allowed - set(data)
-    if missing:
-        raise InputError(
-            f"{path}: missing key(s): {', '.join(sorted(missing))}")
-    if not isinstance(data["segments"], list):
-        raise InputError(f"{path}: segments must be an array")
-    segments = []
-    for i, seg in enumerate(data["segments"]):
-        where = f"{path}: segment {i}"
-        if not isinstance(seg, dict):
-            raise InputError(f"{where}: must be an object")
-        for key in ("t_start", "t_end", "kind", "params"):
-            if key not in seg:
-                raise InputError(f"{where}: missing key {key!r}")
-        unknown = set(seg) - {"t_start", "t_end", "kind", "params"}
-        if unknown:
-            raise InputError(
-                f"{where}: unknown key(s): {', '.join(sorted(unknown))}")
-        kind = seg["kind"]
-        param_keys = SEGMENT_PARAMS.get(kind)
-        if param_keys is None:
-            raise InputError(
-                f"{where}: unknown kind {kind!r}; expected one of "
-                f"{sorted(SEGMENT_PARAMS)}")
-        params_obj = seg["params"]
-        if not isinstance(params_obj, dict) or set(params_obj) != set(param_keys):
-            raise InputError(
-                f"{where}: params for kind {kind!r} must be an object with "
-                f"key(s) {list(param_keys)}")
-        try:
+        _check_keys(data, keys, "schedule", required=keys)
+        if not isinstance(data["segments"], list):
+            raise InputError("segments must be an array")
+        segments = []
+        for i, seg in enumerate(data["segments"]):
+            where = f"segment {i}"
+            _check_keys(seg, seg_keys, where, required=seg_keys)
+            kind = seg["kind"]
+            if kind not in SEGMENT_KINDS:  # names the params to read
+                raise InputError(
+                    f"{where}: unknown kind {kind!r}; expected one of "
+                    f"{sorted(SEGMENT_KINDS)}")
+            param_keys = SEGMENT_PARAMS[kind]
+            params = seg["params"]
+            _check_keys(params, param_keys, f"{where}.params",
+                        required=param_keys)
             segments.append(ScheduleSegment(
-                t_start=float(seg["t_start"]), t_end=float(seg["t_end"]),
-                kind=kind,
-                params=tuple(float(params_obj[k]) for k in param_keys)))
-        except (TypeError, ValueError):
-            raise InputError(f"{where}: non-numeric value") from None
-    try:
+                t_start=_number(seg, "t_start", where),
+                t_end=_number(seg, "t_end", where), kind=kind,
+                params=tuple(_number(params, k, f"{where}.params")
+                             for k in param_keys)))
         return CavitySchedule(
             segments=tuple(segments),
-            source_mass=float(data["source_mass"]),
-            observer_radius=float(data["observer_radius"]),
-            host_density_contrast=float(data["host_density_contrast"]))
-    except (InputError, TypeError, ValueError) as exc:
-        segment = getattr(exc, "segment", None)
-        seg = f" (segment {segment})" if segment is not None else ""
-        raise InputError(f"{path}: {exc}{seg}") from exc
+            source_mass=_number(data, "source_mass", "schedule"),
+            observer_radius=_number(data, "observer_radius", "schedule"),
+            host_density_contrast=_number(data, "host_density_contrast",
+                                          "schedule"))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 # -- report rendering --------------------------------------------------------
@@ -171,7 +155,8 @@ def _fmt(value):
     if isinstance(value, float):
         if not math.isfinite(value):
             raise DomainError(f"report holds a non-finite value: {value!r}")
-        return f"{value:.10g}"
+        text = f"{value:.10g}"
+        return text if math.isfinite(float(text)) else repr(value)
     return str(value)
 
 
@@ -213,8 +198,12 @@ def render_json(report):
 def emit(report, fmt, out_path):
     text = render_json(report) if fmt == "json" else render_csv(report)
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(
+                f"cannot write {out_path}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -338,30 +327,22 @@ def cmd_anomaly(cfg: RunConfig, args):
     source = AnomalySource(depth=args.depth, radius=args.radius,
                            density_contrast=args.density_contrast)
     offsets = _parse_float_list(args.offsets, "--offsets")
-    for off in offsets:
-        if off < source.depth:
-            raise InputError(
-                f"--offsets entries must be >= source depth {source.depth}, "
-                f"got {off}")
     background = _background(cfg, args)
     gamma = cfg.constants.gamma
     rows = []
-    for off in offsets:
-        pair = sensitivity_coefficients(off, source.radius, gamma)
-        moved = AnomalySource(depth=off, radius=source.radius,
-                              density_contrast=source.density_contrast)
-        sig = sphere_anomaly(moved, background, gamma)
+    for row in detectability_report(source, offsets, background, gamma):
+        pair = sensitivity_coefficients(row.offset, source.radius, gamma)
         rows.append({
-            "offset_m": off,
+            "offset_m": row.offset,
             "k1": pair.k1,
             "k2": pair.k2,
             "k_ratio": pair.ratio,
-            "delta_u_j_kg": sig.delta_u,
-            "delta_g_m_s2": sig.delta_g,
-            "delta_v_s_m_s": sig.delta_v_s,
-            "relative_u": sig.relative_u,
-            "relative_g": sig.relative_g,
-            "advantage": sig.relative_u / sig.relative_g,
+            "delta_u_j_kg": row.delta_u,
+            "delta_g_m_s2": row.delta_g,
+            "delta_v_s_m_s": row.delta_v_s,
+            "relative_u": row.relative_u,
+            "relative_g": row.relative_g,
+            "advantage": row.advantage,
         })
     report = _base_report("anomaly", cfg)
     report["inputs"] = {
@@ -386,11 +367,6 @@ def cmd_pulse(cfg: RunConfig, args):
     schedule = read_schedule_json(args.schedule)
     if args.times:
         times = sorted(_parse_float_list(args.times, "--times"))
-        for t in times:
-            if not (schedule.t_start <= t <= schedule.t_end):
-                raise InputError(
-                    f"--times entry {t} outside schedule span "
-                    f"[{schedule.t_start}, {schedule.t_end}]")
     else:
         n = args.num_samples
         if n < 2:

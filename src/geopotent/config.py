@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .core import DEFAULT_CONSTANTS, EarthParameters, PhysicalConstants
-from .errors import ConfigError, NonPhysicalValueError
+from .errors import ConfigError, InputError, NonPhysicalValueError
 from .solver import BoundaryReference
 
 ENV_CONFIG = "GEOPOTENT_CONFIG"
@@ -50,15 +50,42 @@ def default_config() -> RunConfig:
     return RunConfig()
 
 
-def _check_keys(obj, allowed, where):
+def read_text(path, error=InputError):
+    """Text of a UTF-8 file; a file that cannot be read raises `error`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"cannot read {path}: not UTF-8 text ({exc.reason} at "
+                    f"byte {exc.start})") from None
+
+
+def read_json(path, error=InputError):
+    """Parsed JSON file; an unreadable or malformed file raises `error`."""
+    try:
+        return json.loads(read_text(path, error))
+    except (ValueError, RecursionError) as exc:  # too long ints, deep nesting
+        raise error(f"{path}: invalid JSON: {exc}") from None
+
+
+def _check_keys(obj, allowed, where, required=()):
+    """`obj` must be an object with only `allowed` and all `required` keys."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(
             f"unknown key(s) in {where}: {', '.join(sorted(unknown))}; "
             f"allowed: {', '.join(sorted(allowed))}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ConfigError(f"missing key(s) in {where}: {', '.join(missing)}")
 
 
 def _number(obj, key, where):
+    """A JSON number (not a string or a bool) as a float."""
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
@@ -67,16 +94,12 @@ def _number(obj, key, where):
 
 def parse_config(data, source="config") -> RunConfig:
     """Build a RunConfig from a parsed JSON object."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{source} must be a JSON object")
     _check_keys(data, ("constants", "earth", "p_g_override", "boundaries",
                        "output_format", "output_path"), source)
 
     constants = DEFAULT_CONSTANTS
     if "constants" in data:
         block = data["constants"]
-        if not isinstance(block, dict):
-            raise ConfigError(f"{source}.constants must be an object")
         _check_keys(block, ("gamma",), f"{source}.constants")
         if "gamma" in block:
             constants = PhysicalConstants(_number(block, "gamma", f"{source}.constants"))
@@ -84,8 +107,6 @@ def parse_config(data, source="config") -> RunConfig:
     earth_fields = {}
     if "earth" in data:
         block = data["earth"]
-        if not isinstance(block, dict):
-            raise ConfigError(f"{source}.earth must be an object")
         allowed = tuple(f.name for f in fields(EarthParameters))
         _check_keys(block, allowed, f"{source}.earth")
         earth_fields = {k: _number(block, k, f"{source}.earth") for k in block}
@@ -108,17 +129,12 @@ def parse_config(data, source="config") -> RunConfig:
         parsed = []
         for i, item in enumerate(block):
             where = f"{source}.boundaries[{i}]"
-            if not isinstance(item, dict):
-                raise ConfigError(f"{where} must be an object")
-            _check_keys(item, ("name", "radius", "layer_half_thickness"), where)
+            keys = ("name", "radius", "layer_half_thickness")
+            _check_keys(item, keys, where, required=keys)
             try:
-                name = str(item["name"])
-                radius = _number(item, "radius", where)
-                half = _number(item, "layer_half_thickness", where)
-            except KeyError as exc:
-                raise ConfigError(f"{where} is missing key {exc}") from exc
-            try:
-                parsed.append(BoundaryReference(name, radius, half))
+                parsed.append(BoundaryReference(
+                    str(item["name"]), _number(item, "radius", where),
+                    _number(item, "layer_half_thickness", where)))
             except NonPhysicalValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
         boundaries = tuple(parsed)
@@ -143,14 +159,7 @@ def parse_config(data, source="config") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Load and validate a JSON config file."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_config(data, source=path)
+    return parse_config(read_json(path, ConfigError), source=path)
 
 
 def resolve_config(path_flag) -> RunConfig:

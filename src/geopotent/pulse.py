@@ -99,8 +99,9 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
     ----------
     schedule : CavitySchedule
     sample_times : sequence of float
-        Times within the schedule span; the first entry is the baseline
-        all delta fields are differenced against.
+        Times within the schedule span (``ScheduleError`` otherwise); the
+        first entry is the baseline all delta fields are differenced
+        against.
     background : BackgroundState, optional
         Field at the observer; defaults to the compression-free surface
         background of the default body.
@@ -119,22 +120,16 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
         background = surface_background()
     else:
         background = BackgroundState(*background)
-    for t in times:
-        if not (schedule.t_start <= t <= schedule.t_end):
-            raise OutOfDomainError(
-                f"sample time {t!r} outside schedule span "
-                f"[{schedule.t_start}, {schedule.t_end}]")
-    base_deficit = cavity_mass_deficit(schedule, times[0])
+    # segment_at rejects a time outside the span before any sample is built
+    cubes = [schedule.segment_at(t).radius_cubed(t) for t in times]
+    deficits = [(4.0 / 3.0) * math.pi * cubed * schedule.host_density_contrast
+                for cubed in cubes]
     out = []
-    for t in times:
-        seg = schedule.segment_at(t)
-        cubed = seg.radius_cubed(t)
+    for t, cubed, deficit in zip(times, cubes, deficits):
         radius = cubed ** (1.0 / 3.0)
         potential = pulsating_potential(schedule.source_mass, radius,
                                         schedule.observer_radius, gamma)
-        deficit = ((4.0 / 3.0) * math.pi * cubed
-                   * schedule.host_density_contrast)
-        sig = point_mass_signal(deficit - base_deficit,
+        sig = point_mass_signal(deficit - deficits[0],
                                 schedule.observer_radius, background, gamma)
         out.append(PulseSample(
             t=t,

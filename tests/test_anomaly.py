@@ -190,5 +190,29 @@ class TestDetectabilityReport:
         assert detectability_report(GAS_CAVITY, [], BACKGROUND) == []
 
     def test_offset_closer_than_depth_rejected(self):
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(NonPhysicalInputError):
             detectability_report(GAS_CAVITY, [1000.0], BACKGROUND)
+
+    @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
+    def test_non_finite_offset_rejected(self, offset):
+        with pytest.raises(NonPhysicalInputError):
+            detectability_report(GAS_CAVITY, [offset], BACKGROUND)
+
+    def test_offsets_checked_before_any_signal(self):
+        # the dense source's signal at its depth leaves the domain; the
+        # too-close second offset must still be the error reported
+        dense = AnomalySource(depth=1000.0, radius=999.0,
+                              density_contrast=1e12)
+        with pytest.raises(OutOfDomainError):
+            detectability_report(dense, [1000.0], BACKGROUND)
+        with pytest.raises(NonPhysicalInputError):
+            detectability_report(dense, [1000.0, 500.0], BACKGROUND)
+
+    def test_rows_carry_the_signal(self):
+        offsets = [5000.0, 10000.0]
+        rows = detectability_report(GAS_CAVITY, offsets, BACKGROUND)
+        mass = (4.0 / 3.0) * math.pi * 500.0**3 * -2700.0
+        for row, off in zip(rows, offsets):
+            sig = point_mass_signal(mass, off, BACKGROUND)
+            assert (row.delta_u, row.delta_g, row.delta_v_s) == \
+                (sig.delta_u, sig.delta_g, sig.delta_v_s)

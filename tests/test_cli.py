@@ -11,6 +11,8 @@ from geopotent.cli import (
     PULSE_MAX_SAMPLES,
     main,
 )
+from geopotent.config import load_config
+from geopotent.errors import ConfigError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -210,6 +212,14 @@ class TestProfileCommand:
     def test_missing_file(self, capsys):
         assert main(["profile", "--profile", "no_such.csv"]) == 2
 
+    def test_line_number_after_blank_lines(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(PROFILE_HEADER + "\n\n\n0,5515,10\n2e6,5515,9\n"
+                       "1e6,5515,8\n3e6,5515,7\n")
+        assert main(["profile", "--profile", str(bad)]) == 2
+        assert f"{bad}:6: radii must be strictly increasing" in \
+            capsys.readouterr().err
+
 
 class TestAnomalyCommand:
     def test_rows_and_crossover(self, capsys):
@@ -289,7 +299,7 @@ class TestPulseCommand:
                  "params": {"radius": 500.0}},
             ]}))
         assert main(["pulse", "--schedule", str(bad)]) == 2
-        assert "segment 1" in capsys.readouterr().err
+        assert capsys.readouterr().err.count("segment 1") == 1
 
     def test_unknown_segment_kind(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -306,6 +316,26 @@ class TestPulseCommand:
         assert main(["pulse", "--schedule",
                      "tests/fixtures/growth_schedule.json",
                      "--times", "0,1e9"]) == 2
+
+    @pytest.mark.parametrize("where, value", [
+        ("top", "1e12"), ("top", True), ("t_start", "0"),
+        ("params", "500"), ("params", None)])
+    def test_schedule_values_must_be_json_numbers(self, where, value,
+                                                  tmp_path, capsys):
+        with open(os.path.join(ROOT, "tests", "fixtures",
+                               "growth_schedule.json")) as fh:
+            schedule = json.load(fh)
+        if where == "top":
+            schedule["source_mass"] = value
+        elif where == "t_start":
+            schedule["segments"][0]["t_start"] = value
+        else:
+            schedule["segments"][0]["params"]["radius"] = value
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(schedule))
+        assert main(["pulse", "--schedule", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "must be a number" in err
 
     def test_num_samples_ends_exactly_at_span_end(self, tmp_path, capsys):
         # the last uniform time t_start + span*24/24 rounds one ulp past
@@ -324,6 +354,40 @@ class TestPulseCommand:
         assert len(times) == 25
         assert times[0] == t_start and times[-1] == t_end
         assert times == sorted(times)
+
+    @pytest.mark.parametrize("segment, key", [
+        (None, "observer_radius"), (0, "params"), (1, "radius_end")])
+    def test_schedule_missing_key_named(self, segment, key, tmp_path,
+                                        capsys):
+        with open(os.path.join(ROOT, "tests", "fixtures",
+                               "growth_schedule.json")) as fh:
+            schedule = json.load(fh)
+        if segment is None:
+            del schedule[key]
+        elif key == "params":
+            del schedule["segments"][segment][key]
+        else:
+            del schedule["segments"][segment]["params"][key]
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(schedule))
+        assert main(["pulse", "--schedule", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "missing key(s) in" in err and key in err
+
+    def test_num_samples_at_ceiling_accepted(self, capsys, monkeypatch):
+        # the series is stubbed out: a real run at the ceiling takes ~2 s
+        counts = []
+
+        def count(schedule, times, **kwargs):
+            counts.append(len(times))
+            return []
+
+        monkeypatch.chdir(ROOT)
+        monkeypatch.setattr("geopotent.cli.evaluate_schedule", count)
+        assert main(["pulse", "--schedule",
+                     "tests/fixtures/growth_schedule.json",
+                     "--num-samples", str(PULSE_MAX_SAMPLES)]) == 0
+        assert counts == [PULSE_MAX_SAMPLES]
 
     def test_num_samples_above_ceiling_rejected(self, capsys, monkeypatch):
         # 1e8 samples would take gigabytes; the flag check must fail before
@@ -364,6 +428,14 @@ class TestConfigHandling:
         assert main(["direct", "--config", str(cfg)]) == 2
         assert "typo_key" in capsys.readouterr().err
 
+    def test_boundary_missing_key_named(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"boundaries": [{"name": "CMB",
+                                                   "radius": 3.48e6}]}))
+        assert main(["direct", "--config", str(cfg), "--p-g", "1e11"]) == 2
+        err = capsys.readouterr().err
+        assert "missing key(s)" in err and "layer_half_thickness" in err
+
     def test_inconsistent_gm_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"earth": {"mass": 5.9737e24,
@@ -377,6 +449,38 @@ class TestConfigHandling:
         assert main(["direct", "--config", str(cfg)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["command"] == "direct"
+
+
+class TestUnreadableFiles:
+    @pytest.mark.parametrize("argv, path", [
+        (["inverse", "--u-inf", "1e8", "--out", "tests/no_such_dir/x.csv"],
+         "tests/no_such_dir/x.csv"),
+        (["inverse", "--u-inf", "1e8", "--out", "tests/fixtures"],
+         "tests/fixtures"),
+        (["profile", "--profile", "tests/fixtures"], "tests/fixtures"),
+        (["profile", "--profile", "tests/fixtures/not_utf8.csv"],
+         "tests/fixtures/not_utf8.csv"),
+        (["pulse", "--schedule", "tests/no_such.json"], "tests/no_such.json"),
+        (["pulse", "--schedule", "tests/fixtures/not_utf8.csv"],
+         "tests/fixtures/not_utf8.csv"),
+        (["direct", "--p-g", "1e11", "--config", "tests/no_such.json"],
+         "tests/no_such.json"),
+        (["direct", "--p-g", "1e11", "--config",
+          "tests/fixtures/not_utf8.csv"], "tests/fixtures/not_utf8.csv"),
+    ])
+    def test_input_error_names_path(self, argv, path, capsys, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert path in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("path", [
+        "tests/no_such.json", "tests/fixtures", "tests/fixtures/not_utf8.csv"])
+    def test_config_reader_raises_config_error(self, path, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        with pytest.raises(ConfigError, match=path):
+            load_config(path)
 
 
 class TestConsoleEntry:

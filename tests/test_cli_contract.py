@@ -1,4 +1,4 @@
-"""The CLI contract under arbitrary numeric flags.
+"""The CLI contract under arbitrary numeric flags and unreadable files.
 
 Whatever the flag values, `cli.main` returns 0, 2 or 3, lets no
 exception escape, prints no traceback, and an exit-0 report holds only
@@ -9,11 +9,18 @@ import contextlib
 import io
 import json
 import math
+import os
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from geopotent.cli import main
+from geopotent.cli import PULSE_MAX_SAMPLES, main
+
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "fixtures")
+GROWTH = os.path.join(FIXTURES, "growth_schedule.json")  # span [0, 86400]
+NOT_UTF8 = os.path.join(FIXTURES, "not_utf8.csv")
+MISSING = os.path.join(FIXTURES, "no_such_dir", "no_such_file")
 
 EXTREMES = ["nan", "inf", "-inf", "0", "-0", "-1", "5e-324", "1e-320",
             "2.2250738585072014e-308", "1e308", "-1e308",
@@ -68,7 +75,33 @@ def anomaly(draw):
     return ["anomaly"] + flags(values)
 
 
-argv = st.tuples(st.one_of(direct(), inverse(), anomaly()),
+# the growth fixture's span ends and values outside it
+SPAN_EDGES = ["nan", "inf", "-inf", "-1", "0", "86400", "86400.5", "1e9"]
+
+# around the lower bound and above the ceiling; a run at the ceiling
+# itself takes about 2 s, so tests/test_cli.py checks that count with
+# the series stubbed out
+num_samples = st.one_of(
+    st.integers(-1, 5),
+    st.sampled_from([PULSE_MAX_SAMPLES + 1, PULSE_MAX_SAMPLES + 2,
+                     2**31, 10**8]),
+)
+
+
+@st.composite
+def pulse(draw):
+    if draw(st.booleans()):
+        # in-span times plus up to two edge or outside entries
+        times = draw(st.lists(st.floats(0.0, 86400.0).map(repr),
+                              max_size=4))
+        times += draw(st.lists(st.sampled_from(SPAN_EDGES), max_size=2))
+        values = {"--times": ",".join(times)}
+    else:
+        values = {"--num-samples": draw(num_samples)}
+    return ["pulse"] + flags({"--schedule": GROWTH, **values})
+
+
+argv = st.tuples(st.one_of(direct(), inverse(), anomaly(), pulse()),
                  st.sampled_from([[], ["--format=json"]])).map(
     lambda parts: parts[0] + parts[1])
 
@@ -77,14 +110,15 @@ ANOMALY = ["anomaly", "--depth=5000", "--radius=500",
 
 
 def non_finite_csv_cells(text):
-    # matched as text: a finite value rounded to 10 digits next to the
-    # largest float (1.797693135e+308) reads back as inf, but is written
-    # as a finite number
     for line in text.splitlines():
         cells = line.split("=", 1)[1:] if line.startswith("# ") \
             else line.split(",")
         for cell in cells:
-            if cell.lstrip("+-").lower() in ("nan", "inf", "infinity"):
+            try:
+                value = float(cell)
+            except ValueError:  # a name, a header or a flag
+                continue
+            if not math.isfinite(value):
                 yield cell
 
 
@@ -113,6 +147,14 @@ def non_finite_json_numbers(node):
 @example(argv=["direct", "--p-g=1e-320"])
 @example(argv=["inverse", "--u-inf=5e-324"])
 @example(argv=["direct", "--p-g=1.7976931348623157e308"])
+@example(argv=["inverse", "--u-inf=1e8", f"--out={MISSING}"])
+@example(argv=["profile", f"--profile={FIXTURES}"])
+@example(argv=["profile", f"--profile={NOT_UTF8}"])
+@example(argv=["profile", f"--profile={MISSING}"])
+@example(argv=["pulse", f"--schedule={NOT_UTF8}"])
+@example(argv=["pulse", f"--schedule={MISSING}"])
+@example(argv=["direct", "--p-g=1e11", f"--config={NOT_UTF8}"])
+@example(argv=["direct", "--p-g=1e11", f"--config={FIXTURES}"])
 def test_exit_code_and_finite_report(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

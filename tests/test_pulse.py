@@ -168,8 +168,17 @@ class TestEvaluateSchedule:
             assert s.potential == pytest.approx(expected, rel=1e-12)
 
     def test_time_outside_span_rejected(self):
-        with pytest.raises(OutOfDomainError):
+        with pytest.raises(ScheduleError):
             evaluate_schedule(GROWTH, [0.0, 1e6])
+
+    def test_span_checked_before_any_signal(self):
+        # a dense growing body pushes the in-span signal out of its
+        # domain; the out-of-span time must still be the error reported
+        dense = make_schedule(GROWTH.segments, contrast=1e13)
+        with pytest.raises(OutOfDomainError):
+            evaluate_schedule(dense, [0.0, 86400.0])
+        with pytest.raises(ScheduleError):
+            evaluate_schedule(dense, [0.0, 86400.0, 1e9])
 
     def test_empty_times(self):
         assert evaluate_schedule(GROWTH, []) == []
