@@ -1,7 +1,7 @@
 """Run configuration: defaults, JSON loading, strict validation.
 
 Config files are JSON with the following optional keys (unknown keys are
-rejected so typos fail loudly):
+rejected so typos fail loudly; every number must be finite):
 
     constants      {"gamma": float}
     earth          {"mean_radius", "mass", "mean_density",
@@ -21,6 +21,7 @@ override via config when working with another body.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields
 
@@ -85,11 +86,15 @@ def _check_keys(obj, allowed, where, required=()):
 
 
 def _number(obj, key, where):
-    """A JSON number (not a string or a bool) as a float."""
+    """A finite JSON number (not a string or a bool) as a float."""
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    try:  # type(), not isinstance(): a bool is not a number here
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:  # an integer literal past the float range
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    return number
 
 
 def parse_config(data, source="config") -> RunConfig:

@@ -96,6 +96,11 @@ class UniformSphere:
         return cls(mass, radius, density)
 
 
+def uniform_sphere_potential(gamma, density, radius):
+    """(2/3)*gamma*rho*pi*R^2: center-to-surface potential, uniform sphere."""
+    return (2.0 / 3.0) * (gamma * density * math.pi) * radius * radius
+
+
 @dataclass(frozen=True)
 class EarthParameters:
     """Bulk parameters of the body under study (defaults: Earth).
@@ -116,10 +121,9 @@ class EarthParameters:
 
     @property
     def uniform_surface_potential(self):
-        """(2/3)*gamma*rho*pi*R^2, gamma = gm/mass: the surface potential
-        of the uniform sphere with this mean radius and density."""
-        rho_gamma_pi = self.gm / self.mass * self.mean_density * math.pi
-        return (2.0 / 3.0) * rho_gamma_pi * self.mean_radius * self.mean_radius
+        """uniform_sphere_potential at gamma = gm/mass and the mean values."""
+        return uniform_sphere_potential(self.gm / self.mass, self.mean_density,
+                                        self.mean_radius)
 
     def check_gm(self, constants):
         """Raise unless gm matches constants.gamma * mass to 1e-9 relative."""

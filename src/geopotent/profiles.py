@@ -10,8 +10,8 @@ on each knot interval and the integral of M(s)/s^2 over an interval has
 a closed form, so both are exact to roundoff. They are evaluated from
 one table of M at the knots, built once per profile
 (:attr:`RadialProfile.mass_table`). The pressure interpolant has a
-constant slope on each interval, so its steepest point is found from the
-knot segments alone.
+constant slope on each interval, so its steepest gradient is a knot
+segment, reported at its inner knot.
 """
 
 from __future__ import annotations
@@ -27,12 +27,6 @@ from .errors import DegenerateProfileError, OutOfDomainError
 
 FOUR_PI = 4.0 * math.pi
 
-# pressure_gradient_max reports a point of the uniform grid that earlier
-# releases scanned with central differences, step = (smallest knot gap) /
-# _GRAD_P_SUBSTEPS, so the reported radius and pressure stay as released.
-# Only the grid's points on the steepest segment are ever computed.
-_GRAD_P_SUBSTEPS = 10
-
 # Segments whose |dP/dr| is within this relative margin of the steepest
 # tie, and the smallest radius wins: a linear run of segments resolves to
 # its first one regardless of last-ulp noise, and rescaling P cannot move
@@ -42,7 +36,7 @@ _GRAD_P_TIE_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class GradPResult:
-    """Location and size of the steepest pressure gradient."""
+    """Inner knot of the steepest knot segment, its pressure and |dP/dr|."""
 
     radius_at_max: float
     pressure_at_max: float
@@ -142,31 +136,12 @@ def surface_potential_integral(profile: RadialProfile, gamma):
     return gamma * float(np.sum(inner + shell))
 
 
-def _first_grid_point(first, step, r):
-    """Smallest m >= 0 with m * step + first >= r, in float arithmetic.
-
-    m * step + first is grid point m exactly as np.linspace computes it;
-    the quotient estimate can be one off when a grid point meets r to
-    roundoff, so it is corrected against that expression.
-    """
-    m = max(math.ceil((r - first) / step), 0)
-    while m > 0 and (m - 1) * step + first >= r:
-        m -= 1
-    while m * step + first < r:
-        m += 1
-    return m
-
-
 def pressure_gradient_max(profile: RadialProfile):
-    """Interior radius where |dP/dr| of the interpolant is largest.
+    """Inner knot of the knot segment where |dP/dr| is largest.
 
-    The interpolant's slope is constant on each knot segment, so the
-    maximum is the steepest segment's |dP/dr|; ties (within 1e-12
-    relative) resolve toward smaller r. The reported point is the first
-    point of the uniform grid with step (smallest sample spacing) / 10
-    whose central-difference stencil lies within that segment, where a
-    stencil end missing the lower knot by roundoff still counts as
-    within. The point is computed directly; the grid is never built.
+    The pressure is linear on each segment, so the steepest slope holds
+    along a whole segment, which is reported by its inner knot and the
+    tabulated pressure there. Ties (within 1e-12 relative) go to smaller r.
 
     Raises
     ------
@@ -179,25 +154,8 @@ def pressure_gradient_max(profile: RadialProfile):
     if grad <= 0.0:
         raise DegenerateProfileError(
             "pressure is constant; the gradient has no maximum")
-    cut = grad * (1.0 - _GRAD_P_TIE_RTOL)
-    k = int(np.argmax(slopes >= cut))
-    first, body = float(radii[0]), profile.body_radius
-    min_gap = float(np.min(np.diff(radii)))
-    n = max(math.ceil((body - first) / (min_gap / _GRAD_P_SUBSTEPS)) + 1, 5)
-    step = (body - first) / (n - 1)
-    m = _first_grid_point(first, step, float(radii[k]))
-    # the central difference at m straddles the knot. It ties with the
-    # segment's slope only when point m - 1 misses the knot by roundoff;
-    # otherwise m + 1 is the first point whose stencil lies inside.
-    j = m + 1
-    if m > 0:
-        stencil = np.array([m - 1, m + 1]) * step + first
-        p = np.interp(stencil, radii, pressures)
-        if abs((p[1] - p[0]) / (stencil[1] - stencil[0])) >= cut:
-            j = m
-    radius = j * step + first
-    return GradPResult(radius,
-                       float(np.interp(radius, radii, pressures)), grad)
+    k = int(np.argmax(slopes >= grad * (1.0 - _GRAD_P_TIE_RTOL)))
+    return GradPResult(float(radii[k]), float(pressures[k]), grad)
 
 
 def mean_density(profile: RadialProfile):

@@ -23,6 +23,7 @@ from .core import (
     InversionResult,
     PotentialBreakdown,
     RadialProfile,
+    uniform_sphere_potential,
 )
 from .errors import NonPhysicalInputError, NonPhysicalValueError
 
@@ -141,13 +142,13 @@ def homogeneity_bound(profile: RadialProfile,
     """Evaluate both sides of the surface-potential bound on a profile.
 
     The integral side is the center-to-surface potential of the tabulated
-    body; the uniform side is (2/3)*gamma*rho_mean*pi*R^2 of its uniform
-    equivalent. Centrally condensed bodies come out above the uniform
-    side, so `holds` is reported, never assumed.
+    body; the uniform side is core.uniform_sphere_potential at its mean
+    density. Centrally condensed bodies come out above the uniform side,
+    so `holds` is reported, never assumed.
     """
     left = profiles.surface_potential_integral(profile, gamma)
     rho0 = profiles.mean_density(profile)
-    right = (2.0 / 3.0) * gamma * rho0 * math.pi * profile.body_radius**2
+    right = uniform_sphere_potential(gamma, rho0, profile.body_radius)
     gap = (left - right) / right
     return HomogeneityBoundReport(
         integral_side=left,

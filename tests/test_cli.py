@@ -130,7 +130,7 @@ class TestDirect:
         assert main(["direct", "--profile", "tests/fixtures/prem20.csv"]) == 0
         meta, fields, _ = parse_csv_report(capsys.readouterr().out)
         assert meta["inputs.p_g_source"] == "profile_grad_p_max"
-        assert float(meta["inputs.p_g"]) == pytest.approx(1.7026e11, rel=1e-3)
+        assert float(meta["inputs.p_g"]) == 1.704092e11
 
     def test_missing_pressure_source(self, capsys):
         assert main(["direct"]) == 2
@@ -435,6 +435,27 @@ class TestConfigHandling:
         assert main(["direct", "--config", str(cfg), "--p-g", "1e11"]) == 2
         err = capsys.readouterr().err
         assert "missing key(s)" in err and "layer_half_thickness" in err
+
+    @pytest.mark.parametrize("literal", [
+        "1" + "0" * 400, "NaN", "Infinity", "-Infinity", "1e400"],
+        ids=["huge_int", "nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("where", ["config", "schedule"])
+    def test_numbers_must_be_finite(self, where, literal, tmp_path, capsys):
+        path = tmp_path / f"{where}.json"
+        if where == "config":
+            key, data = "p_g_override", {"p_g_override": "@"}
+            argv = ["direct", "--p-g", "1e11", "--config", str(path)]
+        else:
+            with open(os.path.join(ROOT, "tests", "fixtures",
+                                   "growth_schedule.json")) as fh:
+                data = json.load(fh)
+            key, data["source_mass"] = "source_mass", "@"
+            argv = ["pulse", "--schedule", str(path)]
+        path.write_text(json.dumps(data).replace('"@"', literal))
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{key} must be a number" in err and "Traceback" not in err
 
     def test_inconsistent_gm_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -302,38 +302,31 @@ class TestSurfacePotentialIntegral:
                 assert value <= bound * (1.0 + 1e-9)
 
 
-def grid_gradient_max(profile):
-    """The grid finder of earlier releases, kept as the reference.
+def exact_steepest_segment(knots):
+    """Index and exact |slope| of the steepest segment of (r, P) knots.
 
-    Central differences on np.linspace(first, body, n) with step
-    (smallest knot gap) / 10; the first point within 1e-12 relative of the
-    largest difference wins. Returns (radius, pressure, gradient).
+    Slopes are rationals of the knots as given, so the pick carries no
+    roundoff of its own; the first segment within 1e-12 relative of the
+    exact maximum wins.
     """
-    first, body = float(profile.radii[0]), profile.body_radius
-    step = float(np.min(np.diff(profile.radii))) / 10
-    n = max(int(math.ceil((body - first) / step)) + 1, 5)
-    grid = np.linspace(first, body, n)
-    p = np.interp(grid, profile.radii, profile.pressures)
-    g = np.abs((p[2:] - p[:-2]) / (grid[2:] - grid[:-2]))
-    best = float(np.max(g))
-    idx = int(np.argmax(g >= best * (1.0 - 1e-12))) + 1
-    return float(grid[idx]), float(p[idx]), best
+    r, p = zip(*((Fraction(r), Fraction(p)) for r, p in knots))
+    slopes = [abs((p[i + 1] - p[i]) / (r[i + 1] - r[i]))
+              for i in range(len(r) - 1)]
+    best = max(slopes)
+    cut = best * (1 - Fraction(1e-12))
+    return next(i for i, s in enumerate(slopes) if s >= cut), best
 
 
 def random_gradient_profile(rng):
-    """Random profile whose smallest knot gap is >= 1/1000 of its span.
+    """Random profile whose smallest knot gap is down to 1e-9 of its span.
 
-    Some carry a run of 2-4 segments sharing the steepest slope. The grid
-    reference's differences carry roundoff of about eps * span / step
-    relative; past a span/gap ratio near 1e4 that exceeds its 1e-12 tie
-    margin and its pick wanders among the tied points, so the ratio is
-    held where the reference itself is stable.
+    Some carry a run of 2-4 segments sharing the steepest slope.
     """
     n = int(rng.integers(5, 40))
     body = 10.0 ** rng.uniform(3.0, 7.0)
     gaps = rng.uniform(0.2, 1.0, n - 1)
     for i in rng.choice(n - 1, size=int(rng.integers(0, 3)), replace=False):
-        gaps[i] = gaps.sum() / 1000.0 * rng.uniform(1.0, 3.0)
+        gaps[i] = gaps.sum() * 10.0 ** rng.uniform(-9.0, -3.0)
     first = 0.0 if rng.random() < 0.5 else rng.uniform(0.01, 0.3)
     radii = np.concatenate(([0.0], np.cumsum(gaps)))
     radii = (first + radii / radii[-1] * (1.0 - first)) * body
@@ -349,51 +342,32 @@ def random_gradient_profile(rng):
 
 
 class TestPressureGradientMax:
-    def test_matches_grid_reference(self, prem_profile):
+    def test_inner_knot_of_steepest_segment(self, prem_profile):
         rng = np.random.default_rng(67)
         cases = [prem_profile] + [random_gradient_profile(rng)
-                                  for _ in range(240)]
+                                  for _ in range(500)]
         for profile in cases:
-            radius, pressure, grad = grid_gradient_max(profile)
+            k, best = exact_steepest_segment(
+                zip(profile.radii.tolist(), profile.pressures.tolist()))
             result = pressure_gradient_max(profile)
-            assert result.radius_at_max == radius
-            assert result.pressure_at_max == pressure
-            assert result.gradient_magnitude == pytest.approx(grad,
+            assert result.radius_at_max == profile.radii[k]
+            assert result.pressure_at_max == profile.pressures[k]
+            assert result.gradient_magnitude == pytest.approx(float(best),
                                                               rel=1e-12)
 
-    def test_matches_grid_reference_on_even_knots(self):
-        # with knots 1e6/17 apart most grid points meet a knot only to
-        # roundoff, some one ulp below it: the reference then counts the
-        # stencil around the next point as inside the segment
-        radii = np.linspace(0.0, 1.0e6, 18)
-        for k in range(17):
-            slopes = np.linspace(0.5, 1.0, 17)
-            slopes[k] = 2.0
-            drops = slopes * np.diff(radii) * 1.0e5
-            pressure = np.concatenate((np.cumsum(drops[::-1])[::-1], [0.0]))
-            profile = validate_profile(
-                list(zip(radii, np.full(18, 5000.0), pressure)))
-            radius, pressure_at, _ = grid_gradient_max(profile)
-            result = pressure_gradient_max(profile)
-            assert (result.radius_at_max, result.pressure_at_max) == \
-                (radius, pressure_at)
-
-    def test_first_grid_point_exact_where_quotient_is_not(self):
-        # the quotient (r - first) / step rounds below the answer for 9
-        # knots 1e6/17 apart on a 170-step grid, and above it for 84
-        # points of the 1000-step grid from 1 m to R taken as r
-        cases = [(0.0, 1.0e6, 171, np.linspace(0.0, 1.0e6, 18)),
-                 (1.0, EARTH_RADIUS, 1001,
-                  np.linspace(1.0, EARTH_RADIUS, 1001)[:-1])]
-        for first, body, n, points in cases:
-            grid = np.linspace(first, body, n)
-            step = (body - first) / (n - 1)
-            for r in points.tolist():
-                want = int(np.searchsorted(grid, r, side="left"))
-                assert profiles._first_grid_point(first, step, r) == want
+    def test_prem_golden_cells_from_fixture_text(self):
+        with open(PREM_CSV, encoding="utf-8") as fh:
+            rows = [line.split(",") for line in fh.read().split()[1:]]
+        k, best = exact_steepest_segment((r, p) for r, _, p in rows)
+        cells = _golden_profile_cells()
+        assert float(cells["grad_p_radius_m"]) == float(rows[k][0])
+        assert float(cells["grad_p_pressure_pa"]) == float(rows[k][2])
+        assert float(cells["grad_p_gradient_pa_m"]) == pytest.approx(
+            float(best), rel=5e-10)
 
     def test_millimetre_gap_prompt_and_small(self):
-        # the grid of earlier releases would hold ~6e10 points here
+        # a 1 mm gap on a 6371 km span: the cost must not grow with the
+        # ratio of span to gap
         rows = [(0.0, 9000.0, 3.6e11), (1.0e6, 8000.0, 3.0e11),
                 (1.0e6 + 1.0e-3, 8000.0, 2.9e11), (3.0e6, 5000.0, 1.0e11),
                 (EARTH_RADIUS, 3000.0, 0.0)]
@@ -408,7 +382,8 @@ class TestPressureGradientMax:
             tracemalloc.stop()
         assert elapsed < 1.0
         assert peak < 1 << 20
-        assert 1.0e6 < result.radius_at_max < 1.0e6 + 1.0e-3
+        assert result.radius_at_max == 1.0e6
+        assert result.pressure_at_max == 3.0e11
         assert result.gradient_magnitude == pytest.approx(1.0e13, rel=1e-6)
 
     def test_parabolic_pressure(self):

@@ -111,6 +111,7 @@ def linear_table_oracles(knot_r, knot_rho, knot_p):
         "surface_integral": u_int,
         "uniform_bound": u_uniform,
         "steepest_segment": (knot_r[k], knot_r[k + 1]),
+        "steepest_inner_pressure": knot_p[k],
         "steepest_slope": slopes[k],
     }
 
@@ -142,7 +143,7 @@ def main():
     oracles = linear_table_oracles(tab[:, 0], tab[:, 1], tab[:, 2])
     print("\n-- 20-row table oracles (piecewise-linear, trapezoid) --")
     for key, val in oracles.items():
-        print(f"{key:22s} {val}")
+        print(f"{key:24s} {val}")
     print(f"\nmass vs 5.9737e24:  {oracles['total_mass']/5.9737e24 - 1.0:+.5%}")
     print(f"mean rho vs 5515:   {oracles['mean_density']/5515.0 - 1.0:+.5%}")
     print(f"g_eq vs reported 1.160: {oracles['core_equilibrium_g']/1.160 - 1.0:+.5%}")
