@@ -489,8 +489,14 @@ def main(argv=None):
     except InputError as exc:
         print(f"geopotent: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (DomainError, ArithmeticError) as exc:
+    except DomainError as exc:
         print(f"geopotent: domain error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except ArithmeticError as exc:
+        # str() of an errno-style OverflowError is "(34, '...')": keep the text
+        detail = exc.args[-1] if exc.args else ""
+        print(f"geopotent: domain error: {args.command}: "
+              f"{type(exc).__name__}: {detail}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

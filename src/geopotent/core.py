@@ -13,8 +13,6 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 
-import numpy as np
-
 from .errors import (
     NonMonotonicRadiusError,
     NonPhysicalValueError,
@@ -159,6 +157,7 @@ class RadialProfile:
     pressure_slack: float = PRESSURE_SLACK_DEFAULT
 
     def __post_init__(self):
+        import numpy as np
         for name in ("radii", "densities", "pressures"):
             # a copy: freezing it leaves the caller's array writable, and
             # later writes to the caller's array cannot reach the profile
@@ -193,6 +192,7 @@ class RadialProfile:
         return self.radii.shape[0]
 
     def __eq__(self, other):
+        import numpy as np
         if not isinstance(other, RadialProfile):
             return NotImplemented
         return (
@@ -208,6 +208,7 @@ class RadialProfile:
 
 
 def _validate_columns(radii, densities, pressures, slack):
+    import numpy as np
     n = radii.shape[0]
     if n < 4:
         raise TooFewSamplesError(f"profile needs at least 4 samples, got {n}")
@@ -269,6 +270,7 @@ def validate_profile(raw_samples, pressure_slack=PRESSURE_SLACK_DEFAULT):
     PressureIncreaseError
         The first violation found, with its sample index where relevant.
     """
+    import numpy as np
     rows = list(raw_samples)
     if not rows:
         raise TooFewSamplesError("profile is empty")

@@ -19,8 +19,6 @@ import math
 import operator
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import kernels
 from .core import DEFAULT_CONSTANTS, UniformSphere
 from .errors import (
@@ -72,6 +70,7 @@ class FieldTable:
     kinetic_potential: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         for name in _COLUMNS:
             arr = np.ascontiguousarray(getattr(self, name),
                                        dtype=np.float64).view()
@@ -99,6 +98,7 @@ class FieldTable:
         return map(FieldSample, *(col.tolist() for col in self._columns()))
 
     def __eq__(self, other):
+        import numpy as np
         if isinstance(other, FieldTable):
             return all(np.array_equal(a, b) for a, b in
                        zip(self._columns(), other._columns()))
@@ -227,6 +227,7 @@ def sample_field(sphere: UniformSphere, radii, gamma=_DEFAULT_GAMMA):
     caller's array does. Raises NonPhysicalInputError naming the index of
     the first negative or non-finite radius.
     """
+    import numpy as np
     r = np.array(radii if isinstance(radii, np.ndarray) else list(radii),
                  dtype=np.float64)
     bad = np.flatnonzero(~(np.isfinite(r) & (r >= 0.0)))

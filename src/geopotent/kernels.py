@@ -6,13 +6,12 @@ steepest pressure gradient are exact piecewise polynomials evaluated in
 evaluation that works on many radii at once.
 """
 
-import numpy as np
-
 __all__ = ["field_arrays"]
 
 
 def field_arrays(gm, radius, rho_gamma_pi, u_inf, r):
     """Potential, gravity, equipotential velocity, kinetic potential arrays."""
+    import numpy as np
     r = np.ascontiguousarray(r, dtype=np.float64)
     inside = r <= radius
     u = np.where(

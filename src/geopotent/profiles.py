@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .core import RadialProfile
 from .errors import DegenerateProfileError, OutOfDomainError
 
@@ -71,6 +69,7 @@ def _shell_mass(r, rho, slope, t):
 
 def build_mass_table(radii, densities):
     """The MassTable of a piecewise-linear density sampled at `radii`."""
+    import numpy as np
     if radii[0] > 0.0:
         radii = np.concatenate(([0.0], radii))
         densities = np.concatenate((densities[:1], densities))
@@ -92,6 +91,7 @@ def interpolate(profile: RadialProfile, r):
     (float, float)
         (density kg/m^3, pressure Pa), linear between knots, exact at them.
     """
+    import numpy as np
     if not (profile.radii[0] <= r <= profile.body_radius):
         raise OutOfDomainError(
             f"r = {r!r} outside sampled range "
@@ -105,6 +105,7 @@ def enclosed_mass(profile: RadialProfile, r):
 
     Monotone non-decreasing in r; zero at r = 0.
     """
+    import numpy as np
     if not (0.0 <= r <= profile.body_radius):
         raise OutOfDomainError(
             f"r = {r!r} outside [0, {profile.body_radius}]")
@@ -122,6 +123,7 @@ def surface_potential_integral(profile: RadialProfile, gamma):
     is finite at s -> 0 for bounded density (M ~ s^3), so a profile
     starting at zero radius poses no difficulty.
     """
+    import numpy as np
     knots, rho, mass = profile.mass_table
     # skip the interval below the first sampled radius, if the table has one
     first = knots.shape[0] - len(profile)
@@ -148,6 +150,7 @@ def pressure_gradient_max(profile: RadialProfile):
     DegenerateProfileError
         If the pressure is constant (no gradient maximum exists).
     """
+    import numpy as np
     radii, pressures = profile.radii, profile.pressures
     slopes = np.abs(np.diff(pressures) / np.diff(radii))
     grad = float(np.max(slopes))

@@ -265,6 +265,8 @@ class TestAnomalyCommand:
         ["--offsets", "5000", "--u0", "1e-320"],  # relative_u overflows
         ["--offsets", "1e308"],                   # delta_g underflows to 0
         ["--offsets", "5000", "--radius", "1e-200"],  # mass underflows to 0
+        ["--depth", "1e300", "--radius", "1e299",     # radius**3 overflows
+         "--density-contrast", "1e300", "--offsets", "2e300"],
     ])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_result_is_domain_error(self, extra, fmt, capsys):
@@ -274,6 +276,21 @@ class TestAnomalyCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert "domain error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--depth", "1e300", "--radius", "1e299",
+          "--density-contrast", "1e300", "--offsets", "2e300"],
+         "anomaly: OverflowError: Numerical result out of range"),
+        (["--depth", "5000", "--radius", "1e-200",
+          "--density-contrast", "-2700", "--offsets", "5000"],
+         "anomaly: ZeroDivisionError: float division by zero"),
+    ], ids=["overflow", "zero-division"])
+    def test_arithmetic_error_names_command_and_type(self, extra, message,
+                                                     capsys):
+        assert main(["anomaly"] + extra) == 3
+        err = capsys.readouterr().err
+        assert err == f"geopotent: domain error: {message}\n"
+        assert "(34," not in err
 
 
 class TestPulseCommand:
