@@ -19,11 +19,16 @@ the exact volume sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 from .anomaly import BackgroundState, point_mass_signal
 from .core import DEFAULT_CONSTANTS, CavitySchedule, EarthParameters
-from .errors import NonPhysicalInputError, OutOfDomainError
+from .errors import (
+    NonPhysicalInputError,
+    NonPhysicalValueError,
+    OutOfDomainError,
+)
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
@@ -43,6 +48,56 @@ class PulseSample:
     delta_u: float
     delta_g: float
     delta_v_s: float
+
+
+@dataclass(frozen=True, eq=False)
+class PulseTable:
+    """The precursor series as columns of plain floats.
+
+    Columns are named like the fields of PulseSample; the constructor
+    stores each as a tuple and checks that they have equal length. The
+    table also reads like the list of PulseSample it stands for: ``len``,
+    iteration and integer indexing give PulseSample rows, slicing gives a
+    table, and a table equals a list holding the same rows.
+    """
+
+    t: tuple
+    source_radius: tuple
+    potential: tuple
+    delta_u: tuple
+    delta_g: tuple
+    delta_v_s: tuple
+
+    def __post_init__(self):
+        for field, col in zip(fields(self), self.columns()):
+            object.__setattr__(self, field.name, tuple(col))
+        if len({len(col) for col in self.columns()}) > 1:
+            raise NonPhysicalValueError(
+                "pulse columns must be of equal length")
+
+    def columns(self):
+        """The six columns, in the field order of PulseSample."""
+        return (self.t, self.source_radius, self.potential, self.delta_u,
+                self.delta_g, self.delta_v_s)
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PulseTable(*(col[index] for col in self.columns()))
+        i = operator.index(index)
+        return PulseSample(*(col[i] for col in self.columns()))
+
+    def __iter__(self):
+        return map(PulseSample, *self.columns())
+
+    def __eq__(self, other):
+        if isinstance(other, PulseTable):
+            return self.columns() == other.columns()
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 def pulsating_potential(mass, radius_t, observer_r, gamma=_DEFAULT_GAMMA):
@@ -109,13 +164,15 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
 
     Returns
     -------
-    list of PulseSample
-        One sample per time, input order preserved. A constant schedule
-        yields exactly zero deltas everywhere.
+    PulseTable
+        One row per time, input order preserved. Every value equals,
+        bit for bit, what :func:`pulsating_potential` and
+        :func:`point_mass_signal` give for that sample. A constant
+        schedule yields exactly zero deltas everywhere.
     """
     times = [float(t) for t in sample_times]
     if not times:
-        return []
+        return PulseTable([], [], [], [], [], [])
     if background is None:
         background = surface_background()
     else:
@@ -124,22 +181,32 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
     cubes = [schedule.segment_at(t).radius_cubed(t) for t in times]
     deficits = [(4.0 / 3.0) * math.pi * cubed * schedule.host_density_contrast
                 for cubed in cubes]
-    out = []
-    for t, cubed, deficit in zip(times, cubes, deficits):
-        radius = cubed ** (1.0 / 3.0)
-        potential = pulsating_potential(schedule.source_mass, radius,
-                                        schedule.observer_radius, gamma)
-        sig = point_mass_signal(deficit - deficits[0],
-                                schedule.observer_radius, background, gamma)
-        out.append(PulseSample(
-            t=t,
-            source_radius=radius,
-            potential=potential,
-            delta_u=sig.delta_u,
-            delta_g=sig.delta_g,
-            delta_v_s=sig.delta_v_s,
-        ))
-    return out
+    delta_masses = [deficit - deficits[0] for deficit in deficits]
+    radii = [cubed ** (1.0 / 3.0) for cubed in cubes]
+    mass, observer = schedule.source_mass, schedule.observer_radius
+    delta_u = [gamma * dm / observer for dm in delta_masses]
+    base = background.u_infinity - background.u0
+    # The two scalar functions are the only home of the checks and their
+    # messages. Sample 0 runs the checks that do not depend on the sample;
+    # the first later sample whose radius or perturbed potential fails
+    # then raises from the same calls, in the same order, as a loop would.
+    pulsating_potential(mass, radii[0], observer, gamma)
+    point_mass_signal(delta_masses[0], observer, background, gamma)
+    bad = next((i for i, (radius, du) in enumerate(zip(radii, delta_u))
+                if not 0.0 < radius < observer or base - du < 0.0), None)
+    if bad is not None:
+        pulsating_potential(mass, radii[bad], observer, gamma)
+        point_mass_signal(delta_masses[bad], observer, background, gamma)
+    gm = gamma * mass
+    return PulseTable(
+        t=times,
+        source_radius=radii,
+        potential=[-gm / observer + 1.5 * gm / radius for radius in radii],
+        delta_u=delta_u,
+        delta_g=[gamma * dm / (observer * observer) for dm in delta_masses],
+        delta_v_s=[math.sqrt(2.0 * (base - du)) - math.sqrt(2.0 * base)
+                   for du in delta_u],
+    )
 
 
 def buoyancy_pressure(density_contrast, g_local, vertical_extent):

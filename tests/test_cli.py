@@ -1,18 +1,24 @@
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
+from geopotent import PulseTable
 from geopotent.cli import (
     PROFILE_HEADER,
+    PULSE_COLUMNS,
     PULSE_HEADER,
     PULSE_MAX_SAMPLES,
+    _fmt,
     main,
+    render_csv,
 )
 from geopotent.config import load_config
-from geopotent.errors import ConfigError
+from geopotent.errors import ConfigError, DomainError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -117,6 +123,54 @@ class TestFormatConsistency:
         for line, row in zip(lines[1:], report["rows"]):
             for cell, key in zip(line.split(","), PULSE_HEADER.split(",")):
                 assert float(cell) == float(f"{row[key]:.10g}")
+
+
+def table_report(columns, rows):
+    return {"command": "anomaly", "tables": [{
+        "name": "t", "columns": columns,
+        "rows": [dict(zip(columns, row)) for row in rows]}]}
+
+
+class TestRenderCsv:
+    # Columns of finite floats are formatted a column at a time; _fmt is
+    # the per-cell rule they must agree with.
+    def test_ten_digits_up_to_the_last_value_that_reads_back(self):
+        below = 1.7976931344999998e308
+        assert below == math.nextafter(1.7976931345e308, 0.0)
+        text = render_csv(table_report(
+            ["a", "b", "c"], [[below, 1.7976931345e308, -below],
+                              [1.0, below, 2.5]]))
+        assert text.splitlines()[-2:] == [
+            "1.797693134e+308,1.7976931345e+308,-1.797693134e+308",
+            "1,1.797693134e+308,2.5"]
+
+    def test_first_non_finite_cell_in_row_major_order_is_reported(self):
+        values = [[0.0, 1.0, 2.0, 3.0, math.nan, 5.0],
+                  [0.5, 1.0, math.inf, 3.0, 4.0, 5.0]]
+        report = {"command": "pulse",
+                  "rows": [dict(zip(PULSE_COLUMNS, v)) for v in values]}
+        with pytest.raises(DomainError, match="nan") as err:
+            render_csv(report)
+        assert "inf" not in str(err.value)
+
+    def test_strings_and_bools_keep_the_per_cell_rule(self):
+        columns = ["boundary", "radius_m", "offset_m", "within_layer"]
+        text = render_csv(table_report(columns, [
+            ["cmb", 3480000.0, -86700.25, True],
+            ["icb", 1221500.0, 2345000.0, False]]))
+        assert text.splitlines()[-3:] == [
+            "boundary,radius_m,offset_m,within_layer",
+            "cmb,3480000,-86700.25,true",
+            "icb,1221500,2345000,false"]
+
+    def test_columns_match_the_per_cell_rule(self):
+        rng = random.Random(5)
+        rows = [[math.ldexp(rng.uniform(-1.0, 1.0), rng.randint(-1074, 1024))
+                 for _ in range(3)] for _ in range(300)]
+        rows.append([0.0, -0.0, 5e-324])
+        text = render_csv(table_report(["a", "b", "c"], rows))
+        assert text.splitlines()[-len(rows):] == [
+            ",".join(map(_fmt, row)) for row in rows]
 
 
 class TestDirect:
@@ -397,7 +451,7 @@ class TestPulseCommand:
 
         def count(schedule, times, **kwargs):
             counts.append(len(times))
-            return []
+            return PulseTable([], [], [], [], [], [])
 
         monkeypatch.chdir(ROOT)
         monkeypatch.setattr("geopotent.cli.evaluate_schedule", count)

@@ -1,13 +1,17 @@
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
+import geopotent
 from geopotent import (
     BackgroundState,
     CavitySchedule,
     EarthParameters,
     PulseSample,
+    PulseTable,
     ScheduleSegment,
     buoyancy_pressure,
     cavity_mass_deficit,
@@ -18,6 +22,7 @@ from geopotent import (
 )
 from geopotent.errors import (
     NonPhysicalInputError,
+    NonPhysicalValueError,
     OutOfDomainError,
     ScheduleError,
 )
@@ -213,10 +218,11 @@ def scan_segment_at(schedule, t):
     return schedule.segments[-1]
 
 
-def scan_evaluate_schedule(schedule, times):
-    """Reference series, one scan lookup per sample, same arithmetic as
-    evaluate_schedule."""
-    background = surface_background()
+def scan_evaluate_schedule(schedule, times, background=None, gamma=GAMMA):
+    """Reference series: one scan lookup and one call of each scalar
+    function per sample, in the order a per-sample loop makes them."""
+    if background is None:
+        background = surface_background()
     first = scan_segment_at(schedule, times[0])
     base_deficit = ((4.0 / 3.0) * math.pi * first.radius_cubed(times[0])
                     * schedule.host_density_contrast)
@@ -224,16 +230,55 @@ def scan_evaluate_schedule(schedule, times):
     for t in times:
         cubed = scan_segment_at(schedule, t).radius_cubed(t)
         radius = cubed ** (1.0 / 3.0)
+        potential = pulsating_potential(schedule.source_mass, radius,
+                                        schedule.observer_radius, gamma)
         deficit = ((4.0 / 3.0) * math.pi * cubed
                    * schedule.host_density_contrast)
         sig = point_mass_signal(deficit - base_deficit,
-                                schedule.observer_radius, background)
-        out.append(PulseSample(
-            t, radius,
-            pulsating_potential(schedule.source_mass, radius,
-                                schedule.observer_radius),
-            sig.delta_u, sig.delta_g, sig.delta_v_s))
+                                schedule.observer_radius, background, gamma)
+        out.append(PulseSample(t, radius, potential, sig.delta_u, sig.delta_g,
+                               sig.delta_v_s))
     return out
+
+
+def outcome(fn, *args, **kwargs):
+    """Every value of a series as float.hex, or the exception's type and
+    message."""
+    try:
+        rows = fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [tuple(map(float.hex, dataclasses.astuple(row))) for row in rows]
+
+
+def adversarial_case(rng):
+    """Schedule, times, background and gamma drawn to reach each check of
+    the scalar functions, late in the series too, and the overflows.
+
+    Radii near 1e-110 cube to 0; contrasts of +-1e300 overflow the
+    deficit to inf and the deltas to nan; u0 > u_infinity fails every
+    signal; gamma = 1e300 pushes the perturbed potential out of its
+    domain.
+    """
+    segments, t = [], 0.0
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(["constant", "linear", "coalesce_step"])
+        scale = rng.choice([1e-110, 1e-108, 1.0, 1e3])
+        params = tuple(scale * rng.uniform(0.5, 2.0)
+                       for _ in range(1 if kind == "constant" else 2))
+        segments.append(ScheduleSegment(t, t + rng.uniform(1.0, 100.0),
+                                        kind, params))
+        t = segments[-1].t_end
+    biggest = max(max(seg.max_radius(), *seg.params) for seg in segments)
+    schedule = make_schedule(
+        segments, observer=biggest * rng.choice([1.0000001, 2.0, 1e3]),
+        contrast=rng.choice([-2700.0, 2700.0, 1e13, -1e300, 1e300]),
+        mass=rng.choice([1e12, 1e-300, 1e300]))
+    times = sorted(rng.uniform(0.0, t) for _ in range(rng.randint(1, 12)))
+    background = rng.choice([None, BackgroundState(3.1e7, 9.8, 6.2e7),
+                             BackgroundState(6.2e7, 9.8, 3.1e7)])
+    gamma = rng.choice([GAMMA, 1e300, 1e-300])
+    return schedule, times, background, gamma
 
 
 class TestSegmentLookupParity:
@@ -268,6 +313,87 @@ class TestSegmentLookupParity:
     def test_evaluate_schedule_matches_scan_reference(self):
         assert evaluate_schedule(self.schedule, self.times) \
             == scan_evaluate_schedule(self.schedule, self.times)
+
+
+class TestColumnarParity:
+    def test_adversarial_schedules_match_reference_bitwise(self):
+        rng = random.Random(99)
+        seen = set()
+        for _ in range(600):
+            schedule, times, background, gamma = adversarial_case(rng)
+            got = outcome(evaluate_schedule, schedule, times,
+                          background=background, gamma=gamma)
+            want = outcome(scan_evaluate_schedule, schedule, times,
+                           background=background, gamma=gamma)
+            assert got == want
+            if isinstance(want, tuple):
+                seen.add(want[1].split(" ")[0])
+            elif any("nan" in cell for row in want for cell in row):
+                seen.add("nan")
+        assert seen == {"nan", "radius_t", "observer", "background",
+                        "perturbed"}
+
+    def test_failure_late_in_the_series_is_reported_there(self):
+        # the radius cubes to 0 only in the second segment
+        schedule = make_schedule(
+            [ScheduleSegment(0.0, 10.0, "constant", (500.0,)),
+             ScheduleSegment(10.0, 20.0, "constant", (1e-110,))])
+        with pytest.raises(NonPhysicalInputError,
+                           match="radius_t must be positive, got 0.0"):
+            evaluate_schedule(schedule, [0.0, 5.0, 15.0])
+
+
+class TestPulseTable:
+    times = [0.0, 21600.0, 43200.0, 64800.0, 86400.0]
+
+    def test_rows_behave_like_a_list(self):
+        table = evaluate_schedule(GROWTH, self.times)
+        rows = scan_evaluate_schedule(GROWTH, self.times)
+        assert isinstance(table, PulseTable)
+        assert len(table) == len(rows) == 5
+        assert list(table) == rows
+        assert table == rows
+        for i in (0, 1, 4, -1, -5, np.int64(3)):
+            assert type(table[i]) is PulseSample
+            assert table[i] == rows[i]
+        for i in (5, -6):
+            with pytest.raises(IndexError):
+                table[i]
+        with pytest.raises(TypeError):
+            table[1.0]
+        assert isinstance(table[1:4], PulseTable)
+        assert table[1:4] == rows[1:4]
+        assert table[::-2] == rows[::-2]
+
+    def test_columns_are_named_like_the_sample_fields(self):
+        table = evaluate_schedule(GROWTH, self.times)
+        names = [f.name for f in dataclasses.fields(PulseSample)]
+        assert [f.name for f in dataclasses.fields(PulseTable)] == names
+        assert table.columns() == tuple(getattr(table, n) for n in names)
+        assert all(type(col) is tuple for col in table.columns())
+
+    def test_empty_table(self):
+        table = evaluate_schedule(GROWTH, [])
+        assert isinstance(table, PulseTable)
+        assert table == [] and len(table) == 0 and not table
+        with pytest.raises(IndexError):
+            table[0]
+
+    def test_constructor_stores_tuples_of_equal_length(self):
+        table = PulseTable(*[[1.0, 2.0]] * 6)
+        assert table.delta_g == (1.0, 2.0)
+        assert table == PulseTable(*[(1.0, 2.0)] * 6)
+        with pytest.raises(NonPhysicalValueError):
+            PulseTable(*[[1.0, 2.0]] * 5, [1.0])
+
+    def test_frozen(self):
+        table = evaluate_schedule(GROWTH, self.times)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.t = ()
+
+    def test_exported(self):
+        assert geopotent.PulseTable is PulseTable
+        assert "PulseTable" in geopotent.__all__
 
 
 class TestBuoyancyPressure:
