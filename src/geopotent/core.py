@@ -20,6 +20,7 @@ from .errors import (
     ScheduleError,
     TooFewSamplesError,
 )
+from .kernels import uniform_sphere_potential
 
 # Relative tolerance for the mass/density/radius consistency of a sphere.
 SPHERE_CONSISTENCY_TOL = 1e-9
@@ -92,11 +93,6 @@ class UniformSphere:
     def from_mass_density(cls, mass, density):
         radius = (3.0 * mass / (4.0 * math.pi * density)) ** (1.0 / 3.0)
         return cls(mass, radius, density)
-
-
-def uniform_sphere_potential(gamma, density, radius):
-    """(2/3)*gamma*rho*pi*R^2: center-to-surface potential, uniform sphere."""
-    return (2.0 / 3.0) * (gamma * density * math.pi) * radius * radius
 
 
 @dataclass(frozen=True)

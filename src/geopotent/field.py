@@ -137,13 +137,10 @@ def absolute_potential(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
         r = R, where the curve has its inflection.
     """
     _require_radius(r)
-    rho_gamma_pi = gamma * sphere.density * math.pi
     if r <= sphere.radius:
-        return (2.0 / 3.0) * rho_gamma_pi * r * r
-    gm = gamma * sphere.mass
-    radius = sphere.radius
-    return ((2.0 / 3.0) * rho_gamma_pi * radius * radius
-            + gm / radius - gm / r)
+        return kernels.uniform_sphere_potential(gamma, sphere.density, r)
+    return kernels.exterior_potential(gamma, sphere.density,
+                                      gamma * sphere.mass, sphere.radius, r)
 
 
 def gravity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
@@ -154,10 +151,8 @@ def gravity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
     """
     _require_radius(r)
     if r <= sphere.radius:
-        rho_gamma_pi = gamma * sphere.density * math.pi
-        return (4.0 / 3.0) * rho_gamma_pi * r
-    gm = gamma * sphere.mass
-    return gm / (r * r)
+        return kernels.interior_gravity(gamma, sphere.density, r)
+    return kernels.exterior_gravity(gamma * sphere.mass, r)
 
 
 def first_cosmic_velocity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
@@ -234,9 +229,13 @@ def sample_field(sphere: UniformSphere, radii, gamma=_DEFAULT_GAMMA):
     if bad.size:
         i = int(bad[0])
         raise NonPhysicalInputError(f"radii[{i}] must be >= 0, got {r[i]!r}")
-    gm = gamma * sphere.mass
-    rho_gamma_pi = gamma * sphere.density * math.pi
-    u_inf = u_infinity_homogeneous(sphere, gamma)
-    u, g, vs, kin = kernels.field_arrays(gm, sphere.radius, rho_gamma_pi,
-                                         u_inf, r)
-    return FieldTable(r, u, g, vs, kin)
+    radius, rho, gm = sphere.radius, sphere.density, gamma * sphere.mass
+    # Both branches run on every radius. Only cells np.where discards can
+    # divide by zero; a kept r*r overflows to inf, as Python floats do.
+    with np.errstate(over="ignore", divide="ignore"):
+        u = np.where(r <= radius, kernels.uniform_sphere_potential(gamma, rho, r),
+                     kernels.exterior_potential(gamma, rho, gm, radius, r))
+        g = np.where(r <= radius, kernels.interior_gravity(gamma, rho, r),
+                     kernels.exterior_gravity(gm, r))
+    return FieldTable(r, u, g, np.sqrt(g * r),
+                      u_infinity_homogeneous(sphere, gamma) - u)

@@ -1,26 +1,28 @@
-"""Array kernel for dense uniform-sphere field sampling.
+"""Closed forms of the uniform sphere, each written once in plain products.
 
-Profile numerics need no kernel: mass, potential integral and the
-steepest pressure gradient are exact piecewise polynomials evaluated in
-:mod:`geopotent.profiles`. What is left here is the one vectorized
-evaluation that works on many radii at once.
+A float radius and a float64 array of radii give bitwise the same value:
+the scalar functions of :mod:`geopotent.field` pick a branch with ``if``,
+``sample_field`` picks one with ``np.where``.
 """
 
-__all__ = ["field_arrays"]
+import math
 
 
-def field_arrays(gm, radius, rho_gamma_pi, u_inf, r):
-    """Potential, gravity, equipotential velocity, kinetic potential arrays."""
-    import numpy as np
-    r = np.ascontiguousarray(r, dtype=np.float64)
-    inside = r <= radius
-    u = np.where(
-        inside,
-        (2.0 / 3.0) * rho_gamma_pi * r * r,
-        (2.0 / 3.0) * rho_gamma_pi * radius * radius + gm / radius
-        - gm / np.where(r > 0.0, r, 1.0))
-    g = np.where(inside, (4.0 / 3.0) * rho_gamma_pi * r,
-                 gm / np.where(r > 0.0, r * r, 1.0))
-    vs = np.sqrt(g * r)
-    kin = u_inf - u
-    return u, g, vs, kin
+def uniform_sphere_potential(gamma, rho, r):
+    """(2/3)*gamma*rho*pi*r^2: the potential inside, centre gauge."""
+    return (2.0 / 3.0) * (gamma * rho * math.pi) * r * r
+
+
+def interior_gravity(gamma, rho, r):
+    """(4/3)*gamma*rho*pi*r: the gravity inside."""
+    return (4.0 / 3.0) * (gamma * rho * math.pi) * r
+
+
+def exterior_potential(gamma, rho, gm, radius, r):
+    """The surface potential plus gm/R - gm/r: the potential outside."""
+    return uniform_sphere_potential(gamma, rho, radius) + gm / radius - gm / r
+
+
+def exterior_gravity(gm, r):
+    """gm/r^2: the gravity outside."""
+    return gm / (r * r)

@@ -29,6 +29,7 @@ from .errors import (
     NonPhysicalValueError,
     OutOfDomainError,
 )
+from .kernels import exterior_gravity
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
@@ -130,7 +131,7 @@ def surface_background(earth: EarthParameters | None = None) -> BackgroundState:
         earth = EarthParameters()
     u_r = earth.uniform_surface_potential
     v1k = earth.surface_first_cosmic_velocity
-    g0 = earth.gm / (earth.mean_radius * earth.mean_radius)
+    g0 = exterior_gravity(earth.gm, earth.mean_radius)
     return BackgroundState(u0=u_r, g0=g0, u_infinity=u_r + 0.5 * v1k * v1k)
 
 

@@ -23,9 +23,9 @@ from .core import (
     InversionResult,
     PotentialBreakdown,
     RadialProfile,
-    uniform_sphere_potential,
 )
 from .errors import NonPhysicalInputError, NonPhysicalValueError
+from .kernels import uniform_sphere_potential
 
 # Relative band around equality for the `uniform` trend; exact float
 # comparison would make the branch unreachable.
@@ -142,7 +142,7 @@ def homogeneity_bound(profile: RadialProfile,
     """Evaluate both sides of the surface-potential bound on a profile.
 
     The integral side is the center-to-surface potential of the tabulated
-    body; the uniform side is core.uniform_sphere_potential at its mean
+    body; the uniform side is kernels.uniform_sphere_potential at its mean
     density. Centrally condensed bodies come out above the uniform side,
     so `holds` is reported, never assumed.
     """
