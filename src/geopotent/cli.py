@@ -111,8 +111,7 @@ def read_profile_csv(path):
     try:
         return validate_profile(rows)
     except InputError as exc:
-        index = getattr(exc, "index", None)
-        line = f":{linenos[index]}" if index is not None else ""
+        line = f":{linenos[exc.index]}" if exc.index is not None else ""
         raise InputError(f"{path}{line}: {exc}") from exc
 
 

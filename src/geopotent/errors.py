@@ -16,7 +16,16 @@ class GeopotentError(Exception):
 
 
 class InputError(GeopotentError):
-    """Invalid input: construction, validation or argument checks (exit 2)."""
+    """Invalid input: construction, validation or argument checks (exit 2).
+
+    ``index`` is the offending sample index when the error comes from
+    table validation, so file readers can report line numbers; None
+    otherwise.
+    """
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class DomainError(GeopotentError):
@@ -24,15 +33,7 @@ class DomainError(GeopotentError):
 
 
 class NonPhysicalValueError(InputError):
-    """A constructed quantity violates a physical constraint.
-
-    Carries the offending sample index when raised during table
-    validation, so file readers can report line numbers.
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """A constructed quantity violates a physical constraint."""
 
 
 class NonPhysicalInputError(InputError):
@@ -42,10 +43,6 @@ class NonPhysicalInputError(InputError):
 class NonMonotonicRadiusError(InputError):
     """Profile radii are not strictly increasing."""
 
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
-
 
 class TooFewSamplesError(InputError):
     """Profile has fewer samples than the minimum of four."""
@@ -53,10 +50,6 @@ class TooFewSamplesError(InputError):
 
 class PressureIncreaseError(InputError):
     """Pressure rises with radius beyond the monotonicity slack."""
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class OutOfDomainError(DomainError):

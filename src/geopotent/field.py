@@ -8,6 +8,9 @@ first cosmic velocity sqrt(gamma*M/r) on and outside the boundary. The
 kinetic potential is the specific kinetic energy gained falling from
 infinity, so potential + kinetic is the at-infinity value everywhere.
 
+The closed forms of both branches live once, in :mod:`geopotent.kernels`,
+so every cell of a FieldTable is bitwise the scalar function's value.
+
 Velocity conversions (`potential_from_velocity`, `radius_from_velocity`)
 are the measurement side: they recover potential or radius from an
 observed velocity and local gravity.
@@ -179,8 +182,12 @@ def potential_from_velocity(u_infinity, v_s):
 
     Returns u_infinity - v_s**2 / 2; raises OutOfDomainError when the
     velocity term exceeds the at-infinity potential (which would imply a
-    negative absolute potential).
+    negative absolute potential), and NonPhysicalInputError on a
+    non-finite input.
     """
+    for name, value in (("u_infinity", u_infinity), ("v_s", v_s)):
+        if not math.isfinite(value):
+            raise NonPhysicalInputError(f"{name} must be finite, got {value!r}")
     half = 0.5 * v_s * v_s
     if half > u_infinity:
         raise OutOfDomainError(

@@ -1,8 +1,9 @@
 """Closed forms of the uniform sphere, each written once in plain products.
 
-A float radius and a float64 array of radii give bitwise the same value:
-the scalar functions of :mod:`geopotent.field` pick a branch with ``if``,
-``sample_field`` picks one with ``np.where``.
+This module is their only home. A float radius and a float64 array of
+radii give bitwise the same value: the scalar functions of
+:mod:`geopotent.field` pick a branch with ``if``, ``sample_field`` picks
+one with ``np.where``.
 """
 
 import math

@@ -24,7 +24,11 @@ from .core import (
     PotentialBreakdown,
     RadialProfile,
 )
-from .errors import NonPhysicalInputError, NonPhysicalValueError
+from .errors import (
+    NonPhysicalInputError,
+    NonPhysicalValueError,
+    OutOfDomainError,
+)
 from .kernels import uniform_sphere_potential
 
 # Relative band around equality for the `uniform` trend; exact float
@@ -108,13 +112,18 @@ def inverse_problem(gm, u_infinity, body_radius,
 
     The trend is `uniform` when r0 matches the body radius within
     `uniform_tol` relative, `decreasing_outward` when r0 is interior,
-    `increasing_outward` when exterior.
+    `increasing_outward` when exterior. Raises OutOfDomainError when the
+    quotient overflows or underflows to zero.
     """
     for name, value in (("gm", gm), ("u_infinity", u_infinity),
                         ("body_radius", body_radius)):
         if not (math.isfinite(value) and value > 0.0):
             raise NonPhysicalInputError(f"{name} must be positive, got {value!r}")
     r0 = gm / u_infinity
+    if not (math.isfinite(r0) and r0 > 0.0):
+        raise OutOfDomainError(
+            f"r0 = {gm!r} / {u_infinity!r} = {r0!r} is not a positive "
+            "finite radius")
     depth = body_radius - r0
     if abs(r0 - body_radius) <= uniform_tol * body_radius:
         trend = DensityTrend.UNIFORM

@@ -229,6 +229,12 @@ class TestInverse:
         assert main(["inverse", "--u-inf", "-1"]) == 2
         assert "positive" in capsys.readouterr().err
 
+    def test_overflowing_r0_is_domain_error(self, capsys):
+        assert main(["inverse", "--u-inf", "1e-300"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "domain error" in captured.err and "inf" in captured.err
+
 
 class TestProfileCommand:
     def test_fixture_report(self, capsys, monkeypatch):

@@ -179,6 +179,13 @@ class TestVelocityConversions:
         with pytest.raises(OutOfDomainError):
             potential_from_velocity(1.0, 2.0)
 
+    @pytest.mark.parametrize("u_inf, v_s", [
+        (1e8, math.nan), (math.nan, 10.0), (math.inf, 10.0),
+        (1e8, math.inf), (-math.inf, 0.0)])
+    def test_potential_from_velocity_rejects_non_finite(self, u_inf, v_s):
+        with pytest.raises(NonPhysicalInputError, match="must be finite"):
+            potential_from_velocity(u_inf, v_s)
+
     def test_radius_from_velocity_unit(self):
         assert radius_from_velocity(1.0, 1.0) == 1.0
 

@@ -17,7 +17,11 @@ from geopotent import (
     mean_density,
     surface_potential_integral,
 )
-from geopotent.errors import NonPhysicalInputError, NonPhysicalValueError
+from geopotent.errors import (
+    NonPhysicalInputError,
+    NonPhysicalValueError,
+    OutOfDomainError,
+)
 
 from conftest import GAMMA, random_sphere, uniform_profile
 
@@ -157,6 +161,13 @@ class TestInverseProblem:
             inverse_problem(-1.0, 1.0, 1.0)
         with pytest.raises(NonPhysicalInputError):
             inverse_problem(1.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("gm, u_inf", [(3.986e14, 1e-300),
+                                           (1e-300, 1e300)])
+    def test_quotient_out_of_range_is_domain_error(self, gm, u_inf):
+        # valid inputs whose r0 overflows to inf or underflows to 0
+        with pytest.raises(OutOfDomainError, match="r0"):
+            inverse_problem(gm, u_inf, 6.371e6)
 
 
 class TestLocateBoundary:
