@@ -24,6 +24,7 @@ import dataclasses
 import json
 import math
 import sys
+from typing import NamedTuple
 
 from . import __version__
 from .anomaly import (
@@ -70,9 +71,9 @@ PULSE_COLUMNS = ("t_s", "source_radius_m", "potential_j_kg", "delta_u_j_kg",
 PULSE_HEADER = ",".join(PULSE_COLUMNS)
 
 # Largest --num-samples accepted. Every sample is held as a row of the
-# series' columns, a row dict and rendered text until the report is
-# written; a fresh run at the ceiling peaks near 92 MB RSS for CSV and
-# 214 MB for JSON.
+# series' columns and as rendered text until the report is written; a
+# fresh run at the ceiling peaks near 62 MB RSS for CSV and 97 MB for
+# JSON.
 PULSE_MAX_SAMPLES = 100_000
 
 # The smallest float whose 10 significant digits read back as inf: below
@@ -174,26 +175,44 @@ def _preamble(report):
     return lines
 
 
-def _fmt_column(col):
-    """Lazy text of one column's cells, by the rule of :func:`_fmt`.
+class Table(NamedTuple):
+    """The rows of a report table, held as columns.
 
-    A column of finite floats that all print in 10 digits is formatted
-    in one pass; any other column goes through ``_fmt`` cell by cell.
+    ``columns`` names the columns and ``data`` holds one tuple of cells
+    per column. JSON writes a table as its array of row objects, CSV as
+    a header line and one line per row.
     """
-    if (set(map(type, col)) <= {float} and all(map(math.isfinite, col))
-            and max(map(abs, col), default=0.0) < _FMT_LIMIT):
-        return map("{:.10g}".format, col)
-    return map(_fmt, col)
+
+    columns: tuple
+    data: tuple
 
 
-def _table_lines(columns, rows):
+def _table(name, columns):
+    """A named report table, from a mapping of column name to cells."""
+    table = Table(tuple(columns), tuple(map(tuple, columns.values())))
+    return {"name": name, "columns": list(table.columns), "rows": table}
+
+
+def _finite_floats(col):
+    return set(map(type, col)) <= {float} and all(map(math.isfinite, col))
+
+
+def _csv_lines(table):
     """CSV lines of a table: its header, then one line per row.
 
-    The cells are rendered a column at a time but joined row by row, so
-    a non-finite cell raises at the first one in row-major order.
+    A table of finite floats that all print in 10 digits fills one
+    ``%.10g`` row template per line; ``%`` and ``format`` both format a
+    float with ``.10g`` through ``PyOS_double_to_string``. Any other
+    table goes through ``_fmt`` cell by cell in row-major order, so a
+    non-finite cell raises at the first one.
     """
-    texts = [_fmt_column([row[name] for row in rows]) for name in columns]
-    return [",".join(columns), *map(",".join, zip(*texts))]
+    rows = zip(*table.data)
+    if all(_finite_floats(col) and max(map(abs, col), default=0.0) < _FMT_LIMIT
+           for col in table.data):
+        lines = map(",".join(["%.10g"] * len(table.columns)).__mod__, rows)
+    else:
+        lines = (",".join(map(_fmt, row)) for row in rows)
+    return [",".join(table.columns), *lines]
 
 
 def render_csv(report):
@@ -202,19 +221,69 @@ def render_csv(report):
         lines.append("field,value")
         for key, value in report["result"].items():
             lines.append(f"{key},{_fmt(value)}")
-    tables = report.get("tables", [])
-    if report["command"] == "pulse":
-        tables = [{"columns": PULSE_COLUMNS, "rows": report["rows"]}]
+    # the pulse series, or the rows of each named table
+    tables = ([report["rows"]] if "rows" in report
+              else [table["rows"] for table in report.get("tables", ())])
     for table in tables:
-        lines.extend(_table_lines(table["columns"], table["rows"]))
-    return "\n".join(lines) + "\n"
+        lines.extend(_csv_lines(table))
+    lines.append("")
+    return "\n".join(lines)
+
+
+def _json_cell(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"report holds a non-finite value: {value!r}")
+    return json.dumps(value)
+
+
+def _json_rows(table, indent, out):
+    """Append a table to `out` as ``json.dumps(..., indent=2)`` writes it.
+
+    Every row fills one template. A column of finite floats goes in as
+    is, through ``%r``: ``float.__repr__``, which ``json`` uses too. Any
+    other column goes through ``_json_cell`` in row-major order, so a
+    non-finite cell raises at the first one.
+    """
+    inner, slots, cells = indent + "  ", [], []
+    for name, col in zip(table.columns, table.data):
+        fast = _finite_floats(col)
+        key = json.dumps(name).replace("%", "%%")
+        slots.append(f"{inner}  {key}: {'%r' if fast else '%s'}")
+        cells.append(col if fast else map(_json_cell, col))
+    template = f"{inner}{{\n" + ",\n".join(slots) + f"\n{inner}}}"
+    rows = ",\n".join(map(template.__mod__, zip(*cells)))
+    out.extend(("[\n", rows, f"\n{indent}]") if rows else ("[]",))
+
+
+def _json(value, indent, out):
+    """Append `value` to `out` as ``json.dumps(value, indent=2)`` writes
+    it at `indent`, with each Table written by ``_json_rows``."""
+    inner = indent + "  "
+    if isinstance(value, Table):
+        _json_rows(value, indent, out)
+    elif isinstance(value, dict) and value:
+        sep = "{"
+        for key, item in value.items():
+            out.append(f"{sep}\n{inner}{json.dumps(key)}: ")
+            _json(item, inner, out)
+            sep = ","
+        out.append(f"\n{indent}}}")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "["
+        for item in value:
+            out.append(f"{sep}\n{inner}")
+            _json(item, inner, out)
+            sep = ","
+        out.append(f"\n{indent}]")
+    else:
+        out.append(_json_cell(value))
 
 
 def render_json(report):
-    try:
-        return json.dumps(report, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise DomainError("report holds a non-finite value") from exc
+    out = []
+    _json(report, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def emit(report, fmt, out_path):
@@ -275,16 +344,14 @@ def cmd_inverse(cfg: RunConfig, args):
         "depth_m": result.depth,
         "trend": result.trend.value,
     }
-    rows = []
-    for ref in cfg.boundaries:
-        offset, within = locate_boundary(result, ref)
-        rows.append({"boundary": ref.name, "radius_m": ref.radius,
-                     "offset_m": offset, "within_layer": within})
-    report["tables"] = [{
-        "name": "boundaries",
-        "columns": ["boundary", "radius_m", "offset_m", "within_layer"],
-        "rows": rows,
-    }]
+    refs = cfg.boundaries
+    located = [locate_boundary(result, ref) for ref in refs]
+    report["tables"] = [_table("boundaries", {
+        "boundary": [ref.name for ref in refs],
+        "radius_m": [ref.radius for ref in refs],
+        "offset_m": [offset for offset, _ in located],
+        "within_layer": [within for _, within in located],
+    })]
     return report
 
 
@@ -309,21 +376,14 @@ def cmd_profile(cfg: RunConfig, args):
         "homogeneity_holds": bound.holds,
         "homogeneity_relative_gap": bound.relative_gap,
     }
-    rows = []
-    for ref in cfg.boundaries:
-        if not (0.0 < ref.radius < profile.body_radius):
-            continue
-        rows.append({
-            "boundary": ref.name,
-            "radius_m": ref.radius,
-            "equilibrium_gravity_m_s2":
-                core_equilibrium_gravity(profile, ref.radius),
-        })
-    report["tables"] = [{
-        "name": "core_equilibrium",
-        "columns": ["boundary", "radius_m", "equilibrium_gravity_m_s2"],
-        "rows": rows,
-    }]
+    inside = [ref for ref in cfg.boundaries
+              if 0.0 < ref.radius < profile.body_radius]
+    report["tables"] = [_table("core_equilibrium", {
+        "boundary": [ref.name for ref in inside],
+        "radius_m": [ref.radius for ref in inside],
+        "equilibrium_gravity_m_s2": [
+            core_equilibrium_gravity(profile, ref.radius) for ref in inside],
+    })]
     return report
 
 
@@ -351,21 +411,9 @@ def cmd_anomaly(cfg: RunConfig, args):
     offsets = _parse_float_list(args.offsets, "--offsets")
     background = _background(cfg, args)
     gamma = cfg.constants.gamma
-    rows = []
-    for row in detectability_report(source, offsets, background, gamma):
-        pair = sensitivity_coefficients(row.offset, source.radius, gamma)
-        rows.append({
-            "offset_m": row.offset,
-            "k1": pair.k1,
-            "k2": pair.k2,
-            "k_ratio": pair.ratio,
-            "delta_u_j_kg": row.delta_u,
-            "delta_g_m_s2": row.delta_g,
-            "delta_v_s_m_s": row.delta_v_s,
-            "relative_u": row.relative_u,
-            "relative_g": row.relative_g,
-            "advantage": row.advantage,
-        })
+    signals = detectability_report(source, offsets, background, gamma)
+    pairs = [sensitivity_coefficients(row.offset, source.radius, gamma)
+             for row in signals]
     report = _base_report("anomaly", cfg)
     report["inputs"] = {
         "depth": source.depth,
@@ -375,13 +423,18 @@ def cmd_anomaly(cfg: RunConfig, args):
         "g0": background.g0,
         "u_infinity": background.u_infinity,
     }
-    report["tables"] = [{
-        "name": "signals",
-        "columns": ["offset_m", "k1", "k2", "k_ratio", "delta_u_j_kg",
-                    "delta_g_m_s2", "delta_v_s_m_s", "relative_u",
-                    "relative_g", "advantage"],
-        "rows": rows,
-    }]
+    report["tables"] = [_table("signals", {
+        "offset_m": [row.offset for row in signals],
+        "k1": [pair.k1 for pair in pairs],
+        "k2": [pair.k2 for pair in pairs],
+        "k_ratio": [pair.ratio for pair in pairs],
+        "delta_u_j_kg": [row.delta_u for row in signals],
+        "delta_g_m_s2": [row.delta_g for row in signals],
+        "delta_v_s_m_s": [row.delta_v_s for row in signals],
+        "relative_u": [row.relative_u for row in signals],
+        "relative_g": [row.relative_g for row in signals],
+        "advantage": [row.advantage for row in signals],
+    })]
     return report
 
 
@@ -410,8 +463,7 @@ def cmd_pulse(cfg: RunConfig, args):
         "observer_radius": schedule.observer_radius,
         "host_density_contrast": schedule.host_density_contrast,
     }
-    report["rows"] = [dict(zip(PULSE_COLUMNS, values))
-                      for values in zip(*table.columns())]
+    report["rows"] = Table(PULSE_COLUMNS, table.columns())
     return report
 
 

@@ -159,8 +159,12 @@ def gravity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
 
 
 def first_cosmic_velocity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
-    """Circular orbital speed sqrt(gamma*M/r), defined for r >= R only."""
-    if not (math.isfinite(r) and r >= sphere.radius):
+    """Circular orbital speed sqrt(gamma*M/r), defined for r >= R only.
+
+    A negative or non-finite r is an input error, as in gravity.
+    """
+    _require_radius(r)
+    if r < sphere.radius:
         raise OutOfDomainError(
             f"first cosmic velocity is defined on and outside the boundary "
             f"(r >= {sphere.radius}), got r = {r!r}")
@@ -199,13 +203,19 @@ def radius_from_velocity(v_s, g_local):
     """Radius of the equipotential surface from velocity and local gravity.
 
     v_s**2 / g inverts the circular-orbit relation; both inputs must be
-    positive.
+    positive. A radius that overflows to inf or underflows to 0 raises
+    OutOfDomainError.
     """
     if not (math.isfinite(v_s) and v_s > 0.0):
         raise NonPhysicalInputError(f"v_s must be positive, got {v_s!r}")
     if not (math.isfinite(g_local) and g_local > 0.0):
         raise NonPhysicalInputError(f"g_local must be positive, got {g_local!r}")
-    return v_s * v_s / g_local
+    radius = v_s * v_s / g_local
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise OutOfDomainError(
+            f"radius v_s**2/g_local is out of float range for v_s = {v_s!r}, "
+            f"g_local = {g_local!r}: got {radius!r}")
+    return radius
 
 
 def kinetic_potential(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geopotent import PulseTable
 from geopotent.cli import (
@@ -13,9 +15,11 @@ from geopotent.cli import (
     PULSE_COLUMNS,
     PULSE_HEADER,
     PULSE_MAX_SAMPLES,
+    Table,
     _fmt,
     main,
     render_csv,
+    render_json,
 )
 from geopotent.config import load_config
 from geopotent.errors import ConfigError, DomainError
@@ -128,7 +132,7 @@ class TestFormatConsistency:
 def table_report(columns, rows):
     return {"command": "anomaly", "tables": [{
         "name": "t", "columns": columns,
-        "rows": [dict(zip(columns, row)) for row in rows]}]}
+        "rows": Table(tuple(columns), tuple(zip(*rows)))}]}
 
 
 class TestRenderCsv:
@@ -148,7 +152,7 @@ class TestRenderCsv:
         values = [[0.0, 1.0, 2.0, 3.0, math.nan, 5.0],
                   [0.5, 1.0, math.inf, 3.0, 4.0, 5.0]]
         report = {"command": "pulse",
-                  "rows": [dict(zip(PULSE_COLUMNS, v)) for v in values]}
+                  "rows": Table(PULSE_COLUMNS, tuple(zip(*values)))}
         with pytest.raises(DomainError, match="nan") as err:
             render_csv(report)
         assert "inf" not in str(err.value)
@@ -171,6 +175,133 @@ class TestRenderCsv:
         text = render_csv(table_report(["a", "b", "c"], rows))
         assert text.splitlines()[-len(rows):] == [
             ",".join(map(_fmt, row)) for row in rows]
+
+
+LIMIT = 1.7976931345e308  # the smallest float that 10 digits read as inf
+
+# floats of any exponent, and the edges of the 10-digit rule
+FLOATS = st.one_of(
+    st.builds(math.ldexp,
+              st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+              st.integers(-1074, 1024)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16,
+                     math.nextafter(LIMIT, 0.0), LIMIT,
+                     math.nextafter(LIMIT, math.inf), -LIMIT]))
+CELLS = st.one_of(FLOATS, st.integers(), st.booleans(), st.text())
+NAMES = st.one_of(st.text(), st.sampled_from(
+    ["%s", "%r %%", 'say "hi"', "back\\slash", 'Mohó "core"', "a,b"]))
+
+
+@st.composite
+def tables(draw, cells=CELLS):
+    """A Table whose columns hold floats only or any mix of cells."""
+    names = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    n = draw(st.integers(0, 8))
+    data = tuple(
+        tuple(draw(st.lists(draw(st.sampled_from([FLOATS, cells])),
+                            min_size=n, max_size=n)))
+        for _ in names)
+    return Table(tuple(names), data)
+
+
+def plain(value):
+    """`value` with each Table replaced by its list of row dicts."""
+    if isinstance(value, Table):
+        return [dict(zip(value.columns, row)) for row in zip(*value.data)]
+    if isinstance(value, dict):
+        return {key: plain(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [plain(item) for item in value]
+    return value
+
+
+class TestRowTemplates:
+    @settings(max_examples=150, deadline=None)
+    @given(tables(cells=FLOATS))
+    def test_csv_float_template_matches_the_per_cell_rule(self, table):
+        for col in table.data:
+            for value in col:
+                assert "%.10g" % value == "{:.10g}".format(value)
+        text = render_csv({"command": "pulse", "rows": table})
+        assert text == "\n".join(
+            ["# geopotent pulse", ",".join(table.columns),
+             *(",".join(map(_fmt, row)) for row in zip(*table.data))]) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(tables())
+    def test_csv_mixed_columns_take_the_per_cell_rule(self, table):
+        report = {"command": "anomaly", "tables": [
+            {"name": "t", "columns": list(table.columns), "rows": table}]}
+        assert render_csv(report) == "\n".join(
+            ["# geopotent anomaly", ",".join(table.columns),
+             *(",".join(map(_fmt, row)) for row in zip(*table.data))]) + "\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(NAMES, tables()), max_size=3), tables(),
+           FLOATS)
+    def test_json_matches_json_dumps(self, named, series, gamma):
+        for report in (
+                {"command": "anomaly", "constants": {"gamma": gamma},
+                 "tables": [{"name": name, "columns": list(table.columns),
+                             "rows": table} for name, table in named]},
+                {"command": "pulse", "inputs": {}, "rows": series}):
+            assert render_json(report) == json.dumps(
+                plain(report), indent=2) + "\n"
+
+    @pytest.mark.parametrize("render", [render_csv, render_json])
+    @pytest.mark.parametrize("first", [PULSE_COLUMNS[0], "boundary"])
+    def test_first_non_finite_cell_is_named(self, render, first):
+        # one text column sends the second table down the per-cell path
+        values = [["a", 1.0, 2.0, 3.0, -math.inf, 5.0],
+                  ["b", 1.0, math.nan, 3.0, 4.0, 5.0]]
+        if first == PULSE_COLUMNS[0]:
+            values = [[0.0, *row[1:]] for row in values]
+        columns = (first, *PULSE_COLUMNS[1:])
+        report = {"command": "pulse",
+                  "rows": Table(columns, tuple(zip(*values)))}
+        with pytest.raises(DomainError, match="-inf") as err:
+            render(report)
+        assert "nan" not in str(err.value)
+
+
+class TestReportTables:
+    NAME = 'Mohó "core"'
+
+    def run(self, tmp_path, capsys, boundaries, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"boundaries": boundaries}))
+        assert main(argv + ["--config", str(cfg)]) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["inverse", "--u-inf", "111652000"],
+        ["profile", "--profile", "tests/fixtures/prem20.csv"]])
+    def test_boundary_names_render_byte_identically(self, argv, tmp_path,
+                                                    capsys, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        boundaries = [{"name": self.NAME, "radius": 3.48e6,
+                       "layer_half_thickness": 1.5e5}]
+        out = self.run(tmp_path, capsys, boundaries, argv + ["--format",
+                                                            "json"])
+        report = json.loads(out)
+        assert report["tables"][0]["rows"][0]["boundary"] == self.NAME
+        assert out == json.dumps(report, indent=2) + "\n"
+        lines = self.run(tmp_path, capsys, boundaries, argv).splitlines()
+        row = report["tables"][0]["rows"][0]
+        assert lines[-1] == ",".join(map(_fmt, row.values()))
+        assert lines[-1].startswith(self.NAME + ",3480000,")
+
+    @pytest.mark.parametrize("argv", [
+        ["inverse", "--u-inf", "111652000"],
+        ["profile", "--profile", "tests/fixtures/prem20.csv"]])
+    def test_empty_table(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        out = self.run(tmp_path, capsys, [], argv + ["--format", "json"])
+        report = json.loads(out)
+        assert report["tables"][0]["rows"] == []
+        assert out == json.dumps(report, indent=2) + "\n"
+        lines = self.run(tmp_path, capsys, [], argv).splitlines()
+        assert lines[-1] == ",".join(report["tables"][0]["columns"])
 
 
 class TestDirect:

@@ -140,6 +140,11 @@ class TestFirstCosmicVelocity:
         with pytest.raises(OutOfDomainError):
             first_cosmic_velocity(earth_sphere, 0.5 * earth_sphere.radius)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_radius_is_input_error(self, earth_sphere, r):
+        with pytest.raises(NonPhysicalInputError):
+            first_cosmic_velocity(earth_sphere, r)
+
 
 class TestEquipotentialVelocity:
     def test_zero_at_center(self, earth_sphere):
@@ -198,6 +203,12 @@ class TestVelocityConversions:
             radius_from_velocity(0.0, 9.8)
         with pytest.raises(NonPhysicalInputError):
             radius_from_velocity(7910.0, 0.0)
+
+    @pytest.mark.parametrize("v_s, g_local", [(1e200, 1e-200),
+                                              (1e-200, 1.0)])
+    def test_radius_from_velocity_out_of_float_range(self, v_s, g_local):
+        with pytest.raises(OutOfDomainError):
+            radius_from_velocity(v_s, g_local)
 
     def test_round_trip_identity(self):
         rng = np.random.default_rng(13)
