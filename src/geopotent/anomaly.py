@@ -77,10 +77,8 @@ class AnomalySignal:
 
 def sensitivity_coefficients(r, r0, gamma=_DEFAULT_GAMMA) -> SensitivityPair:
     """k1 = (2/3)*pi*gamma*(r/r0)^2 and k2 = (4/3)*pi*gamma*(r/r0)."""
-    if not (math.isfinite(r) and r > 0.0):
-        raise NonPhysicalInputError(f"r must be positive, got {r!r}")
-    if not (math.isfinite(r0) and r0 > 0.0):
-        raise NonPhysicalInputError(f"r0 must be positive, got {r0!r}")
+    _require_positive("r", r, NonPhysicalInputError)
+    _require_positive("r0", r0, NonPhysicalInputError)
     x = r / r0
     k1 = (2.0 / 3.0) * math.pi * gamma * (x * x)
     k2 = (4.0 / 3.0) * math.pi * gamma * x
@@ -89,8 +87,7 @@ def sensitivity_coefficients(r, r0, gamma=_DEFAULT_GAMMA) -> SensitivityPair:
 
 def crossover_radius(r0):
     """Observation distance beyond which the potential channel dominates: 2*r0."""
-    if not (math.isfinite(r0) and r0 > 0.0):
-        raise NonPhysicalInputError(f"r0 must be positive, got {r0!r}")
+    _require_positive("r0", r0, NonPhysicalInputError)
     return 2.0 * r0
 
 
@@ -101,8 +98,7 @@ def point_mass_signal(delta_mass, distance, background: BackgroundState,
     delta_u = gamma*dM/d, delta_g = gamma*dM/d^2; delta_v_s is the change
     of sqrt(2*(u_infinity - u)) when u0 is perturbed by delta_u.
     """
-    if not (math.isfinite(distance) and distance > 0.0):
-        raise NonPhysicalInputError(f"distance must be positive, got {distance!r}")
+    _require_positive("distance", distance, NonPhysicalInputError)
     delta_u = gamma * delta_mass / distance
     delta_g = gamma * delta_mass / (distance * distance)
     base = background.u_infinity - background.u0

@@ -49,7 +49,12 @@ from .core import (
     ScheduleSegment,
     validate_profile,
 )
-from .errors import DomainError, InputError, MissingPressureSourceError
+from .errors import (
+    DomainError,
+    InputError,
+    MissingPressureSourceError,
+    ScheduleError,
+)
 from .profiles import (
     core_equilibrium_gravity,
     enclosed_mass,
@@ -139,11 +144,14 @@ def read_schedule_json(path):
             params = seg["params"]
             _check_keys(params, param_keys, f"{where}.params",
                         required=param_keys)
-            segments.append(ScheduleSegment(
-                t_start=_number(seg, "t_start", where),
-                t_end=_number(seg, "t_end", where), kind=kind,
-                params=tuple(_number(params, k, f"{where}.params")
-                             for k in param_keys)))
+            try:
+                segments.append(ScheduleSegment(
+                    t_start=_number(seg, "t_start", where),
+                    t_end=_number(seg, "t_end", where), kind=kind,
+                    params=tuple(_number(params, k, f"{where}.params")
+                                 for k in param_keys)))
+            except ScheduleError as exc:
+                raise ScheduleError(f"{where}: {exc}", index=i) from exc
         return CavitySchedule(
             segments=tuple(segments),
             source_mass=_number(data, "source_mass", "schedule"),

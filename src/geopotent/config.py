@@ -9,7 +9,8 @@ rejected so typos fail loudly; every number must be finite):
                     gm defaults to gamma * mass)
     p_g_override   float, Pa; used by the direct problem instead of a
                    profile-derived pressure
-    boundaries     [{"name", "radius", "layer_half_thickness"}, ...]
+    boundaries     [{"name", "radius", "layer_half_thickness"}, ...]; a
+                   name is a string with no comma, CR or LF
     output_format  "csv" | "json"
     output_path    path, or "-" for stdout
 
@@ -45,10 +46,6 @@ class RunConfig:
     boundaries: tuple = DEFAULT_BOUNDARIES
     output_format: str = "csv"
     output_path: str | None = None  # None = stdout
-
-
-def default_config() -> RunConfig:
-    return RunConfig()
 
 
 def read_text(path, error=InputError):
@@ -138,7 +135,7 @@ def parse_config(data, source="config") -> RunConfig:
             _check_keys(item, keys, where, required=keys)
             try:
                 parsed.append(BoundaryReference(
-                    str(item["name"]), _number(item, "radius", where),
+                    item["name"], _number(item, "radius", where),
                     _number(item, "layer_half_thickness", where)))
             except NonPhysicalValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
@@ -172,4 +169,4 @@ def resolve_config(path_flag) -> RunConfig:
     path = path_flag or os.environ.get(ENV_CONFIG)
     if path:
         return load_config(path)
-    return default_config()
+    return RunConfig()

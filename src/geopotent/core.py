@@ -27,12 +27,13 @@ SPHERE_CONSISTENCY_TOL = 1e-9
 
 # Tolerated relative pressure rise between adjacent samples. Real tabulated
 # pressure curves are monotone; the slack absorbs interpolation artifacts.
-PRESSURE_SLACK_DEFAULT = 0.005
+PRESSURE_SLACK = 0.005
 
 
-def _require_positive(name, value):
+def _require_positive(name, value, error=NonPhysicalValueError):
+    """Raise `error` unless `value` is positive and finite."""
     if not (math.isfinite(value) and value > 0.0):
-        raise NonPhysicalValueError(f"{name} must be positive and finite, got {value!r}")
+        raise error(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -142,15 +143,14 @@ class RadialProfile:
     """Tabulated (radius, density, pressure) model of a real body.
 
     Arrays are read-only float64 copies of the inputs. Radii are strictly
-    increasing; density is positive; pressure is non-negative and
-    non-increasing within ``pressure_slack``. Construct through
-    :func:`validate_profile`.
+    increasing; density is positive; pressure is non-negative and rises
+    between adjacent samples by no more than ``PRESSURE_SLACK`` relative.
+    Construct through :func:`validate_profile`.
     """
 
     radii: np.ndarray
     densities: np.ndarray
     pressures: np.ndarray
-    pressure_slack: float = PRESSURE_SLACK_DEFAULT
 
     def __post_init__(self):
         import numpy as np
@@ -161,8 +161,7 @@ class RadialProfile:
             arr = np.array(getattr(self, name), dtype=np.float64, order="C")
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        _validate_columns(self.radii, self.densities, self.pressures,
-                          self.pressure_slack)
+        _validate_columns(self.radii, self.densities, self.pressures)
 
     @cached_property
     def mass_table(self):
@@ -191,19 +190,16 @@ class RadialProfile:
         import numpy as np
         if not isinstance(other, RadialProfile):
             return NotImplemented
-        return (
-            self.pressure_slack == other.pressure_slack
-            and np.array_equal(self.radii, other.radii)
-            and np.array_equal(self.densities, other.densities)
-            and np.array_equal(self.pressures, other.pressures)
-        )
+        return (np.array_equal(self.radii, other.radii)
+                and np.array_equal(self.densities, other.densities)
+                and np.array_equal(self.pressures, other.pressures))
 
     def __hash__(self):
         return hash((self.radii.tobytes(), self.densities.tobytes(),
-                     self.pressures.tobytes(), self.pressure_slack))
+                     self.pressures.tobytes()))
 
 
-def _validate_columns(radii, densities, pressures, slack):
+def _validate_columns(radii, densities, pressures):
     import numpy as np
     n = radii.shape[0]
     if n < 4:
@@ -237,24 +233,24 @@ def _validate_columns(radii, densities, pressures, slack):
         raise NonPhysicalValueError(
             f"pressure must be non-negative; sample {i} has {pressures[i]}",
             index=i)
-    rises = np.flatnonzero(pressures[1:] > pressures[:-1] * (1.0 + slack))
+    rises = np.flatnonzero(pressures[1:]
+                           > pressures[:-1] * (1.0 + PRESSURE_SLACK))
     if rises.size:
         i = int(rises[0]) + 1
         raise PressureIncreaseError(
-            f"pressure rises with radius at sample {i}: "
-            f"{pressures[i - 1]} -> {pressures[i]} exceeds slack {slack:.2%}",
-            index=i)
+            f"pressure rises with radius at sample {i}: {pressures[i - 1]} "
+            f"-> {pressures[i]} exceeds slack {PRESSURE_SLACK:.2%}", index=i)
 
 
-def validate_profile(raw_samples, pressure_slack=PRESSURE_SLACK_DEFAULT):
+def validate_profile(raw_samples):
     """Validate raw (radius, density, pressure) rows into a RadialProfile.
 
     Parameters
     ----------
     raw_samples : sequence of (float, float, float)
         Rows ordered by radius; the last radius becomes the body radius.
-    pressure_slack : float, optional
-        Tolerated relative pressure rise between adjacent rows.
+        Pressure may rise between adjacent rows by at most
+        ``PRESSURE_SLACK`` relative.
 
     Returns
     -------
@@ -274,8 +270,7 @@ def validate_profile(raw_samples, pressure_slack=PRESSURE_SLACK_DEFAULT):
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise NonPhysicalValueError(
             "each sample must be a (radius, density, pressure) triple")
-    return RadialProfile(arr[:, 0], arr[:, 1], arr[:, 2],
-                         pressure_slack=pressure_slack)
+    return RadialProfile(arr[:, 0], arr[:, 1], arr[:, 2])
 
 
 @dataclass(frozen=True)
@@ -325,14 +320,12 @@ class InversionResult:
     """Characteristic gravitational radius and its classification.
 
     ``depth`` is body_radius - r0 (negative when the characteristic
-    radius lies outside the body). ``boundary_offset`` is filled by
-    boundary localization, None until then.
+    radius lies outside the body).
     """
 
     r0: float
     depth: float
     trend: DensityTrend
-    boundary_offset: float | None = None
 
     def __post_init__(self):
         _require_positive("r0", self.r0)
@@ -378,7 +371,9 @@ class ScheduleSegment:
 
     params hold the radii named by ``SEGMENT_PARAMS[kind]``;
     coalesce_step is two cavities merged into one of equal total volume
-    for the whole segment.
+    for the whole segment. Times and radii are stored as floats; the
+    constructor raises ScheduleError unless t_end > t_start, both finite,
+    and the kind's radii are positive and finite.
     """
 
     t_start: float
@@ -387,27 +382,28 @@ class ScheduleSegment:
     params: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-
-    def _validate(self, index):
-        if not (math.isfinite(self.t_start) and math.isfinite(self.t_end)
-                and self.t_end > self.t_start):
+        try:
+            t_start, t_end = float(self.t_start), float(self.t_end)
+            params = tuple(map(float, self.params))
+        except (TypeError, ValueError, OverflowError):
             raise ScheduleError(
-                f"segment {index}: t_end must exceed t_start", segment=index)
-        names = SEGMENT_PARAMS.get(self.kind)
-        if names is None:
+                f"times and radii must be numbers, got {self.t_start!r}, "
+                f"{self.t_end!r} and {self.params!r}") from None
+        if not (math.isfinite(t_start) and math.isfinite(t_end)
+                and t_end > t_start):
+            raise ScheduleError("t_end must exceed t_start")
+        if self.kind not in SEGMENT_KINDS:
             raise ScheduleError(
-                f"segment {index}: unknown kind {self.kind!r}, expected one "
-                f"of {SEGMENT_KINDS}", segment=index)
-        if len(self.params) != len(names):
-            raise ScheduleError(
-                f"segment {index}: kind {self.kind!r} takes "
-                f"{len(names)} parameter(s), got {len(self.params)}",
-                segment=index)
-        if any(not (math.isfinite(p) and p > 0.0) for p in self.params):
-            raise ScheduleError(
-                f"segment {index}: radii must be positive, got {self.params}",
-                segment=index)
+                f"unknown kind {self.kind!r}, expected one of {SEGMENT_KINDS}")
+        names = SEGMENT_PARAMS[self.kind]
+        if len(params) != len(names):
+            raise ScheduleError(f"kind {self.kind!r} takes {len(names)} "
+                                f"parameter(s), got {len(params)}")
+        if any(not (math.isfinite(p) and p > 0.0) for p in params):
+            raise ScheduleError(f"radii must be positive, got {params}")
+        object.__setattr__(self, "t_start", t_start)
+        object.__setattr__(self, "t_end", t_end)
+        object.__setattr__(self, "params", params)
 
     def radius_cubed(self, t):
         """R(t)^3. Coalescence reports the exact conserved volume sum."""
@@ -454,17 +450,16 @@ class CavitySchedule:
         if not math.isfinite(self.host_density_contrast):
             raise NonPhysicalValueError("host_density_contrast must be finite")
         for i, seg in enumerate(self.segments):
-            seg._validate(i)
             if i and seg.t_start != self.segments[i - 1].t_end:
                 raise ScheduleError(
                     f"segment {i}: starts at {seg.t_start}, previous segment "
                     f"ends at {self.segments[i - 1].t_end}; segments must be "
-                    f"contiguous", segment=i)
+                    f"contiguous", index=i)
             if seg.max_radius() >= self.observer_radius:
                 raise ScheduleError(
                     f"segment {i}: radius reaches {seg.max_radius()}, observer "
                     f"at {self.observer_radius} must stay outside the source",
-                    segment=i)
+                    index=i)
         # Boundary times between consecutive segments, for segment_at.
         object.__setattr__(self, "_ends",
                            tuple(seg.t_end for seg in self.segments[:-1]))

@@ -18,9 +18,9 @@ class GeopotentError(Exception):
 class InputError(GeopotentError):
     """Invalid input: construction, validation or argument checks (exit 2).
 
-    ``index`` is the offending sample index when the error comes from
-    table validation, so file readers can report line numbers; None
-    otherwise.
+    ``index`` is the offending sample or segment index when the error
+    comes from table or schedule validation, so file readers can report
+    where it is; None otherwise.
     """
 
     def __init__(self, message, index=None):
@@ -65,11 +65,8 @@ class MissingPressureSourceError(InputError):
 
 
 class ScheduleError(InputError):
-    """Cavity schedule failed validation; carries the offending segment index."""
-
-    def __init__(self, message, segment=None):
-        super().__init__(message)
-        self.segment = segment
+    """Cavity schedule or segment failed validation; ``index`` is the
+    offending segment where the schedule knows it."""
 
 
 class ConfigError(InputError):

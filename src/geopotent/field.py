@@ -23,7 +23,7 @@ import operator
 from dataclasses import dataclass, fields
 
 from . import kernels
-from .core import DEFAULT_CONSTANTS, UniformSphere
+from .core import DEFAULT_CONSTANTS, UniformSphere, _require_positive
 from .errors import (
     NonPhysicalInputError,
     NonPhysicalValueError,
@@ -206,10 +206,8 @@ def radius_from_velocity(v_s, g_local):
     positive. A radius that overflows to inf or underflows to 0 raises
     OutOfDomainError.
     """
-    if not (math.isfinite(v_s) and v_s > 0.0):
-        raise NonPhysicalInputError(f"v_s must be positive, got {v_s!r}")
-    if not (math.isfinite(g_local) and g_local > 0.0):
-        raise NonPhysicalInputError(f"g_local must be positive, got {g_local!r}")
+    _require_positive("v_s", v_s, NonPhysicalInputError)
+    _require_positive("g_local", g_local, NonPhysicalInputError)
     radius = v_s * v_s / g_local
     if not (math.isfinite(radius) and radius > 0.0):
         raise OutOfDomainError(

@@ -23,7 +23,12 @@ import operator
 from dataclasses import dataclass, fields
 
 from .anomaly import BackgroundState, point_mass_signal
-from .core import DEFAULT_CONSTANTS, CavitySchedule, EarthParameters
+from .core import (
+    DEFAULT_CONSTANTS,
+    CavitySchedule,
+    EarthParameters,
+    _require_positive,
+)
 from .errors import (
     NonPhysicalInputError,
     NonPhysicalValueError,
@@ -110,8 +115,7 @@ def pulsating_potential(mass, radius_t, observer_r, gamma=_DEFAULT_GAMMA):
     """
     for name, value in (("mass", mass), ("radius_t", radius_t),
                         ("observer_r", observer_r)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise NonPhysicalInputError(f"{name} must be positive, got {value!r}")
+        _require_positive(name, value, NonPhysicalInputError)
     if observer_r <= radius_t:
         raise OutOfDomainError(
             f"observer at {observer_r!r} is not outside the source "

@@ -23,6 +23,7 @@ from .core import (
     InversionResult,
     PotentialBreakdown,
     RadialProfile,
+    _require_positive,
 )
 from .errors import (
     NonPhysicalInputError,
@@ -42,16 +43,21 @@ _BOUND_EQUALITY_MARGIN = 1e-9
 
 @dataclass(frozen=True)
 class BoundaryReference:
-    """Named reference radius with a tolerance band (a layer half-thickness)."""
+    """Named reference radius with a tolerance band (a layer half-thickness).
+
+    The name is a report cell: a string with no comma, CR or LF.
+    """
 
     name: str
     radius: float
     layer_half_thickness: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.radius) and self.radius > 0.0):
+        if not isinstance(self.name, str) or set(",\r\n") & set(self.name):
             raise NonPhysicalValueError(
-                f"boundary radius must be positive, got {self.radius!r}")
+                f"boundary name must be a string without a comma, CR or LF, "
+                f"got {self.name!r}")
+        _require_positive("boundary radius", self.radius)
         if not (math.isfinite(self.layer_half_thickness)
                 and self.layer_half_thickness >= 0.0):
             raise NonPhysicalValueError(
@@ -76,10 +82,8 @@ class HomogeneityBoundReport:
 
 def compression_potential(p_g, rho_g):
     """Aggregate compression potential: characteristic pressure over mean density."""
-    if not (math.isfinite(p_g) and p_g > 0.0):
-        raise NonPhysicalInputError(f"p_g must be positive, got {p_g!r}")
-    if not (math.isfinite(rho_g) and rho_g > 0.0):
-        raise NonPhysicalInputError(f"rho_g must be positive, got {rho_g!r}")
+    _require_positive("p_g", p_g, NonPhysicalInputError)
+    _require_positive("rho_g", rho_g, NonPhysicalInputError)
     return p_g / rho_g
 
 
@@ -106,26 +110,25 @@ def direct_problem(earth: EarthParameters, phi_g) -> PotentialBreakdown:
         earth.uniform_surface_potential, 0.5 * v1k * v1k, phi_g)
 
 
-def inverse_problem(gm, u_infinity, body_radius,
-                    uniform_tol=UNIFORM_TREND_TOL) -> InversionResult:
+def inverse_problem(gm, u_infinity, body_radius) -> InversionResult:
     """Characteristic radius r0 = gm / u_infinity and its classification.
 
     The trend is `uniform` when r0 matches the body radius within
-    `uniform_tol` relative, `decreasing_outward` when r0 is interior,
-    `increasing_outward` when exterior. Raises OutOfDomainError when the
-    quotient overflows or underflows to zero.
+    ``UNIFORM_TREND_TOL`` relative, `decreasing_outward` when r0 is
+    interior, `increasing_outward` when exterior. Raises
+    NonPhysicalInputError unless all three inputs are positive and finite,
+    and OutOfDomainError when the quotient overflows or underflows to zero.
     """
     for name, value in (("gm", gm), ("u_infinity", u_infinity),
                         ("body_radius", body_radius)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise NonPhysicalInputError(f"{name} must be positive, got {value!r}")
+        _require_positive(name, value, NonPhysicalInputError)
     r0 = gm / u_infinity
     if not (math.isfinite(r0) and r0 > 0.0):
         raise OutOfDomainError(
             f"r0 = {gm!r} / {u_infinity!r} = {r0!r} is not a positive "
             "finite radius")
     depth = body_radius - r0
-    if abs(r0 - body_radius) <= uniform_tol * body_radius:
+    if abs(r0 - body_radius) <= UNIFORM_TREND_TOL * body_radius:
         trend = DensityTrend.UNIFORM
     elif r0 < body_radius:
         trend = DensityTrend.DECREASING_OUTWARD

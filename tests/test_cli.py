@@ -17,6 +17,7 @@ from geopotent.cli import (
     PULSE_MAX_SAMPLES,
     Table,
     _fmt,
+    entry,
     main,
     render_csv,
     render_json,
@@ -519,6 +520,47 @@ class TestPulseCommand:
         assert main(["pulse", "--schedule", str(bad)]) == 2
         assert "segment 0" in capsys.readouterr().err
 
+    @staticmethod
+    def write_schedule(tmp_path, edit):
+        """Write the growth fixture schedule after `edit(schedule)`."""
+        with open(os.path.join(ROOT, "tests", "fixtures",
+                               "growth_schedule.json")) as fh:
+            schedule = json.load(fh)
+        edit(schedule)
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps(schedule))
+        return path
+
+    @pytest.mark.parametrize("change, message", [
+        ({"t_end": 43000.0}, "t_end must exceed t_start"),
+        ({"params": {"radius_start": 500.0, "radius_end": -1.0}},
+         "radii must be positive, got (500.0, -1.0)"),
+        ({"t_start": 50000.0}, "starts at 50000.0, previous segment ends "
+                               "at 43200.0; segments must be contiguous"),
+        ({"params": {"radius_start": 500.0, "radius_end": 5000.0}},
+         "radius reaches 5000.0, observer at 5000.0 must stay outside the "
+         "source"),
+    ], ids=["reversed_times", "negative_radius", "gap", "radius_at_observer"])
+    def test_single_fault_names_segment(self, change, message, tmp_path,
+                                        capsys):
+        path = self.write_schedule(
+            tmp_path, lambda s: s["segments"][1].update(change))
+        assert main(["pulse", "--schedule", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"geopotent: error: {path}: segment 1: {message}\n")
+
+    def test_segment_faults_come_before_schedule_faults(self, tmp_path,
+                                                        capsys):
+        # segment 0 reaches the observer, segment 1 has a negative radius:
+        # each segment checks itself as it is read, before the schedule
+        # checks its segments against each other and the observer
+        def edit(schedule):
+            schedule["segments"][0]["params"]["radius"] = 5000.0
+            schedule["segments"][1]["params"]["radius_end"] = -1.0
+        path = self.write_schedule(tmp_path, edit)
+        assert main(["pulse", "--schedule", str(path)]) == 2
+        assert "segment 1: radii must be positive" in capsys.readouterr().err
+
     def test_times_outside_span_rejected(self, capsys, monkeypatch):
         monkeypatch.chdir(ROOT)
         assert main(["pulse", "--schedule",
@@ -665,6 +707,22 @@ class TestConfigHandling:
         assert out == ""
         assert f"{key} must be a number" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("name", [
+        "a,b\n# earth.mass=1", "CMB\r", None, 5, {"x": [1]}],
+        ids=["comma_and_newline", "carriage_return", "null", "number",
+             "object"])
+    def test_boundary_name_must_be_a_plain_string(self, name, tmp_path,
+                                                  capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"boundaries": [
+            {"name": "CMB", "radius": 3.48e6, "layer_half_thickness": 1.5e5},
+            {"name": name, "radius": 1.2215e6, "layer_half_thickness": 1e5}]}))
+        assert main(["inverse", "--u-inf", "111652000",
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"geopotent: error: {cfg}.boundaries[1]: boundary name must be a "
+            f"string without a comma, CR or LF, got {name!r}\n"))
+
     def test_inconsistent_gm_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"earth": {"mass": 5.9737e24,
@@ -719,6 +777,17 @@ class TestConsoleEntry:
             capture_output=True, text=True, cwd=ROOT)
         assert proc.returncode == 0
         assert "u_infinity_j_kg" in proc.stdout
+
+    @pytest.mark.parametrize("argv, code", [
+        (["inverse", "--u-inf", "111652000"], 0),
+        (["direct", "--p-g", "nan"], 2)])
+    def test_entry_exits_with_main_code(self, argv, code, capsys,
+                                        monkeypatch):
+        monkeypatch.delenv("GEOPOTENT_CONFIG", raising=False)
+        monkeypatch.setattr(sys, "argv", ["geopotent", *argv])
+        with pytest.raises(SystemExit) as exc:
+            entry()
+        assert exc.value.code == code == main(argv)
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(

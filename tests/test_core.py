@@ -199,7 +199,8 @@ class TestInversionResult:
     def test_fields(self):
         r = InversionResult(r0=3.5711e6, depth=2.8e6,
                             trend=DensityTrend.DECREASING_OUTWARD)
-        assert r.boundary_offset is None
+        assert (r.r0, r.depth, r.trend) == (
+            3.5711e6, 2.8e6, DensityTrend.DECREASING_OUTWARD)
 
     def test_rejects_non_positive_r0(self):
         with pytest.raises(NonPhysicalValueError):
@@ -241,7 +242,7 @@ class TestCavitySchedule:
                           _segment(150, 200, "constant", (500.0,))),
                 source_mass=1e12, observer_radius=5000.0,
                 host_density_contrast=-2700.0)
-        assert err.value.segment == 1
+        assert err.value.index == 1
 
     def test_observer_must_stay_outside(self):
         with pytest.raises(ScheduleError):
@@ -270,3 +271,60 @@ class TestCavitySchedule:
             host_density_contrast=-2700.0)
         with pytest.raises(ScheduleError):
             sched.segment_at(101.0)
+
+
+class TestScheduleSegment:
+    @pytest.mark.parametrize("t0, t1, kind, params, message", [
+        (0, 100, "wobble", (500.0,), "unknown kind 'wobble', expected one "
+                                     "of ('constant', 'linear', "
+                                     "'coalesce_step')"),
+        (0, 100, "constant", (500.0, 600.0),
+         "kind 'constant' takes 1 parameter(s), got 2"),
+        (0, 100, "linear", (500.0,),
+         "kind 'linear' takes 2 parameter(s), got 1"),
+        (0, 100, "constant", ("x",),
+         "times and radii must be numbers, got 0, 100 and ('x',)"),
+        (0, 100, "constant", None,
+         "times and radii must be numbers, got 0, 100 and None"),
+        (0, 100, "constant", (None,),
+         "times and radii must be numbers, got 0, 100 and (None,)"),
+        (0, 100, "constant", (0,), "radii must be positive, got (0.0,)"),
+        (0, 100, "constant", (-1,), "radii must be positive, got (-1.0,)"),
+        (0, 100, "linear", (500.0, math.nan),
+         "radii must be positive, got (500.0, nan)"),
+        (0, 100, "coalesce_step", (500.0, math.inf),
+         "radii must be positive, got (500.0, inf)"),
+        (100, 100, "constant", (500.0,), "t_end must exceed t_start"),
+        (100, 0, "constant", (500.0,), "t_end must exceed t_start"),
+        (0, math.nan, "constant", (500.0,), "t_end must exceed t_start"),
+        ("zero", 100, "constant", (500.0,),
+         "times and radii must be numbers, got 'zero', 100 and (500.0,)"),
+    ])
+    def test_invalid_segment_raises_at_construction(self, t0, t1, kind,
+                                                    params, message):
+        with pytest.raises(ScheduleError) as err:
+            _segment(t0, t1, kind, params)
+        assert str(err.value) == message
+        assert err.value.index is None
+
+    @settings(max_examples=200)
+    @given(kind=st.sampled_from(["constant", "linear", "coalesce_step"]),
+           params=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=2),
+           frac=st.floats(0.0, 1.0))
+    def test_radius_is_never_complex(self, kind, params, frac):
+        try:
+            seg = _segment(0.0, 100.0, kind, params)
+        except ScheduleError:
+            assert len(params) != (1 if kind == "constant" else 2) or \
+                min(params) <= 0.0
+            return
+        # a tiny radius may cube to 0.0, never to a negative number
+        radius = seg.radius(100.0 * frac)
+        assert type(radius) is float and radius >= 0.0
+
+    def test_stores_floats(self):
+        seg = _segment(0, 100, "linear", [500, 1000])
+        assert (seg.t_start, seg.t_end, seg.params) == (0.0, 100.0,
+                                                        (500.0, 1000.0))
+        assert all(type(v) is float
+                   for v in (seg.t_start, seg.t_end, *seg.params))

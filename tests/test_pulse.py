@@ -339,7 +339,7 @@ class TestColumnarParity:
             [ScheduleSegment(0.0, 10.0, "constant", (500.0,)),
              ScheduleSegment(10.0, 20.0, "constant", (1e-110,))])
         with pytest.raises(NonPhysicalInputError,
-                           match="radius_t must be positive, got 0.0"):
+                           match="radius_t must be positive and finite, got 0.0"):
             evaluate_schedule(schedule, [0.0, 5.0, 15.0])
 
 
