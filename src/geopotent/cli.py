@@ -23,7 +23,9 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
+from itertools import repeat
 from typing import NamedTuple
 
 from . import __version__
@@ -42,10 +44,12 @@ from .config import (
     resolve_config,
 )
 from .core import (
+    LINE_BREAKS,
     SEGMENT_KINDS,
     SEGMENT_PARAMS,
     AnomalySource,
     CavitySchedule,
+    RadialProfile,
     ScheduleSegment,
     validate_profile,
 )
@@ -93,14 +97,44 @@ EXIT_DOMAIN = 3
 # -- input files -------------------------------------------------------------
 
 def read_profile_csv(path):
-    """Parse a profile CSV; errors carry 1-based line numbers."""
+    """Parse a profile CSV; errors carry 1-based line numbers.
+
+    A body whose every line holds 3 cells is read in one columnar pass
+    with ``float`` and validated by ``RadialProfile`` alone. Any other
+    body, such as one with a blank line, or a cell that ``float``
+    rejects, goes through ``_read_profile_lines``, which words every
+    parse error.
+    """
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != PROFILE_HEADER:
         got = lines[0].strip() if lines else "<empty file>"
         raise InputError(
             f"{path}:1: bad header {got!r}; expected {PROFILE_HEADER!r}")
+    body = lines[1:]
+    if set(map(str.count, body, repeat(","))) != {2}:
+        return _read_profile_lines(path, body)
+    # hold one form of the body at a time, so peak RSS does not grow
+    text = ",".join(body)
+    del lines, body
+    cells = text.split(",")
+    del text
+    import numpy as np
+    try:
+        values = np.fromiter(map(float, cells), np.float64, count=len(cells))
+    except ValueError:
+        # every line held exactly 3 cells, so this rebuilds the body
+        rows = zip(*[iter(cells)] * 3)
+        return _read_profile_lines(path, list(map(",".join, rows)))
+    del cells
+    n = len(values) // 3
+    return _located(path, range(2, n + 2), RadialProfile,
+                    *values.reshape(n, 3).T)
+
+
+def _read_profile_lines(path, body):
+    """Parse the lines after the header one at a time, skipping blanks."""
     rows, linenos = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(body, start=2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -114,11 +148,24 @@ def read_profile_csv(path):
             raise InputError(
                 f"{path}:{lineno}: non-numeric value in {line!r}") from None
         linenos.append(lineno)
+    return _located(path, linenos, validate_profile, rows)
+
+
+def _located(path, linenos, build, *args):
+    """``build(*args)``, with an error's sample index read as a line."""
     try:
-        return validate_profile(rows)
+        return build(*args)
     except InputError as exc:
         line = f":{linenos[exc.index]}" if exc.index is not None else ""
         raise InputError(f"{path}{line}: {exc}") from exc
+
+
+def _quoted_path(path, flag):
+    """`path`, which the report's preamble quotes, if it has no line break."""
+    if not LINE_BREAKS.isdisjoint(path):
+        raise InputError(f"{flag} path must not hold a line break, "
+                         f"got {path!r}")
+    return path
 
 
 def read_schedule_json(path):
@@ -364,14 +411,15 @@ def cmd_inverse(cfg: RunConfig, args):
 
 
 def cmd_profile(cfg: RunConfig, args):
-    profile = read_profile_csv(args.profile)
+    path = _quoted_path(args.profile, "--profile")
+    profile = read_profile_csv(path)
     gamma = cfg.constants.gamma
     total = enclosed_mass(profile, profile.body_radius)
     rho_mean = mean_density(profile)
     grad = pressure_gradient_max(profile)
     bound = homogeneity_bound(profile, gamma)
     report = _base_report("profile", cfg)
-    report["inputs"] = {"profile": args.profile}
+    report["inputs"] = {"profile": path}
     report["result"] = {
         "body_radius_m": profile.body_radius,
         "total_mass_kg": total,
@@ -447,7 +495,8 @@ def cmd_anomaly(cfg: RunConfig, args):
 
 
 def cmd_pulse(cfg: RunConfig, args):
-    schedule = read_schedule_json(args.schedule)
+    path = _quoted_path(args.schedule, "--schedule")
+    schedule = read_schedule_json(path)
     if args.times:
         times = sorted(_parse_float_list(args.times, "--times"))
     else:
@@ -466,7 +515,7 @@ def cmd_pulse(cfg: RunConfig, args):
                               gamma=cfg.constants.gamma)
     report = _base_report("pulse", cfg)
     report["inputs"] = {
-        "schedule": args.schedule,
+        "schedule": path,
         "source_mass": schedule.source_mass,
         "observer_radius": schedule.observer_radius,
         "host_density_contrast": schedule.host_density_contrast,
@@ -577,4 +626,11 @@ def main(argv=None):
 
 
 def entry():
+    """The console script and ``python -m geopotent``.
+
+    numpy, which the profile commands load, starts OpenBLAS worker
+    threads that spin although no geopotent code calls BLAS; one thread
+    is the default here, and a value the user sets wins.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(main())

@@ -10,7 +10,8 @@ rejected so typos fail loudly; every number must be finite):
     p_g_override   float, Pa; used by the direct problem instead of a
                    profile-derived pressure
     boundaries     [{"name", "radius", "layer_half_thickness"}, ...]; a
-                   name is a string with no comma, CR or LF
+                   name is a string with no comma and no line break
+                   (any character where str.splitlines() breaks)
     output_format  "csv" | "json"
     output_path    path, or "-" for stdout
 

@@ -29,6 +29,10 @@ SPHERE_CONSISTENCY_TOL = 1e-9
 # pressure curves are monotone; the slack absorbs interpolation artifacts.
 PRESSURE_SLACK = 0.005
 
+# Every character at which str.splitlines() breaks a line. A report cell
+# or preamble value holding one would add a line to the report.
+LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
 
 def _require_positive(name, value, error=NonPhysicalValueError):
     """Raise `error` unless `value` is positive and finite."""
@@ -247,7 +251,7 @@ def validate_profile(raw_samples):
 
     Parameters
     ----------
-    raw_samples : sequence of (float, float, float)
+    raw_samples : sequence of (float, float, float), or an (n, 3) array
         Rows ordered by radius; the last radius becomes the body radius.
         Pressure may rise between adjacent rows by at most
         ``PRESSURE_SLACK`` relative.
@@ -263,8 +267,9 @@ def validate_profile(raw_samples):
         The first violation found, with its sample index where relevant.
     """
     import numpy as np
-    rows = list(raw_samples)
-    if not rows:
+    rows = (raw_samples if isinstance(raw_samples, np.ndarray)
+            else list(raw_samples))
+    if len(rows) == 0:
         raise TooFewSamplesError("profile is empty")
     arr = np.asarray(rows, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 3:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from . import profiles
 from .core import (
+    LINE_BREAKS,
     DensityTrend,
     EarthParameters,
     InversionResult,
@@ -45,7 +46,8 @@ _BOUND_EQUALITY_MARGIN = 1e-9
 class BoundaryReference:
     """Named reference radius with a tolerance band (a layer half-thickness).
 
-    The name is a report cell: a string with no comma, CR or LF.
+    The name is a report cell: a string with no comma and no line break
+    (no character of ``core.LINE_BREAKS``, where str.splitlines() breaks).
     """
 
     name: str
@@ -53,10 +55,11 @@ class BoundaryReference:
     layer_half_thickness: float
 
     def __post_init__(self):
-        if not isinstance(self.name, str) or set(",\r\n") & set(self.name):
+        if (not isinstance(self.name, str) or "," in self.name
+                or not LINE_BREAKS.isdisjoint(self.name)):
             raise NonPhysicalValueError(
-                f"boundary name must be a string without a comma, CR or LF, "
-                f"got {self.name!r}")
+                f"boundary name must be a string without a comma or line "
+                f"break, got {self.name!r}")
         _require_positive("boundary radius", self.radius)
         if not (math.isfinite(self.layer_half_thickness)
                 and self.layer_half_thickness >= 0.0):

@@ -708,9 +708,11 @@ class TestConfigHandling:
         assert f"{key} must be a number" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("name", [
-        "a,b\n# earth.mass=1", "CMB\r", None, 5, {"x": [1]}],
+        "a,b\n# earth.mass=1", "CMB\r", None, 5, {"x": [1]},
+        "a\u2028# earth.mass=1", "a\x0cb", "a\x85b", "a\x1eb"],
         ids=["comma_and_newline", "carriage_return", "null", "number",
-             "object"])
+             "object", "line_separator", "form_feed", "next_line",
+             "record_separator"])
     def test_boundary_name_must_be_a_plain_string(self, name, tmp_path,
                                                   capsys):
         cfg = tmp_path / "cfg.json"
@@ -721,7 +723,7 @@ class TestConfigHandling:
                      "--config", str(cfg)]) == 2
         assert capsys.readouterr() == ("", (
             f"geopotent: error: {cfg}.boundaries[1]: boundary name must be a "
-            f"string without a comma, CR or LF, got {name!r}\n"))
+            f"string without a comma or line break, got {name!r}\n"))
 
     def test_inconsistent_gm_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -770,6 +772,31 @@ class TestUnreadableFiles:
             load_config(path)
 
 
+class TestQuotedPaths:
+    """The report quotes the --profile and --schedule paths in its
+    preamble, so a path with a line break would add a preamble line."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", [
+        "x\n# earth.mass=1.csv", "x\r.csv", "x\u2028y.csv", "x\x0cy.csv"],
+        ids=["newline", "carriage_return", "line_separator", "form_feed"])
+    @pytest.mark.parametrize("command, flag, fixture", [
+        ("profile", "--profile", "prem20.csv"),
+        ("pulse", "--schedule", "growth_schedule.json")])
+    def test_line_break_in_path_rejected(self, command, flag, fixture, name,
+                                         fmt, tmp_path, capsys):
+        path = tmp_path / name
+        with open(os.path.join(ROOT, "tests", "fixtures", fixture), "rb") as fh:
+            path.write_bytes(fh.read())
+        out = tmp_path / "report.txt"
+        assert main([command, flag, str(path), "--format", fmt,
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"geopotent: error: {flag} path must not hold a line break, "
+            f"got {str(path)!r}\n"))
+        assert not out.exists()
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -784,13 +811,67 @@ class TestConsoleEntry:
     def test_entry_exits_with_main_code(self, argv, code, capsys,
                                         monkeypatch):
         monkeypatch.delenv("GEOPOTENT_CONFIG", raising=False)
+        # entry() sets a default OPENBLAS_NUM_THREADS; a set value is kept
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.setattr(sys, "argv", ["geopotent", *argv])
         with pytest.raises(SystemExit) as exc:
             entry()
         assert exc.value.code == code == main(argv)
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
 
     def test_usage_error_exit_code(self):
         proc = subprocess.run(
             [sys.executable, "-m", "geopotent", "unknowncmd"],
             capture_output=True, text=True, cwd=ROOT)
         assert proc.returncode == 2
+
+
+def fresh(statements, **env):
+    """Run `statements` in a new interpreter with `env` added to the
+    environment, less OPENBLAS_NUM_THREADS and GEOPOTENT_CONFIG; return
+    the JSON object on its last stdout line."""
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GEOPOTENT_CONFIG")}
+    proc = subprocess.run(
+        [sys.executable, "-c", statements], cwd=ROOT, capture_output=True,
+        text=True, check=True,
+        env={**base, "PYTHONPATH": os.path.join(ROOT, "src"), **env})
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# `python -m geopotent profile ...`, then what the process holds at its end
+PROFILE_RUN = """
+import json, os, runpy, sys
+sys.argv = ["geopotent", "profile", "--profile", "tests/fixtures/prem20.csv"]
+try:
+    runpy.run_module("geopotent", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code,
+                  "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "numpy": "numpy" in sys.modules,
+                  "threads": len(os.listdir("/proc/self/task"))
+                             if os.path.isdir("/proc/self/task") else None}))
+"""
+
+
+class TestBlasThreads:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task to count OS threads")
+    def test_cli_runs_numpy_with_one_thread(self):
+        assert fresh(PROFILE_RUN) == {"code": 0, "openblas": "1",
+                                      "numpy": True, "threads": 1}
+
+    def test_users_value_is_kept(self):
+        run = fresh(PROFILE_RUN, OPENBLAS_NUM_THREADS="2")
+        assert (run["code"], run["openblas"]) == (0, "2")
+
+    def test_library_leaves_the_environment_alone(self):
+        run = fresh(
+            "import json, os\n"
+            "before = dict(os.environ)\n"
+            "import geopotent\n"
+            "geopotent.sample_field(geopotent.UniformSphere.from_mass_radius("
+            "5.9737e24, 6.371e6), [0.0, 3.0e6, 1.0e7])\n"
+            "print(json.dumps(dict(os.environ) == before))\n")
+        assert run is True

@@ -152,6 +152,16 @@ class TestValidateProfile:
         again = validate_profile(profile.samples)
         assert again == profile
 
+    def test_array_input_matches_rows(self):
+        profile = uniform_profile()
+        table = np.column_stack((profile.radii, profile.densities,
+                                 profile.pressures))
+        assert validate_profile(table) == profile
+        with pytest.raises(TooFewSamplesError, match="profile is empty"):
+            validate_profile(np.empty((0, 3)))
+        with pytest.raises(NonPhysicalValueError, match="triple"):
+            validate_profile(table[:, :2])
+
     def test_prem_fixture_loads(self, prem_profile):
         assert len(prem_profile) == 20
         assert prem_profile.body_radius == 6.371e6

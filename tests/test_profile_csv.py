@@ -1,0 +1,156 @@
+"""The profile CSV reader: one columnar pass, and the per-line loop.
+
+A body whose every line holds 3 cells is read in one pass;
+``_read_profile_lines``, the per-line loop, reads any other body and
+words every parse error. Both must read the same floats and report the
+same errors.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from geopotent import cli
+from geopotent.cli import PROFILE_HEADER, main, read_profile_csv
+from geopotent.errors import InputError
+
+from conftest import PREM_CSV
+
+SPECIAL_CELLS = ("nan", "inf", "-inf", "NaN", " Infinity ", "1_0", "1__0",
+                 "0x10", "", "1e", "--1", "1\x00")
+
+
+def cell_forms(value):
+    """Texts that ``float`` reads as `value`."""
+    forms = [repr(value), f"{value:.17e}", f"{value:E}"]
+    if value.is_integer() and abs(value) < 1e15:
+        forms += [str(int(value)), f"{int(value):_}"]
+    return st.sampled_from(forms).flatmap(lambda text: st.sampled_from(
+        [text, f" {text}", f"{text}  ", f"\t{text} "]))
+
+
+@st.composite
+def profile_texts(draw):
+    """A profile CSV, mostly valid, with cells in many textual forms."""
+    n = draw(st.integers(4, 12))
+    steps = st.one_of(st.floats(1e-3, 1e6),
+                      st.integers(1, 10**6).map(float))
+    radii = [draw(st.one_of(st.just(0.0), st.floats(0.0, 1e3)))]
+    for step in draw(st.lists(steps, min_size=n - 1, max_size=n - 1)):
+        radii.append(radii[-1] + step)
+    densities = draw(st.lists(st.floats(1e-3, 2e4), min_size=n, max_size=n))
+    pressures = [draw(st.floats(0.0, 1e12))]
+    for factor in draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1,
+                                max_size=n - 1)):
+        pressures.append(pressures[-1] * factor)
+    lines = [PROFILE_HEADER]
+    for row in zip(radii, densities, pressures):
+        cells = []
+        for value in row:
+            # about 1 cell in 80; hypothesis draws the bounds 0, 79 often
+            if draw(st.integers(0, 79)) == 41:
+                cells.append(draw(st.sampled_from(SPECIAL_CELLS)))
+            else:
+                cells.append(draw(cell_forms(value)))
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def outcome(read, *args):
+    """The columns read as ``float.hex`` strings, or the error message."""
+    try:
+        profile = read(*args)
+    except InputError as exc:
+        return str(exc)
+    return [list(map(float.hex, col.tolist()))
+            for col in (profile.radii, profile.densities, profile.pressures)]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=profile_texts())
+def test_columnar_pass_matches_the_per_line_loop(text, tmp_path):
+    path = tmp_path / "drawn.csv"
+    path.write_bytes(text.encode("utf-8"))
+    body = path.read_text(encoding="utf-8").splitlines()[1:]
+    fast = outcome(read_profile_csv, str(path))
+    assert fast == outcome(cli._read_profile_lines, str(path), body)
+
+
+def test_clean_file_never_reaches_the_per_line_loop(monkeypatch):
+    def per_line_loop(path, body):
+        raise AssertionError("the per-line loop was used")
+
+    monkeypatch.setattr(cli, "_read_profile_lines", per_line_loop)
+    profile = read_profile_csv(PREM_CSV)
+    assert len(profile) == 20 and profile.radii[0] == 0.0
+
+
+ROWS = ["0,13000,3.6e11", "1e6,12000,3.3e11", "2e6,11000,3e11",
+        "3e6,10000,2e11", "4e6,5000,1e11", "6.371e6,3000,0"]
+
+
+def csv_text(*rows, sep="\n"):
+    return PROFILE_HEADER + "\n" + sep.join(rows) + "\n"
+
+
+def swap(i, row):
+    return ROWS[:i] + [row] + ROWS[i + 1:]
+
+
+NON_MONOTONE = ("radii must be strictly increasing; sample 3 has "
+                "r = 1500000.0 after 2000000.0")
+
+# stderr after "geopotent: error: <path>", one entry per malformed class
+MALFORMED = {
+    "bad_header": ("radius,rho,p\n" + "\n".join(ROWS) + "\n",
+                   ":1: bad header 'radius,rho,p'; expected "
+                   "'radius_m,density_kg_m3,pressure_pa'"),
+    "two_cells": (csv_text(*swap(3, "3e6,10000")),
+                  ":5: expected 3 comma-separated values, got 2"),
+    "four_cells": (csv_text(*swap(3, "3e6,10000,2e11,1")),
+                   ":5: expected 3 comma-separated values, got 4"),
+    "two_then_four_cells": (
+        csv_text(*ROWS[:2], "2e6,11000", "3e6,10000,2e11,1", *ROWS[4:]),
+        ":4: expected 3 comma-separated values, got 2"),
+    "non_numeric": (csv_text(*swap(3, "bogus,10000,2e11")),
+                    ":5: non-numeric value in 'bogus,10000,2e11'"),
+    "blank_lines_before_a_bad_row": (
+        PROFILE_HEADER + "\n\n  \n" + "\n".join(swap(3, "3e6,x,2e11")) + "\n",
+        ":7: non-numeric value in '3e6,x,2e11'"),
+    "form_feed_separated_rows": (
+        csv_text(*swap(3, "1.5e6,10000,2e11"), sep="\x0c"),
+        f":5: {NON_MONOTONE}"),
+    "non_monotone": (csv_text(*swap(3, "1.5e6,10000,2e11")),
+                     f":5: {NON_MONOTONE}"),
+    "non_finite": (csv_text(*swap(3, "3e6,inf,2e11")),
+                   ":5: density is not finite at sample 3"),
+    "pressure_rise": (csv_text(*swap(3, "3e6,10000,4e11")),
+                      ":5: pressure rises with radius at sample 3: "
+                      "300000000000.0 -> 400000000000.0 exceeds slack 0.50%"),
+    "empty_body": (PROFILE_HEADER + "\n", ": profile is empty"),
+    "fewer_than_4_rows": (csv_text(*ROWS[:3]),
+                          ": profile needs at least 4 samples, got 3"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_file_error(kind, fmt, tmp_path, capsys):
+    text, message = MALFORMED[kind]
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(text)
+    for command in ("profile", "direct"):
+        assert main([command, "--profile", str(path), "--format", fmt]) == 2
+        assert capsys.readouterr() == (
+            "", f"geopotent: error: {path}{message}\n")
+
+
+def test_blank_lines_still_parse(tmp_path):
+    blank, clean = tmp_path / "blank.csv", tmp_path / "clean.csv"
+    blank.write_text(PROFILE_HEADER + "\n\n" + "\n\n".join(ROWS) + "\n \n")
+    clean.write_text(csv_text(*ROWS))
+    profile = read_profile_csv(str(blank))
+    assert profile.radii.tolist() == [0.0, 1e6, 2e6, 3e6, 4e6, 6.371e6]
+    assert profile == read_profile_csv(str(clean))

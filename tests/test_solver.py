@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from geopotent import (
     mean_density,
     surface_potential_integral,
 )
+from geopotent.core import LINE_BREAKS
 from geopotent.errors import (
     NonPhysicalInputError,
     NonPhysicalValueError,
@@ -197,6 +199,17 @@ class TestLocateBoundary:
             BoundaryReference("bad", -1.0, 0.0)
         with pytest.raises(NonPhysicalValueError):
             BoundaryReference("bad", 1.0, -0.5)
+
+    def test_line_breaks_are_where_splitlines_breaks(self):
+        breaks = {c for c in map(chr, range(sys.maxunicode + 1))
+                  if len(f"a{c}b".splitlines()) == 2}
+        assert LINE_BREAKS == breaks
+
+    @pytest.mark.parametrize("char", sorted(LINE_BREAKS | {","}))
+    def test_name_with_a_line_break_or_comma_rejected(self, char):
+        with pytest.raises(NonPhysicalValueError,
+                           match="without a comma or line break"):
+            BoundaryReference(f"a{char}b", 1.0, 0.0)
 
 
 class TestHomogeneityBound:
