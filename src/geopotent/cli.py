@@ -45,13 +45,11 @@ from .config import (
 )
 from .core import (
     LINE_BREAKS,
-    SEGMENT_KINDS,
-    SEGMENT_PARAMS,
     AnomalySource,
     CavitySchedule,
     RadialProfile,
     ScheduleSegment,
-    validate_profile,
+    segment_params,
 )
 from .errors import (
     DomainError,
@@ -99,65 +97,53 @@ EXIT_DOMAIN = 3
 def read_profile_csv(path):
     """Parse a profile CSV; errors carry 1-based line numbers.
 
-    A body whose every line holds 3 cells is read in one columnar pass
-    with ``float`` and validated by ``RadialProfile`` alone. Any other
-    body, such as one with a blank line, or a cell that ``float``
-    rejects, goes through ``_read_profile_lines``, which words every
-    parse error.
+    Blank lines are skipped. The body is read in one columnar pass with
+    ``float`` and validated by ``RadialProfile``; a body with a row that
+    is not 3 numbers is scanned line by line only to word that row.
     """
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != PROFILE_HEADER:
         got = lines[0].strip() if lines else "<empty file>"
         raise InputError(
             f"{path}:1: bad header {got!r}; expected {PROFILE_HEADER!r}")
-    body = lines[1:]
-    if set(map(str.count, body, repeat(","))) != {2}:
-        return _read_profile_lines(path, body)
+    body = list(filter(str.strip, lines[1:]))
+    linenos = (range(2, len(lines) + 1) if len(body) == len(lines) - 1 else
+               [n for n, line in enumerate(lines[1:], start=2) if line.strip()])
+    del lines
+    if not set(map(str.count, body, repeat(","))) <= {2}:
+        raise _bad_row(path, body, linenos)
     # hold one form of the body at a time, so peak RSS does not grow
     text = ",".join(body)
-    del lines, body
-    cells = text.split(",")
+    del body
+    cells = text.split(",") if text else []
     del text
     import numpy as np
     try:
         values = np.fromiter(map(float, cells), np.float64, count=len(cells))
     except ValueError:
-        # every line held exactly 3 cells, so this rebuilds the body
-        rows = zip(*[iter(cells)] * 3)
-        return _read_profile_lines(path, list(map(",".join, rows)))
+        # every line holds 3 cells, so this rebuilds the body
+        rows = map(",".join, zip(*[iter(cells)] * 3))
+        raise _bad_row(path, rows, linenos) from None
     del cells
-    n = len(values) // 3
-    return _located(path, range(2, n + 2), RadialProfile,
-                    *values.reshape(n, 3).T)
-
-
-def _read_profile_lines(path, body):
-    """Parse the lines after the header one at a time, skipping blanks."""
-    rows, linenos = [], []
-    for lineno, line in enumerate(body, start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise InputError(
-                f"{path}:{lineno}: expected 3 comma-separated values, "
-                f"got {len(parts)}")
-        try:
-            rows.append(tuple(float(p) for p in parts))
-        except ValueError:
-            raise InputError(
-                f"{path}:{lineno}: non-numeric value in {line!r}") from None
-        linenos.append(lineno)
-    return _located(path, linenos, validate_profile, rows)
-
-
-def _located(path, linenos, build, *args):
-    """``build(*args)``, with an error's sample index read as a line."""
     try:
-        return build(*args)
+        return RadialProfile(*values.reshape(-1, 3).T)
     except InputError as exc:
         line = f":{linenos[exc.index]}" if exc.index is not None else ""
         raise InputError(f"{path}{line}: {exc}") from exc
+
+
+def _bad_row(path, body, linenos):
+    """The error for the first line of `body` that is not 3 numbers."""
+    for lineno, line in zip(linenos, body):
+        parts = line.split(",")
+        if len(parts) != 3:
+            return InputError(f"{path}:{lineno}: expected 3 comma-separated "
+                              f"values, got {len(parts)}")
+        try:
+            list(map(float, parts))
+        except ValueError:
+            return InputError(
+                f"{path}:{lineno}: non-numeric value in {line!r}")
 
 
 def _quoted_path(path, flag):
@@ -182,16 +168,11 @@ def read_schedule_json(path):
         for i, seg in enumerate(data["segments"]):
             where = f"segment {i}"
             _check_keys(seg, seg_keys, where, required=seg_keys)
-            kind = seg["kind"]
-            if kind not in SEGMENT_KINDS:  # names the params to read
-                raise InputError(
-                    f"{where}: unknown kind {kind!r}; expected one of "
-                    f"{sorted(SEGMENT_KINDS)}")
-            param_keys = SEGMENT_PARAMS[kind]
-            params = seg["params"]
-            _check_keys(params, param_keys, f"{where}.params",
-                        required=param_keys)
+            kind, params = seg["kind"], seg["params"]
             try:
+                param_keys = segment_params(kind)  # names the params to read
+                _check_keys(params, param_keys, f"{where}.params",
+                            required=param_keys)
                 segments.append(ScheduleSegment(
                     t_start=_number(seg, "t_start", where),
                     t_end=_number(seg, "t_end", where), kind=kind,
@@ -342,8 +323,9 @@ def render_json(report):
 
 
 def emit(report, fmt, out_path):
+    """Write the rendered report to `out_path`; no path or "-" is stdout."""
     text = render_json(report) if fmt == "json" else render_csv(report)
-    if out_path:
+    if out_path and out_path != "-":
         try:
             with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(text)
@@ -497,7 +479,7 @@ def cmd_anomaly(cfg: RunConfig, args):
 def cmd_pulse(cfg: RunConfig, args):
     path = _quoted_path(args.schedule, "--schedule")
     schedule = read_schedule_json(path)
-    if args.times:
+    if args.times is not None:
         times = sorted(_parse_float_list(args.times, "--times"))
     else:
         n = args.num_samples

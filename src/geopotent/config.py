@@ -46,7 +46,7 @@ class RunConfig:
     p_g_override: float | None = None
     boundaries: tuple = DEFAULT_BOUNDARIES
     output_format: str = "csv"
-    output_path: str | None = None  # None = stdout
+    output_path: str | None = None  # None or "-" = stdout
 
 
 def read_text(path, error=InputError):
@@ -152,8 +152,6 @@ def parse_config(data, source="config") -> RunConfig:
     if output_path is not None:
         if not isinstance(output_path, str):
             raise ConfigError(f"{source}.output_path must be a string")
-        if output_path == "-":
-            output_path = None
 
     return RunConfig(constants=constants, earth=earth,
                      p_g_override=p_g_override, boundaries=boundaries,

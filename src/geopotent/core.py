@@ -8,6 +8,7 @@ read-only across concurrent tasks.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -38,6 +39,52 @@ def _require_positive(name, value, error=NonPhysicalValueError):
     """Raise `error` unless `value` is positive and finite."""
     if not (math.isfinite(value) and value > 0.0):
         raise error(f"{name} must be positive and finite, got {value!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnTable:
+    """Columns that read like the list of rows they stand for.
+
+    A subclass declares one field per column, named like the fields of
+    its row class, and sets three hooks: ``_row``, the row class;
+    ``_column``, which the constructor applies to each column to store
+    it; ``_floats``, which gives a stored column as Python floats. The
+    constructor checks that the columns have equal length. ``len``,
+    iteration and integer indexing give rows, slicing gives a table, and
+    a table equals a list holding the same rows.
+    """
+
+    def __post_init__(self):
+        for field in fields(self):
+            object.__setattr__(self, field.name,
+                               self._column(getattr(self, field.name)))
+        if len(set(map(len, self.columns()))) > 1:
+            raise NonPhysicalValueError(
+                f"{type(self).__name__} columns must be of equal length")
+
+    def columns(self):
+        """The columns, in the field order of the row class."""
+        return tuple(getattr(self, field.name) for field in fields(self))
+
+    def __len__(self):
+        return len(self.columns()[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(*(col[index] for col in self.columns()))
+        i = operator.index(index)
+        return self._row(*(float(col[i]) for col in self.columns()))
+
+    def __iter__(self):
+        return map(self._row, *map(self._floats, self.columns()))
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return (list(map(self._floats, self.columns()))
+                    == list(map(other._floats, other.columns())))
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
 
 
 @dataclass(frozen=True)
@@ -207,7 +254,9 @@ def _validate_columns(radii, densities, pressures):
     import numpy as np
     n = radii.shape[0]
     if n < 4:
-        raise TooFewSamplesError(f"profile needs at least 4 samples, got {n}")
+        raise TooFewSamplesError(
+            f"profile needs at least 4 samples, got {n}" if n
+            else "profile is empty")
     if densities.shape[0] != n or pressures.shape[0] != n:
         raise NonPhysicalValueError("profile columns have mismatched lengths")
     for name, col in (("radius", radii), ("density", densities),
@@ -269,9 +318,8 @@ def validate_profile(raw_samples):
     import numpy as np
     rows = (raw_samples if isinstance(raw_samples, np.ndarray)
             else list(raw_samples))
-    if len(rows) == 0:
-        raise TooFewSamplesError("profile is empty")
-    arr = np.asarray(rows, dtype=np.float64)
+    # no rows are an empty table, which RadialProfile words
+    arr = np.asarray(rows, dtype=np.float64) if len(rows) else np.empty((0, 3))
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise NonPhysicalValueError(
             "each sample must be a (radius, density, pressure) triple")
@@ -370,6 +418,15 @@ SEGMENT_PARAMS = {
 SEGMENT_KINDS = tuple(SEGMENT_PARAMS)
 
 
+def segment_params(kind):
+    """The parameter names of segment `kind`; ScheduleError if unknown."""
+    # a tuple test, so an unhashable kind read from JSON is unknown too
+    if kind not in SEGMENT_KINDS:
+        raise ScheduleError(
+            f"unknown kind {kind!r}, expected one of {SEGMENT_KINDS}")
+    return SEGMENT_PARAMS[kind]
+
+
 @dataclass(frozen=True)
 class ScheduleSegment:
     """One time segment of a cavity schedule.
@@ -397,10 +454,7 @@ class ScheduleSegment:
         if not (math.isfinite(t_start) and math.isfinite(t_end)
                 and t_end > t_start):
             raise ScheduleError("t_end must exceed t_start")
-        if self.kind not in SEGMENT_KINDS:
-            raise ScheduleError(
-                f"unknown kind {self.kind!r}, expected one of {SEGMENT_KINDS}")
-        names = SEGMENT_PARAMS[self.kind]
+        names = segment_params(self.kind)
         if len(params) != len(names):
             raise ScheduleError(f"kind {self.kind!r} takes {len(names)} "
                                 f"parameter(s), got {len(params)}")

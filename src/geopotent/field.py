@@ -20,10 +20,15 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from . import kernels
-from .core import DEFAULT_CONSTANTS, UniformSphere, _require_positive
+from .core import (
+    DEFAULT_CONSTANTS,
+    ColumnTable,
+    UniformSphere,
+    _require_positive,
+)
 from .errors import (
     NonPhysicalInputError,
     NonPhysicalValueError,
@@ -48,22 +53,26 @@ class FieldSample:
     kinetic_potential: float
 
 
-_COLUMNS = tuple(f.name for f in fields(FieldSample))
+def _read_only_column(values):
+    """A read-only view of `values` as a contiguous 1-D float64 array."""
+    import numpy as np
+    arr = np.ascontiguousarray(values, dtype=np.float64).view()
+    if arr.ndim != 1:
+        raise NonPhysicalValueError("field columns must be one-dimensional")
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
-class FieldTable:
+class FieldTable(ColumnTable):
     """Field quantities at many radii, as columns.
 
     Columns are float64, one-dimensional, of equal length and read-only;
     they are named like the fields of FieldSample. The constructor keeps
     read-only views of contiguous float64 arrays instead of copying them,
     so pass arrays nobody else writes to, as :func:`sample_field` does.
-
-    The table also reads like the list of FieldSample it stands for:
-    ``len``, iteration and integer indexing give FieldSample rows,
-    slicing gives a table, and a table equals a list holding the same
-    rows.
+    The table reads like the list of FieldSample it stands for (see
+    :class:`geopotent.core.ColumnTable`).
     """
 
     radius: np.ndarray
@@ -72,42 +81,9 @@ class FieldTable:
     equipotential_velocity: np.ndarray
     kinetic_potential: np.ndarray
 
-    def __post_init__(self):
-        import numpy as np
-        for name in _COLUMNS:
-            arr = np.ascontiguousarray(getattr(self, name),
-                                       dtype=np.float64).view()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.radius.ndim != 1 or any(
-                getattr(self, name).shape != self.radius.shape
-                for name in _COLUMNS):
-            raise NonPhysicalValueError(
-                "field columns must be one-dimensional and of equal length")
-
-    def _columns(self):
-        return [getattr(self, name) for name in _COLUMNS]
-
-    def __len__(self):
-        return self.radius.shape[0]
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return FieldTable(*(col[index] for col in self._columns()))
-        i = operator.index(index)
-        return FieldSample(*(float(col[i]) for col in self._columns()))
-
-    def __iter__(self):
-        return map(FieldSample, *(col.tolist() for col in self._columns()))
-
-    def __eq__(self, other):
-        import numpy as np
-        if isinstance(other, FieldTable):
-            return all(np.array_equal(a, b) for a, b in
-                       zip(self._columns(), other._columns()))
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
+    _row = FieldSample
+    _column = staticmethod(_read_only_column)
+    _floats = operator.methodcaller("tolist")
 
 
 def _require_radius(r):

@@ -19,19 +19,18 @@ the exact volume sum.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .anomaly import BackgroundState, point_mass_signal
 from .core import (
     DEFAULT_CONSTANTS,
     CavitySchedule,
+    ColumnTable,
     EarthParameters,
     _require_positive,
 )
 from .errors import (
     NonPhysicalInputError,
-    NonPhysicalValueError,
     OutOfDomainError,
 )
 from .kernels import exterior_gravity
@@ -57,14 +56,12 @@ class PulseSample:
 
 
 @dataclass(frozen=True, eq=False)
-class PulseTable:
+class PulseTable(ColumnTable):
     """The precursor series as columns of plain floats.
 
-    Columns are named like the fields of PulseSample; the constructor
-    stores each as a tuple and checks that they have equal length. The
-    table also reads like the list of PulseSample it stands for: ``len``,
-    iteration and integer indexing give PulseSample rows, slicing gives a
-    table, and a table equals a list holding the same rows.
+    Columns are named like the fields of PulseSample and stored as
+    tuples; the table reads like the list of PulseSample it stands for
+    (see :class:`geopotent.core.ColumnTable`).
     """
 
     t: tuple
@@ -74,36 +71,9 @@ class PulseTable:
     delta_g: tuple
     delta_v_s: tuple
 
-    def __post_init__(self):
-        for field, col in zip(fields(self), self.columns()):
-            object.__setattr__(self, field.name, tuple(col))
-        if len({len(col) for col in self.columns()}) > 1:
-            raise NonPhysicalValueError(
-                "pulse columns must be of equal length")
-
-    def columns(self):
-        """The six columns, in the field order of PulseSample."""
-        return (self.t, self.source_radius, self.potential, self.delta_u,
-                self.delta_g, self.delta_v_s)
-
-    def __len__(self):
-        return len(self.t)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return PulseTable(*(col[index] for col in self.columns()))
-        i = operator.index(index)
-        return PulseSample(*(col[i] for col in self.columns()))
-
-    def __iter__(self):
-        return map(PulseSample, *self.columns())
-
-    def __eq__(self, other):
-        if isinstance(other, PulseTable):
-            return self.columns() == other.columns()
-        if isinstance(other, list):
-            return list(self) == other
-        return NotImplemented
+    _row = PulseSample
+    _column = tuple
+    _floats = tuple
 
 
 def pulsating_potential(mass, radius_t, observer_r, gamma=_DEFAULT_GAMMA):

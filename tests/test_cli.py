@@ -510,15 +510,19 @@ class TestPulseCommand:
         assert main(["pulse", "--schedule", str(bad)]) == 2
         assert capsys.readouterr().err.count("segment 1") == 1
 
-    def test_unknown_segment_kind(self, tmp_path, capsys):
+    # a list is unhashable, so the kind check must not look it up in a dict
+    @pytest.mark.parametrize("kind", ["wobble", ["linear"]])
+    def test_unknown_segment_kind(self, kind, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
             "source_mass": 1e12, "observer_radius": 5000.0,
             "host_density_contrast": -2700.0,
-            "segments": [{"t_start": 0, "t_end": 10, "kind": "wobble",
+            "segments": [{"t_start": 0, "t_end": 10, "kind": kind,
                           "params": {"radius": 500.0}}]}))
         assert main(["pulse", "--schedule", str(bad)]) == 2
-        assert "segment 0" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", (
+            f"geopotent: error: {bad}: segment 0: unknown kind {kind!r}, "
+            f"expected one of ('constant', 'linear', 'coalesce_step')\n"))
 
     @staticmethod
     def write_schedule(tmp_path, edit):
@@ -560,6 +564,14 @@ class TestPulseCommand:
         path = self.write_schedule(tmp_path, edit)
         assert main(["pulse", "--schedule", str(path)]) == 2
         assert "segment 1: radii must be positive" in capsys.readouterr().err
+
+    def test_empty_times_rejected(self, capsys, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        assert main(["pulse", "--schedule",
+                     "tests/fixtures/growth_schedule.json",
+                     "--times", ""]) == 2
+        assert capsys.readouterr() == (
+            "", "geopotent: error: --times is empty\n")
 
     def test_times_outside_span_rejected(self, capsys, monkeypatch):
         monkeypatch.chdir(ROOT)
@@ -730,6 +742,21 @@ class TestConfigHandling:
         cfg.write_text(json.dumps({"earth": {"mass": 5.9737e24,
                                              "gm": 4.2e14}}))
         assert main(["direct", "--config", str(cfg), "--p-g", "1e11"]) == 2
+
+    @pytest.mark.parametrize("config_out, flag", [
+        ("-", []), ("report.csv", ["--out", "-"]), (None, ["--out", "-"])],
+        ids=["config", "flag_over_config_path", "flag"])
+    def test_dash_out_writes_stdout(self, config_out, flag, tmp_path, capsys,
+                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({} if config_out is None
+                                  else {"output_path": config_out}))
+        assert main(["inverse", "--u-inf", "111652000",
+                     "--config", str(cfg)] + flag) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("# geopotent inverse\n") and err == ""
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
     def test_config_sets_output_format(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

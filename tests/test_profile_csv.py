@@ -1,16 +1,16 @@
-"""The profile CSV reader: one columnar pass, and the per-line loop.
+"""The profile CSV reader: one columnar pass, and a fault scan.
 
-A body whose every line holds 3 cells is read in one pass;
-``_read_profile_lines``, the per-line loop, reads any other body and
-words every parse error. Both must read the same floats and report the
-same errors.
+Blank lines are skipped and the body is read in one columnar pass; only
+a body holding a row that is not 3 numbers is scanned line by line, to
+word that row. The reader must read the floats and report the errors of
+a plain per-line reader.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from geopotent import cli
+from geopotent import cli, validate_profile
 from geopotent.cli import PROFILE_HEADER, main, read_profile_csv
 from geopotent.errors import InputError
 
@@ -18,6 +18,7 @@ from conftest import PREM_CSV
 
 SPECIAL_CELLS = ("nan", "inf", "-inf", "NaN", " Infinity ", "1_0", "1__0",
                  "0x10", "", "1e", "--1", "1\x00")
+BLANK_LINES = ("", " ", "\t ")
 
 
 def cell_forms(value):
@@ -27,6 +28,11 @@ def cell_forms(value):
         forms += [str(int(value)), f"{int(value):_}"]
     return st.sampled_from(forms).flatmap(lambda text: st.sampled_from(
         [text, f" {text}", f"{text}  ", f"\t{text} "]))
+
+
+def rarely(draw):
+    """True about 1 time in 80; hypothesis draws the bounds 0, 79 often."""
+    return draw(st.integers(0, 79)) == 41
 
 
 @st.composite
@@ -45,22 +51,47 @@ def profile_texts(draw):
         pressures.append(pressures[-1] * factor)
     lines = [PROFILE_HEADER]
     for row in zip(radii, densities, pressures):
-        cells = []
-        for value in row:
-            # about 1 cell in 80; hypothesis draws the bounds 0, 79 often
-            if draw(st.integers(0, 79)) == 41:
-                cells.append(draw(st.sampled_from(SPECIAL_CELLS)))
-            else:
-                cells.append(draw(cell_forms(value)))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(BLANK_LINES)))
+        cells = [draw(st.sampled_from(SPECIAL_CELLS)) if rarely(draw)
+                 else draw(cell_forms(value)) for value in row]
+        if rarely(draw):  # a row of 2 or 4 cells
+            cells = cells[:2] if draw(st.booleans()) else cells + ["1"]
         lines.append(",".join(cells))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
-def outcome(read, *args):
+def per_line_read(path):
+    """A plain per-line reader: skip blanks, ``float`` each cell, then
+    validate, with a sample index read as a line number."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows, linenos = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise InputError(f"{path}:{lineno}: expected 3 comma-separated "
+                             f"values, got {len(parts)}")
+        try:
+            rows.append([float(part) for part in parts])
+        except ValueError:
+            raise InputError(
+                f"{path}:{lineno}: non-numeric value in {line!r}") from None
+        linenos.append(lineno)
+    try:
+        return validate_profile(rows)
+    except InputError as exc:
+        line = f":{linenos[exc.index]}" if exc.index is not None else ""
+        raise InputError(f"{path}{line}: {exc}") from None
+
+
+def outcome(read, path):
     """The columns read as ``float.hex`` strings, or the error message."""
     try:
-        profile = read(*args)
+        profile = read(path)
     except InputError as exc:
         return str(exc)
     return [list(map(float.hex, col.tolist()))
@@ -73,18 +104,8 @@ def outcome(read, *args):
 def test_columnar_pass_matches_the_per_line_loop(text, tmp_path):
     path = tmp_path / "drawn.csv"
     path.write_bytes(text.encode("utf-8"))
-    body = path.read_text(encoding="utf-8").splitlines()[1:]
     fast = outcome(read_profile_csv, str(path))
-    assert fast == outcome(cli._read_profile_lines, str(path), body)
-
-
-def test_clean_file_never_reaches_the_per_line_loop(monkeypatch):
-    def per_line_loop(path, body):
-        raise AssertionError("the per-line loop was used")
-
-    monkeypatch.setattr(cli, "_read_profile_lines", per_line_loop)
-    profile = read_profile_csv(PREM_CSV)
-    assert len(profile) == 20 and profile.radii[0] == 0.0
+    assert fast == outcome(per_line_read, str(path))
 
 
 ROWS = ["0,13000,3.6e11", "1e6,12000,3.3e11", "2e6,11000,3e11",
@@ -154,3 +175,16 @@ def test_blank_lines_still_parse(tmp_path):
     profile = read_profile_csv(str(blank))
     assert profile.radii.tolist() == [0.0, 1e6, 2e6, 3e6, 4e6, 6.371e6]
     assert profile == read_profile_csv(str(clean))
+
+
+def test_well_formed_files_never_call_the_fault_scan(monkeypatch, tmp_path):
+    def fault_scan(path, body, linenos):
+        raise AssertionError("the fault scan was called")
+
+    monkeypatch.setattr(cli, "_bad_row", fault_scan)
+    profile = read_profile_csv(PREM_CSV)
+    assert len(profile) == 20 and profile.radii[0] == 0.0
+    blank = tmp_path / "blank.csv"
+    blank.write_text(PROFILE_HEADER + "\n \n" + "\n\t\n".join(ROWS) + "\n")
+    assert read_profile_csv(str(blank)).radii.tolist() == [
+        0.0, 1e6, 2e6, 3e6, 4e6, 6.371e6]

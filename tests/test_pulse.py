@@ -10,14 +10,18 @@ from geopotent import (
     BackgroundState,
     CavitySchedule,
     EarthParameters,
+    FieldSample,
+    FieldTable,
     PulseSample,
     PulseTable,
     ScheduleSegment,
+    UniformSphere,
     buoyancy_pressure,
     cavity_mass_deficit,
     evaluate_schedule,
     point_mass_signal,
     pulsating_potential,
+    sample_field,
     surface_background,
 )
 from geopotent.errors import (
@@ -371,6 +375,16 @@ class TestPulseTable:
         assert [f.name for f in dataclasses.fields(PulseTable)] == names
         assert table.columns() == tuple(getattr(table, n) for n in names)
         assert all(type(col) is tuple for col in table.columns())
+        # FieldTable shares the row view: its columns() are its fields too
+        field = sample_field(UniformSphere.from_mass_radius(1e12, 500.0),
+                             [0.0, 250.0, 1000.0])
+        names = [f.name for f in dataclasses.fields(FieldSample)]
+        assert [f.name for f in dataclasses.fields(FieldTable)] == names
+        columns = field.columns()
+        assert type(columns) is tuple and len(columns) == len(names)
+        assert all(col is getattr(field, n) for col, n in zip(columns, names))
+        assert all(isinstance(col, np.ndarray) and col.dtype == np.float64
+                   and not col.flags.writeable for col in columns)
 
     def test_empty_table(self):
         table = evaluate_schedule(GROWTH, [])
