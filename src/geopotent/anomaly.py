@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DEFAULT_CONSTANTS, AnomalySource, _require_positive
 from .errors import NonPhysicalInputError, OutOfDomainError
@@ -46,8 +46,7 @@ class BackgroundState(namedtuple("BackgroundState", "u0 g0 u_infinity")):
         return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SensitivityPair:
+class SensitivityPair(NamedTuple):
     """Linear sensitivity of potential (k1) and gravity (k2) anomalies.
 
     ratio = k1/k2 = (1/2)*(r/r0): the potential channel dominates once
@@ -59,8 +58,7 @@ class SensitivityPair:
     ratio: float
 
 
-@dataclass(frozen=True)
-class AnomalySignal:
+class AnomalySignal(NamedTuple):
     """Perturbations at the observer caused by a buried source.
 
     delta_u and delta_g carry the sign of the density contrast;
@@ -91,12 +89,28 @@ def crossover_radius(r0):
     return 2.0 * r0
 
 
+def speed_change(delta_u, base, speed):
+    """sqrt(2*(base - delta_u)) - speed, where speed is sqrt(2*base).
+
+    The change of the equipotential velocity sqrt(2*(u_infinity - u))
+    when u rises by delta_u. It is written as -2*delta_u over the sum of
+    the two speeds, so the two close speeds are never subtracted; no
+    change in u gives +0.0. A speed past the float range gives nan, as
+    the difference did, not a quotient that reads 0.
+    """
+    if delta_u == 0.0:  # also the 0/0 of base == 0
+        return 0.0
+    speeds = math.sqrt(2.0 * (base - delta_u)) + speed
+    return -2.0 * delta_u / speeds if speeds < math.inf else math.nan
+
+
 def point_mass_signal(delta_mass, distance, background: BackgroundState,
                       gamma=_DEFAULT_GAMMA) -> AnomalySignal:
     """Signal of a point mass anomaly `delta_mass` at `distance` from the observer.
 
     delta_u = gamma*dM/d, delta_g = gamma*dM/d^2; delta_v_s is the change
-    of sqrt(2*(u_infinity - u)) when u0 is perturbed by delta_u.
+    of sqrt(2*(u_infinity - u)) when u0 is perturbed by delta_u
+    (:func:`speed_change`).
     """
     _require_positive("distance", distance, NonPhysicalInputError)
     delta_u = gamma * delta_mass / distance
@@ -110,11 +124,10 @@ def point_mass_signal(delta_mass, distance, background: BackgroundState,
     if perturbed < 0.0:
         raise OutOfDomainError(
             f"perturbed potential exceeds u_infinity (delta_u = {delta_u!r})")
-    delta_v_s = math.sqrt(2.0 * perturbed) - math.sqrt(2.0 * base)
     return AnomalySignal(
         delta_u=delta_u,
         delta_g=delta_g,
-        delta_v_s=delta_v_s,
+        delta_v_s=speed_change(delta_u, base, math.sqrt(2.0 * base)),
         relative_u=delta_u / background.u0,
         relative_g=delta_g / background.g0,
     )
@@ -133,8 +146,7 @@ def sphere_anomaly(source: AnomalySource, background: BackgroundState,
                              background, gamma)
 
 
-@dataclass(frozen=True)
-class DetectabilityRow:
+class DetectabilityRow(NamedTuple):
     """Signals at one observation distance.
 
     advantage = relative_u / relative_g grows linearly with the offset:

@@ -20,7 +20,6 @@ only finite numbers.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -340,7 +339,7 @@ def _base_report(command, cfg: RunConfig):
     return {
         "command": command,
         "constants": {"gamma": cfg.constants.gamma},
-        "earth": dataclasses.asdict(cfg.earth),
+        "earth": cfg.earth._asdict(),
     }
 
 

@@ -25,9 +25,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
 
-from .core import DEFAULT_CONSTANTS, EarthParameters, PhysicalConstants
+from .core import DEFAULT_CONSTANTS, EarthParameters, PhysicalConstants, Record
 from .errors import ConfigError, InputError, NonPhysicalValueError
 from .solver import BoundaryReference
 
@@ -39,14 +38,15 @@ DEFAULT_BOUNDARIES = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
-    earth: EarthParameters = EarthParameters()
-    p_g_override: float | None = None
-    boundaries: tuple = DEFAULT_BOUNDARIES
-    output_format: str = "csv"
-    output_path: str | None = None  # None or "-" = stdout
+class RunConfig(Record):
+    __slots__ = _fields = ("constants", "earth", "p_g_override", "boundaries",
+                           "output_format", "output_path")
+
+    def __init__(self, constants=DEFAULT_CONSTANTS, earth=EarthParameters(),
+                 p_g_override=None, boundaries=DEFAULT_BOUNDARIES,
+                 output_format="csv", output_path=None):  # None or "-": stdout
+        self._set(constants, earth, p_g_override, boundaries, output_format,
+                  output_path)
 
 
 def read_text(path, error=InputError):
@@ -110,8 +110,7 @@ def parse_config(data, source="config") -> RunConfig:
     earth_fields = {}
     if "earth" in data:
         block = data["earth"]
-        allowed = tuple(f.name for f in fields(EarthParameters))
-        _check_keys(block, allowed, f"{source}.earth")
+        _check_keys(block, EarthParameters._fields, f"{source}.earth")
         earth_fields = {k: _number(block, k, f"{source}.earth") for k in block}
     try:
         earth = EarthParameters.with_constants(constants, **earth_fields)

@@ -2,7 +2,8 @@
 
 Everything is SI: metres, kilograms, seconds, pascals, J/kg for specific
 energies. All types are immutable after construction and safe to share
-read-only across concurrent tasks.
+read-only across concurrent tasks: result records are named tuples, the
+validated domain types are :class:`Record` subclasses.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from enum import Enum
 from functools import cached_property
 
@@ -41,30 +42,78 @@ def _require_positive(name, value, error=NonPhysicalValueError):
         raise error(f"{name} must be positive and finite, got {value!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class ColumnTable:
-    """Columns that read like the list of rows they stand for.
+class Record:
+    """Immutable record: the base of the validated domain types.
 
-    A subclass declares one field per column, named like the fields of
-    its row class, and sets three hooks: ``_row``, the row class;
-    ``_column``, which the constructor applies to each column to store
-    it; ``_floats``, which gives a stored column as Python floats. The
-    constructor checks that the columns have equal length. ``len``,
-    iteration and integer indexing give rows, slicing gives a table, and
-    a table equals a list holding the same rows.
+    A subclass names its fields in ``_fields``, usually also its
+    ``__slots__``, and its ``__init__`` checks the values and stores them
+    in field order with ``_set``. Records of one type compare and hash by
+    their fields, repr like ``Name(field=value, ...)``, and raise
+    AttributeError on any attribute assignment or deletion.
     """
 
-    def __post_init__(self):
-        for field in fields(self):
-            object.__setattr__(self, field.name,
-                               self._column(getattr(self, field.name)))
+    __slots__ = ()
+    _fields = ()
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def _asdict(self):
+        return dict(zip(self._fields, self._values()))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
+        return type(self), self._values()
+
+
+class ColumnTable(Record):
+    """Columns that read like the list of rows they stand for.
+
+    A subclass sets three hooks: ``_row``, the row class, a named tuple
+    whose fields name the columns; ``_column``, which the constructor
+    applies to each column to store it; ``_floats``, which gives a stored
+    column as Python floats. The constructor takes the columns as the
+    row class takes its values, by position or by name, and checks that
+    they have equal length. ``len``, iteration and integer indexing give
+    rows, slicing gives a table, and a table equals a list holding the
+    same rows.
+    """
+
+    # no __slots__: a subclass's columns are named by its row class, which
+    # is only known once the subclass exists
+    def __init_subclass__(cls):
+        cls._fields = cls._row._fields
+
+    def __init__(self, *columns, **named):
+        self._set(*map(self._column, self._row(*columns, **named)))
         if len(set(map(len, self.columns()))) > 1:
             raise NonPhysicalValueError(
                 f"{type(self).__name__} columns must be of equal length")
 
     def columns(self):
         """The columns, in the field order of the row class."""
-        return tuple(getattr(self, field.name) for field in fields(self))
+        return self._values()
 
     def __len__(self):
         return len(self.columns()[0])
@@ -87,8 +136,7 @@ class ColumnTable:
         return NotImplemented
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(Record):
     """Constant set threaded through every computation.
 
     Parameters
@@ -99,17 +147,17 @@ class PhysicalConstants:
         results computed with another constant set.
     """
 
-    gamma: float = 6.6743e-11
+    __slots__ = _fields = ("gamma",)
 
-    def __post_init__(self):
-        _require_positive("gamma", self.gamma)
+    def __init__(self, gamma=6.6743e-11):
+        _require_positive("gamma", gamma)
+        self._set(gamma)
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
 
 
-@dataclass(frozen=True)
-class UniformSphere:
+class UniformSphere(Record):
     """Homogeneous mass source: the generator of all closed-form fields.
 
     Any two of (mass, radius, density) determine the third; the
@@ -118,20 +166,19 @@ class UniformSphere:
     sphere from two quantities.
     """
 
-    mass: float
-    radius: float
-    density: float
+    __slots__ = _fields = ("mass", "radius", "density")
 
-    def __post_init__(self):
-        _require_positive("mass", self.mass)
-        _require_positive("radius", self.radius)
-        _require_positive("density", self.density)
-        implied = (4.0 / 3.0) * math.pi * self.density * self.radius**3
-        if abs(self.mass - implied) / self.mass > SPHERE_CONSISTENCY_TOL:
+    def __init__(self, mass, radius, density):
+        _require_positive("mass", mass)
+        _require_positive("radius", radius)
+        _require_positive("density", density)
+        implied = (4.0 / 3.0) * math.pi * density * radius**3
+        if abs(mass - implied) / mass > SPHERE_CONSISTENCY_TOL:
             raise NonPhysicalValueError(
-                f"inconsistent sphere: mass {self.mass!r} vs "
+                f"inconsistent sphere: mass {mass!r} vs "
                 f"(4/3)*pi*density*radius^3 = {implied!r}"
             )
+        self._set(mass, radius, density)
 
     @classmethod
     def from_mass_radius(cls, mass, radius):
@@ -147,23 +194,23 @@ class UniformSphere:
         return cls(mass, radius, density)
 
 
-@dataclass(frozen=True)
-class EarthParameters:
+class EarthParameters(Record):
     """Bulk parameters of the body under study (defaults: Earth).
 
     ``gm`` is the product gamma * mass; keep it consistent with the
     constant set in use (checked by the config loader to 1e-9 relative).
     """
 
-    mean_radius: float = 6.371e6
-    mass: float = 5.9737e24
-    mean_density: float = 5515.0
-    surface_first_cosmic_velocity: float = 7910.0
-    gm: float = 6.6743e-11 * 5.9737e24
+    __slots__ = _fields = ("mean_radius", "mass", "mean_density",
+                           "surface_first_cosmic_velocity", "gm")
 
-    def __post_init__(self):
-        for f in fields(self):
-            _require_positive(f.name, getattr(self, f.name))
+    def __init__(self, mean_radius=6.371e6, mass=5.9737e24, mean_density=5515.0,
+                 surface_first_cosmic_velocity=7910.0,
+                 gm=6.6743e-11 * 5.9737e24):
+        self._set(mean_radius, mass, mean_density,
+                  surface_first_cosmic_velocity, gm)
+        for name, value in zip(self._fields, self._values()):
+            _require_positive(name, value)
 
     @property
     def uniform_surface_potential(self):
@@ -182,15 +229,14 @@ class EarthParameters:
     @classmethod
     def with_constants(cls, constants, **overrides):
         """Build parameters whose gm is derived from the given constants."""
-        mass = overrides.get("mass", cls.__dataclass_fields__["mass"].default)
+        mass = overrides.get("mass", cls().mass)
         gm = overrides.get("gm", constants.gamma * mass)
         params = cls(**{**overrides, "gm": gm})
         params.check_gm(constants)
         return params
 
 
-@dataclass(frozen=True, eq=False)
-class RadialProfile:
+class RadialProfile(Record):
     """Tabulated (radius, density, pressure) model of a real body.
 
     Arrays are read-only float64 copies of the inputs. Radii are strictly
@@ -199,20 +245,21 @@ class RadialProfile:
     Construct through :func:`validate_profile`.
     """
 
-    radii: np.ndarray
-    densities: np.ndarray
-    pressures: np.ndarray
+    # no __slots__: the cached mass table lives in the instance __dict__
+    _fields = ("radii", "densities", "pressures")
 
-    def __post_init__(self):
+    def __init__(self, radii, densities, pressures):
         import numpy as np
-        for name in ("radii", "densities", "pressures"):
+        columns = []
+        for values in (radii, densities, pressures):
             # a copy: freezing it leaves the caller's array writable, and
             # later writes to the caller's array cannot reach the profile
             # or its cached mass table
-            arr = np.array(getattr(self, name), dtype=np.float64, order="C")
+            arr = np.array(values, dtype=np.float64, order="C")
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        _validate_columns(self.radii, self.densities, self.pressures)
+            columns.append(arr)
+        self._set(*columns)
+        _validate_columns(*columns)
 
     @cached_property
     def mass_table(self):
@@ -326,33 +373,37 @@ def validate_profile(raw_samples):
     return RadialProfile(arr[:, 0], arr[:, 1], arr[:, 2])
 
 
-@dataclass(frozen=True)
-class PotentialBreakdown:
+class PotentialBreakdown(namedtuple(
+        "PotentialBreakdown",
+        "u_surface equipotential_surface compression_potential u_infinity")):
     """Output of the direct problem: the surface energy balance.
 
     ``u_infinity`` is the sum of the three parts by construction; the
     constructor rejects any other value.
     """
 
-    u_surface: float
-    equipotential_surface: float
-    compression_potential: float
-    u_infinity: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_positive("u_surface", self.u_surface)
-        _require_positive("equipotential_surface", self.equipotential_surface)
-        if not (math.isfinite(self.compression_potential)
-                and self.compression_potential >= 0.0):
+    def __new__(cls, u_surface, equipotential_surface, compression_potential,
+                u_infinity):
+        _require_positive("u_surface", u_surface)
+        _require_positive("equipotential_surface", equipotential_surface)
+        if not (math.isfinite(compression_potential)
+                and compression_potential >= 0.0):
             raise NonPhysicalValueError(
                 f"compression_potential must be >= 0, got "
-                f"{self.compression_potential!r}")
-        total = (self.u_surface + self.equipotential_surface
-                 + self.compression_potential)
-        if self.u_infinity != total:
+                f"{compression_potential!r}")
+        total = u_surface + equipotential_surface + compression_potential
+        if u_infinity != total:
             raise NonPhysicalValueError(
-                f"u_infinity {self.u_infinity!r} is not the sum of its "
+                f"u_infinity {u_infinity!r} is not the sum of its "
                 f"parts {total!r}")
+        return super().__new__(cls, u_surface, equipotential_surface,
+                               compression_potential, u_infinity)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here
+        return cls(*iterable)
 
     @classmethod
     def from_parts(cls, u_surface, equipotential_surface, compression_potential):
@@ -368,24 +419,25 @@ class DensityTrend(str, Enum):
     INCREASING_OUTWARD = "increasing_outward"
 
 
-@dataclass(frozen=True)
-class InversionResult:
+class InversionResult(namedtuple("InversionResult", "r0 depth trend")):
     """Characteristic gravitational radius and its classification.
 
     ``depth`` is body_radius - r0 (negative when the characteristic
-    radius lies outside the body).
+    radius lies outside the body); ``trend`` is a DensityTrend.
     """
 
-    r0: float
-    depth: float
-    trend: DensityTrend
+    __slots__ = ()
 
-    def __post_init__(self):
-        _require_positive("r0", self.r0)
+    def __new__(cls, r0, depth, trend):
+        _require_positive("r0", r0)
+        return super().__new__(cls, r0, depth, trend)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through here
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class AnomalySource:
+class AnomalySource(Record):
     """Buried spherical density anomaly.
 
     depth is the source center below the observer datum; the source must
@@ -393,19 +445,18 @@ class AnomalySource:
     host (density_contrast != 0, signed, anomaly minus host).
     """
 
-    depth: float
-    radius: float
-    density_contrast: float
+    __slots__ = _fields = ("depth", "radius", "density_contrast")
 
-    def __post_init__(self):
-        _require_positive("radius", self.radius)
-        if not (math.isfinite(self.depth) and self.depth > self.radius):
+    def __init__(self, depth, radius, density_contrast):
+        _require_positive("radius", radius)
+        if not (math.isfinite(depth) and depth > radius):
             raise NonPhysicalValueError(
-                f"source must be fully buried: depth {self.depth!r} must "
-                f"exceed radius {self.radius!r}")
-        if not math.isfinite(self.density_contrast) or self.density_contrast == 0.0:
+                f"source must be fully buried: depth {depth!r} must "
+                f"exceed radius {radius!r}")
+        if not math.isfinite(density_contrast) or density_contrast == 0.0:
             raise NonPhysicalValueError(
-                f"density_contrast must be non-zero, got {self.density_contrast!r}")
+                f"density_contrast must be non-zero, got {density_contrast!r}")
+        self._set(depth, radius, density_contrast)
 
 
 # The one table of segment kinds: each kind and the names of its
@@ -427,8 +478,7 @@ def segment_params(kind):
     return SEGMENT_PARAMS[kind]
 
 
-@dataclass(frozen=True)
-class ScheduleSegment:
+class ScheduleSegment(Record):
     """One time segment of a cavity schedule.
 
     params hold the radii named by ``SEGMENT_PARAMS[kind]``;
@@ -438,31 +488,25 @@ class ScheduleSegment:
     and the kind's radii are positive and finite.
     """
 
-    t_start: float
-    t_end: float
-    kind: str
-    params: tuple
+    __slots__ = _fields = ("t_start", "t_end", "kind", "params")
 
-    def __post_init__(self):
+    def __init__(self, t_start, t_end, kind, params):
         try:
-            t_start, t_end = float(self.t_start), float(self.t_end)
-            params = tuple(map(float, self.params))
+            start, end = float(t_start), float(t_end)
+            radii = tuple(map(float, params))
         except (TypeError, ValueError, OverflowError):
             raise ScheduleError(
-                f"times and radii must be numbers, got {self.t_start!r}, "
-                f"{self.t_end!r} and {self.params!r}") from None
-        if not (math.isfinite(t_start) and math.isfinite(t_end)
-                and t_end > t_start):
+                f"times and radii must be numbers, got {t_start!r}, "
+                f"{t_end!r} and {params!r}") from None
+        if not (math.isfinite(start) and math.isfinite(end) and end > start):
             raise ScheduleError("t_end must exceed t_start")
-        names = segment_params(self.kind)
-        if len(params) != len(names):
-            raise ScheduleError(f"kind {self.kind!r} takes {len(names)} "
-                                f"parameter(s), got {len(params)}")
-        if any(not (math.isfinite(p) and p > 0.0) for p in params):
-            raise ScheduleError(f"radii must be positive, got {params}")
-        object.__setattr__(self, "t_start", t_start)
-        object.__setattr__(self, "t_end", t_end)
-        object.__setattr__(self, "params", params)
+        names = segment_params(kind)
+        if len(radii) != len(names):
+            raise ScheduleError(f"kind {kind!r} takes {len(names)} "
+                                f"parameter(s), got {len(radii)}")
+        if any(not (math.isfinite(r) and r > 0.0) for r in radii):
+            raise ScheduleError(f"radii must be positive, got {radii}")
+        self._set(start, end, kind, radii)
 
     def radius_cubed(self, t):
         """R(t)^3. Coalescence reports the exact conserved volume sum."""
@@ -486,8 +530,7 @@ class ScheduleSegment:
         return (self.params[0] ** 3 + self.params[1] ** 3) ** (1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class CavitySchedule:
+class CavitySchedule(Record):
     """Piecewise R(t) of a constant-mass source, watched from a fixed radius.
 
     ``host_density_contrast`` is the cavity-minus-host density difference
@@ -495,33 +538,35 @@ class CavitySchedule:
     cavity has a negative value.
     """
 
-    segments: tuple
-    source_mass: float
-    observer_radius: float
-    host_density_contrast: float
+    _fields = ("segments", "source_mass", "observer_radius",
+               "host_density_contrast")
+    __slots__ = _fields + ("_ends",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
+    def __init__(self, segments, source_mass, observer_radius,
+                 host_density_contrast):
+        segments = tuple(segments)
+        if not segments:
             raise ScheduleError("schedule has no segments")
-        _require_positive("source_mass", self.source_mass)
-        _require_positive("observer_radius", self.observer_radius)
-        if not math.isfinite(self.host_density_contrast):
+        _require_positive("source_mass", source_mass)
+        _require_positive("observer_radius", observer_radius)
+        if not math.isfinite(host_density_contrast):
             raise NonPhysicalValueError("host_density_contrast must be finite")
-        for i, seg in enumerate(self.segments):
-            if i and seg.t_start != self.segments[i - 1].t_end:
+        for i, seg in enumerate(segments):
+            if i and seg.t_start != segments[i - 1].t_end:
                 raise ScheduleError(
                     f"segment {i}: starts at {seg.t_start}, previous segment "
-                    f"ends at {self.segments[i - 1].t_end}; segments must be "
+                    f"ends at {segments[i - 1].t_end}; segments must be "
                     f"contiguous", index=i)
-            if seg.max_radius() >= self.observer_radius:
+            if seg.max_radius() >= observer_radius:
                 raise ScheduleError(
                     f"segment {i}: radius reaches {seg.max_radius()}, observer "
-                    f"at {self.observer_radius} must stay outside the source",
+                    f"at {observer_radius} must stay outside the source",
                     index=i)
+        self._set(segments, source_mass, observer_radius,
+                  host_density_contrast)
         # Boundary times between consecutive segments, for segment_at.
         object.__setattr__(self, "_ends",
-                           tuple(seg.t_end for seg in self.segments[:-1]))
+                           tuple(seg.t_end for seg in segments[:-1]))
 
     @property
     def t_start(self):

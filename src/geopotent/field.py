@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import kernels
 from .core import (
@@ -38,8 +38,7 @@ from .errors import (
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(NamedTuple):
     """Field quantities bundled at one radius.
 
     potential + kinetic_potential equals the generating sphere's
@@ -63,7 +62,6 @@ def _read_only_column(values):
     return arr
 
 
-@dataclass(frozen=True, eq=False)
 class FieldTable(ColumnTable):
     """Field quantities at many radii, as columns.
 
@@ -74,12 +72,6 @@ class FieldTable(ColumnTable):
     The table reads like the list of FieldSample it stands for (see
     :class:`geopotent.core.ColumnTable`).
     """
-
-    radius: np.ndarray
-    potential: np.ndarray
-    gravity: np.ndarray
-    equipotential_velocity: np.ndarray
-    kinetic_potential: np.ndarray
 
     _row = FieldSample
     _column = staticmethod(_read_only_column)

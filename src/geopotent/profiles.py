@@ -17,7 +17,6 @@ segment, reported at its inner knot.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import RadialProfile
@@ -32,8 +31,7 @@ FOUR_PI = 4.0 * math.pi
 _GRAD_P_TIE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class GradPResult:
+class GradPResult(NamedTuple):
     """Inner knot of the steepest knot segment, its pressure and |dP/dr|."""
 
     radius_at_max: float

@@ -19,9 +19,9 @@ the exact volume sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .anomaly import BackgroundState, point_mass_signal
+from .anomaly import BackgroundState, point_mass_signal, speed_change
 from .core import (
     DEFAULT_CONSTANTS,
     CavitySchedule,
@@ -38,8 +38,7 @@ from .kernels import exterior_gravity
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
 
-@dataclass(frozen=True)
-class PulseSample:
+class PulseSample(NamedTuple):
     """One time step of the precursor series.
 
     `potential` is the literal constant-mass value at the observer; the
@@ -55,7 +54,6 @@ class PulseSample:
     delta_v_s: float
 
 
-@dataclass(frozen=True, eq=False)
 class PulseTable(ColumnTable):
     """The precursor series as columns of plain floats.
 
@@ -63,13 +61,6 @@ class PulseTable(ColumnTable):
     tuples; the table reads like the list of PulseSample it stands for
     (see :class:`geopotent.core.ColumnTable`).
     """
-
-    t: tuple
-    source_radius: tuple
-    potential: tuple
-    delta_u: tuple
-    delta_g: tuple
-    delta_v_s: tuple
 
     _row = PulseSample
     _column = tuple
@@ -173,14 +164,14 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
         pulsating_potential(mass, radii[bad], observer, gamma)
         point_mass_signal(delta_masses[bad], observer, background, gamma)
     gm = gamma * mass
+    speed = math.sqrt(2.0 * base)
     return PulseTable(
         t=times,
         source_radius=radii,
         potential=[-gm / observer + 1.5 * gm / radius for radius in radii],
         delta_u=delta_u,
         delta_g=[gamma * dm / (observer * observer) for dm in delta_masses],
-        delta_v_s=[math.sqrt(2.0 * (base - du)) - math.sqrt(2.0 * base)
-                   for du in delta_u],
+        delta_v_s=[speed_change(du, base, speed) for du in delta_u],
     )
 
 

@@ -14,7 +14,7 @@ localizes the resulting radius against reference boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import profiles
 from .core import (
@@ -24,6 +24,7 @@ from .core import (
     InversionResult,
     PotentialBreakdown,
     RadialProfile,
+    Record,
     _require_positive,
 )
 from .errors import (
@@ -42,34 +43,31 @@ UNIFORM_TREND_TOL = 1e-6
 _BOUND_EQUALITY_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class BoundaryReference:
+class BoundaryReference(Record):
     """Named reference radius with a tolerance band (a layer half-thickness).
 
     The name is a report cell: a string with no comma and no line break
     (no character of ``core.LINE_BREAKS``, where str.splitlines() breaks).
     """
 
-    name: str
-    radius: float
-    layer_half_thickness: float
+    __slots__ = _fields = ("name", "radius", "layer_half_thickness")
 
-    def __post_init__(self):
-        if (not isinstance(self.name, str) or "," in self.name
-                or not LINE_BREAKS.isdisjoint(self.name)):
+    def __init__(self, name, radius, layer_half_thickness):
+        if (not isinstance(name, str) or "," in name
+                or not LINE_BREAKS.isdisjoint(name)):
             raise NonPhysicalValueError(
                 f"boundary name must be a string without a comma or line "
-                f"break, got {self.name!r}")
-        _require_positive("boundary radius", self.radius)
-        if not (math.isfinite(self.layer_half_thickness)
-                and self.layer_half_thickness >= 0.0):
+                f"break, got {name!r}")
+        _require_positive("boundary radius", radius)
+        if not (math.isfinite(layer_half_thickness)
+                and layer_half_thickness >= 0.0):
             raise NonPhysicalValueError(
                 f"layer_half_thickness must be >= 0, got "
-                f"{self.layer_half_thickness!r}")
+                f"{layer_half_thickness!r}")
+        self._set(name, radius, layer_half_thickness)
 
 
-@dataclass(frozen=True)
-class HomogeneityBoundReport:
+class HomogeneityBoundReport(NamedTuple):
     """Both sides of the surface-potential bound and whether it holds.
 
     relative_gap = (integral_side - uniform_side) / uniform_side; a

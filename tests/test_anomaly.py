@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from geopotent import (
     sensitivity_coefficients,
     sphere_anomaly,
 )
+from geopotent.anomaly import speed_change
 from geopotent.errors import (
     NonPhysicalInputError,
     NonPhysicalValueError,
@@ -145,6 +147,50 @@ class TestSphereAnomaly:
         upside_down = BackgroundState(u0=2.0, g0=9.8, u_infinity=1.0)
         with pytest.raises(OutOfDomainError):
             point_mass_signal(1.0, 1000.0, upside_down)
+
+
+def decimal_speed_change(delta_u, base):
+    """sqrt(2*(base - delta_u)) - sqrt(2*base) in 60-digit Decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        b, d = Decimal(base), Decimal(delta_u)
+        return float((2 * (b - d)).sqrt() - (2 * b).sqrt())
+
+
+class TestSpeedChange:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-3, 1e12), st.floats(1e-3, 0.999),
+           st.sampled_from([-1.0, 1.0]), st.integers(-12, 0))
+    def test_exact_to_roundoff(self, base, fraction, sign, exponent):
+        # no cancellation: a few ulp of the Decimal value, even when
+        # delta_u is 1e-15 of the base
+        delta_u = sign * base * fraction * 10.0**exponent
+        value = speed_change(delta_u, base, math.sqrt(2.0 * base))
+        exact = decimal_speed_change(delta_u, base)
+        assert abs(value - exact) <= 4.0 * math.ulp(exact)
+
+    def test_signal_uses_it(self):
+        sig = sphere_anomaly(GAS_CAVITY, BACKGROUND)
+        base = BACKGROUND.u_infinity - BACKGROUND.u0
+        assert sig.delta_v_s == speed_change(sig.delta_u, base,
+                                             math.sqrt(2.0 * base))
+        exact = decimal_speed_change(sig.delta_u, base)
+        assert abs(sig.delta_v_s - exact) <= math.ulp(exact)
+
+    @pytest.mark.parametrize("base", [0.0, 5e-324, 4.9e7])
+    def test_no_change_is_positive_zero(self, base):
+        for delta_u in (0.0, -0.0):
+            value = speed_change(delta_u, base, math.sqrt(2.0 * base))
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+    def test_a_speed_past_the_float_range_is_nan(self):
+        # the difference of the two speeds was nan or inf here; the
+        # quotient would read 0 or -0
+        for base, delta_u in ((1.7e308, 0.02), (8e307, -2e307)):
+            assert math.isnan(speed_change(delta_u, base,
+                                           math.sqrt(2.0 * base)))
+        huge = BackgroundState(u0=1.0, g0=9.8, u_infinity=1.7e308)
+        assert math.isnan(sphere_anomaly(GAS_CAVITY, huge).delta_v_s)
 
 
 class TestBackgroundState:

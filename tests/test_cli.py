@@ -4,12 +4,20 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geopotent import PulseTable
+from geopotent import (
+    AnomalySource,
+    BackgroundState,
+    EarthParameters,
+    PulseTable,
+    detectability_report,
+    surface_background,
+)
 from geopotent.cli import (
     PROFILE_HEADER,
     PULSE_COLUMNS,
@@ -91,6 +99,36 @@ class TestGolden:
         assert rc == 0
         with open(os.path.join(GOLDEN, name), "rb") as fh:
             assert produced == fh.read()
+
+    def test_delta_v_s_cells_are_exact(self):
+        # sqrt(2*(b - du)) - sqrt(2*b) in 60-digit Decimal, from the
+        # program's b = u_infinity - u0 and its delta_u: CSV cells are
+        # that value to 10 digits, JSON cells within one ulp of it
+        def exact(du, base):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                b, d = Decimal(base), Decimal(du)
+                return float((2 * (b - d)).sqrt() - (2 * b).sqrt())
+
+        with open(os.path.join(GOLDEN, "pulse.json")) as fh:
+            rows = json.load(fh)["rows"]
+        background = surface_background(EarthParameters())
+        base = background.u_infinity - background.u0
+        pulse = [exact(row["delta_u_j_kg"], base) for row in rows]
+        for row, value in zip(rows, pulse):
+            assert abs(row["delta_v_s_m_s"] - value) <= math.ulp(value)
+        anomaly = detectability_report(
+            AnomalySource(5000.0, 500.0, -2700.0), [5000.0, 10000.0],
+            BackgroundState(6.258e7, 9.823, 11.1652e7))
+        base = 11.1652e7 - 6.258e7
+        for name, values in (
+                ("pulse.csv", pulse),
+                ("anomaly.csv", [exact(row.delta_u, base) for row in anomaly])):
+            with open(os.path.join(GOLDEN, name)) as fh:
+                _, _, tables = parse_csv_report(fh.read())
+            column = tables[-1]["columns"].index("delta_v_s_m_s")
+            assert [row[column] for row in tables[-1]["rows"]] == [
+                f"{value:.10g}" for value in values]
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
     def test_byte_stable_across_runs(self, name, tmp_path, monkeypatch):

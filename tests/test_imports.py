@@ -1,4 +1,5 @@
-"""What a fresh process imports: numpy only where arrays are used.
+"""What a fresh process imports: numpy only where arrays are used, and
+neither dataclasses nor inspect at all.
 
 Each test starts a new interpreter, because numpy, once imported by any
 earlier test, stays in this process's ``sys.modules``.
@@ -80,3 +81,24 @@ def test_cli_import_loads_every_module():
     run = fresh("import sys, geopotent.cli\n"
                 f"result = [n for n in {names!r} if n not in sys.modules]")
     assert run["result"] == []
+
+
+@pytest.mark.parametrize("statements", [
+    "import geopotent",
+    "import geopotent.cli",
+    "import geopotent.cli\ngeopotent.cli.main(['direct', '--p-g', '3.6e11'])",
+])
+def test_startup_never_imports_dataclasses_or_inspect(statements):
+    # the records are named tuples and __slots__ classes, built with no
+    # generated code; dataclasses alone would import inspect
+    run = fresh(f"import sys\n{statements}\nresult = [m for m in "
+                "('dataclasses', 'inspect') if m in sys.modules]")
+    assert run["result"] == []
+
+
+def test_schedule_constructor_is_on_the_class():
+    # perfbench/tracer.py times CavitySchedule.__init__ as the
+    # core.schedule_build span, so it must be defined on the class itself
+    run = fresh("from geopotent import CavitySchedule\n"
+                "result = '__init__' in vars(CavitySchedule)")
+    assert run["result"] is True

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 
@@ -252,7 +251,7 @@ def outcome(fn, *args, **kwargs):
         rows = fn(*args, **kwargs)
     except Exception as exc:
         return type(exc), str(exc)
-    return [tuple(map(float.hex, dataclasses.astuple(row))) for row in rows]
+    return [tuple(map(float.hex, row)) for row in rows]
 
 
 def adversarial_case(rng):
@@ -371,15 +370,15 @@ class TestPulseTable:
 
     def test_columns_are_named_like_the_sample_fields(self):
         table = evaluate_schedule(GROWTH, self.times)
-        names = [f.name for f in dataclasses.fields(PulseSample)]
-        assert [f.name for f in dataclasses.fields(PulseTable)] == names
+        names = list(PulseSample._fields)
+        assert list(PulseTable._fields) == names
         assert table.columns() == tuple(getattr(table, n) for n in names)
         assert all(type(col) is tuple for col in table.columns())
         # FieldTable shares the row view: its columns() are its fields too
         field = sample_field(UniformSphere.from_mass_radius(1e12, 500.0),
                              [0.0, 250.0, 1000.0])
-        names = [f.name for f in dataclasses.fields(FieldSample)]
-        assert [f.name for f in dataclasses.fields(FieldTable)] == names
+        names = list(FieldSample._fields)
+        assert list(FieldTable._fields) == names
         columns = field.columns()
         assert type(columns) is tuple and len(columns) == len(names)
         assert all(col is getattr(field, n) for col, n in zip(columns, names))
@@ -402,7 +401,7 @@ class TestPulseTable:
 
     def test_frozen(self):
         table = evaluate_schedule(GROWTH, self.times)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             table.t = ()
 
     def test_exported(self):
