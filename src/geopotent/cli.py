@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from itertools import repeat
 from typing import NamedTuple
@@ -116,16 +115,15 @@ def read_profile_csv(path):
     del body
     cells = text.split(",") if text else []
     del text
-    import numpy as np
     try:
-        values = np.fromiter(map(float, cells), np.float64, count=len(cells))
+        values = list(map(float, cells))
     except ValueError:
         # every line holds 3 cells, so this rebuilds the body
         rows = map(",".join, zip(*[iter(cells)] * 3))
         raise _bad_row(path, rows, linenos) from None
     del cells
     try:
-        return RadialProfile(*values.reshape(-1, 3).T)
+        return RadialProfile(values[0::3], values[1::3], values[2::3])
     except InputError as exc:
         line = f":{linenos[exc.index]}" if exc.index is not None else ""
         raise InputError(f"{path}{line}: {exc}") from exc
@@ -607,11 +605,5 @@ def main(argv=None):
 
 
 def entry():
-    """The console script and ``python -m geopotent``.
-
-    numpy, which the profile commands load, starts OpenBLAS worker
-    threads that spin although no geopotent code calls BLAS; one thread
-    is the default here, and a value the user sets wins.
-    """
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    """The console script and ``python -m geopotent``."""
     sys.exit(main())

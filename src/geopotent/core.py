@@ -14,6 +14,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 
 from .errors import (
     NonMonotonicRadiusError,
@@ -239,25 +240,19 @@ class EarthParameters(Record):
 class RadialProfile(Record):
     """Tabulated (radius, density, pressure) model of a real body.
 
-    Arrays are read-only float64 copies of the inputs. Radii are strictly
-    increasing; density is positive; pressure is non-negative and rises
-    between adjacent samples by no more than ``PRESSURE_SLACK`` relative.
-    Construct through :func:`validate_profile`.
+    The columns are tuples of Python floats, copied from the inputs.
+    Radii are strictly increasing; density is positive; pressure is
+    non-negative and rises between adjacent samples by no more than
+    ``PRESSURE_SLACK`` relative. Construct through
+    :func:`validate_profile`.
     """
 
     # no __slots__: the cached mass table lives in the instance __dict__
     _fields = ("radii", "densities", "pressures")
 
     def __init__(self, radii, densities, pressures):
-        import numpy as np
-        columns = []
-        for values in (radii, densities, pressures):
-            # a copy: freezing it leaves the caller's array writable, and
-            # later writes to the caller's array cannot reach the profile
-            # or its cached mass table
-            arr = np.array(values, dtype=np.float64, order="C")
-            arr.flags.writeable = False
-            columns.append(arr)
+        columns = tuple(map(_float_column, ("radius", "density", "pressure"),
+                            (radii, densities, pressures)))
         self._set(*columns)
         _validate_columns(*columns)
 
@@ -273,70 +268,85 @@ class RadialProfile(Record):
 
     @property
     def body_radius(self):
-        return float(self.radii[-1])
+        return self.radii[-1]
 
     @property
     def samples(self):
         """Rows as a list of (radius, density, pressure) tuples."""
-        return list(zip(self.radii.tolist(), self.densities.tolist(),
-                        self.pressures.tolist()))
+        return list(zip(self.radii, self.densities, self.pressures))
 
     def __len__(self):
-        return self.radii.shape[0]
+        return len(self.radii)
 
-    def __eq__(self, other):
-        import numpy as np
-        if not isinstance(other, RadialProfile):
-            return NotImplemented
-        return (np.array_equal(self.radii, other.radii)
-                and np.array_equal(self.densities, other.densities)
-                and np.array_equal(self.pressures, other.pressures))
 
-    def __hash__(self):
-        return hash((self.radii.tobytes(), self.densities.tobytes(),
-                     self.pressures.tobytes()))
+def _float_column(name, values):
+    """`values`, a sequence or array of numbers, as a tuple of floats."""
+    tolist = getattr(values, "tolist", None)  # reads an array without numpy
+    cells = tolist() if tolist is not None else values
+    if _is_sequence(cells):
+        cells = tuple(cells)
+        try:
+            return tuple(map(float, cells))
+        except (TypeError, ValueError, OverflowError):
+            pass
+        for i, cell in enumerate(cells):
+            if _is_sequence(cell):
+                break
+            try:
+                float(cell)
+            except OverflowError:
+                raise NonPhysicalValueError(
+                    f"{name} at sample {i} is too large for a float",
+                    index=i) from None
+            except (TypeError, ValueError):
+                raise NonPhysicalValueError(
+                    f"{name} is not a number at sample {i}: {cell!r}",
+                    index=i) from None
+    raise NonPhysicalValueError(
+        f"{name} must be a one-dimensional column of numbers")
+
+
+def _is_sequence(value):
+    return hasattr(value, "__iter__") and not isinstance(value, (str, bytes))
 
 
 def _validate_columns(radii, densities, pressures):
-    import numpy as np
-    n = radii.shape[0]
+    # one C-level pass per rule on a clean profile; the index of the
+    # first violation is looked up only once a rule fails
+    n = len(radii)
     if n < 4:
         raise TooFewSamplesError(
             f"profile needs at least 4 samples, got {n}" if n
             else "profile is empty")
-    if densities.shape[0] != n or pressures.shape[0] != n:
+    if len(densities) != n or len(pressures) != n:
         raise NonPhysicalValueError("profile columns have mismatched lengths")
     for name, col in (("radius", radii), ("density", densities),
                       ("pressure", pressures)):
-        bad = np.flatnonzero(~np.isfinite(col))
-        if bad.size:
+        if not all(map(math.isfinite, col)):
+            i = next(i for i, v in enumerate(col) if not math.isfinite(v))
             raise NonPhysicalValueError(
-                f"{name} is not finite at sample {bad[0]}", index=int(bad[0]))
+                f"{name} is not finite at sample {i}", index=i)
     if radii[0] < 0.0:
         raise NonPhysicalValueError(
             f"first radius must be >= 0, got {radii[0]}", index=0)
-    steps = np.diff(radii)
-    bad = np.flatnonzero(steps <= 0.0)
-    if bad.size:
-        i = int(bad[0]) + 1
+    if not all(map(operator.lt, radii, radii[1:])):
+        i = next(i for i in range(1, n) if not radii[i - 1] < radii[i])
         raise NonMonotonicRadiusError(
             f"radii must be strictly increasing; sample {i} has "
             f"r = {radii[i]} after {radii[i - 1]}", index=i)
-    bad = np.flatnonzero(densities <= 0.0)
-    if bad.size:
-        i = int(bad[0])
+    if not min(densities) > 0.0:
+        i = next(i for i, v in enumerate(densities) if not v > 0.0)
         raise NonPhysicalValueError(
             f"density must be positive; sample {i} has {densities[i]}", index=i)
-    bad = np.flatnonzero(pressures < 0.0)
-    if bad.size:
-        i = int(bad[0])
+    if min(pressures) < 0.0:
+        i = next(i for i, v in enumerate(pressures) if v < 0.0)
         raise NonPhysicalValueError(
             f"pressure must be non-negative; sample {i} has {pressures[i]}",
             index=i)
-    rises = np.flatnonzero(pressures[1:]
-                           > pressures[:-1] * (1.0 + PRESSURE_SLACK))
-    if rises.size:
-        i = int(rises[0]) + 1
+    ceilings = map(operator.mul, pressures, repeat(1.0 + PRESSURE_SLACK))
+    if any(map(operator.gt, pressures[1:], ceilings)):
+        i = next(i for i in range(1, n)
+                 if pressures[i] > pressures[i - 1] * (1.0 + PRESSURE_SLACK))
         raise PressureIncreaseError(
             f"pressure rises with radius at sample {i}: {pressures[i - 1]} "
             f"-> {pressures[i]} exceeds slack {PRESSURE_SLACK:.2%}", index=i)
@@ -362,15 +372,17 @@ def validate_profile(raw_samples):
     PressureIncreaseError
         The first violation found, with its sample index where relevant.
     """
-    import numpy as np
-    rows = (raw_samples if isinstance(raw_samples, np.ndarray)
-            else list(raw_samples))
-    # no rows are an empty table, which RadialProfile words
-    arr = np.asarray(rows, dtype=np.float64) if len(rows) else np.empty((0, 3))
-    if arr.ndim != 2 or arr.shape[1] != 3:
+    tolist = getattr(raw_samples, "tolist", None)
+    rows = tolist() if tolist is not None else list(raw_samples)
+    try:
+        widths = set(map(len, rows))
+    except TypeError:  # a row without a length
+        widths = None
+    if widths is None or not widths <= {3}:
         raise NonPhysicalValueError(
             "each sample must be a (radius, density, pressure) triple")
-    return RadialProfile(arr[:, 0], arr[:, 1], arr[:, 2])
+    # no rows are an empty table, which RadialProfile words
+    return RadialProfile(*(zip(*rows) if rows else ((), (), ())))
 
 
 class PotentialBreakdown(namedtuple(

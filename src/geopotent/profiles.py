@@ -17,6 +17,9 @@ segment, reported at its inner knot.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from itertools import accumulate
+from operator import sub, truediv
 from typing import NamedTuple
 
 from .core import RadialProfile
@@ -45,19 +48,20 @@ class MassTable(NamedTuple):
     ``knots`` are the sampled radii, preceded by ``0`` when the first
     sampled radius is above zero; ``densities`` are the densities there,
     the innermost one repeated at that added center knot. ``mass[i]`` is
-    M(knots[i]). The arrays are float64 and read-only.
+    M(knots[i]). All three are tuples of floats.
     """
 
-    knots: np.ndarray
-    densities: np.ndarray
-    mass: np.ndarray
+    knots: tuple
+    densities: tuple
+    mass: tuple
 
 
 def _shell_mass(r, rho, slope, t):
     # 4*pi * integral of (rho + slope*x) * (r + x)^2 over x in [0, t].
     # Written in the offset t from the knot r: the same polynomial in s
     # loses ~1e-10 to cancellation on narrow intervals far from the center.
-    # Plain products, not powers, so array and scalar calls agree bitwise.
+    # Plain products, not powers: a float power that overflows raises
+    # OverflowError, where a product gives inf.
     t2 = t * t
     t3 = t2 * t
     return FOUR_PI * (rho * (r * r * t + r * t2 + t3 / 3.0)
@@ -66,19 +70,18 @@ def _shell_mass(r, rho, slope, t):
 
 
 def build_mass_table(radii, densities):
-    """The MassTable of a piecewise-linear density sampled at `radii`."""
-    import numpy as np
+    """The MassTable of a piecewise-linear density sampled at `radii`.
+
+    `radii` and `densities` are tuples of floats, as a RadialProfile
+    holds them.
+    """
     if radii[0] > 0.0:
-        radii = np.concatenate(([0.0], radii))
-        densities = np.concatenate((densities[:1], densities))
-    t = np.diff(radii)
-    shells = _shell_mass(radii[:-1], densities[:-1], np.diff(densities) / t, t)
-    mass = np.zeros(radii.shape[0])
-    np.cumsum(shells, out=mass[1:])
-    table = MassTable(radii.view(), densities.view(), mass)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
+        radii, densities = (0.0, *radii), densities[:1] + densities
+    shells = [_shell_mass(r, rho, (rho_next - rho) / (r_next - r), r_next - r)
+              for r, r_next, rho, rho_next
+              in zip(radii, radii[1:], densities, densities[1:])]
+    # summed in order, from 0 at the center
+    return MassTable(radii, densities, tuple(accumulate(shells, initial=0.0)))
 
 
 def interpolate(profile: RadialProfile, r):
@@ -89,13 +92,18 @@ def interpolate(profile: RadialProfile, r):
     (float, float)
         (density kg/m^3, pressure Pa), linear between knots, exact at them.
     """
-    import numpy as np
-    if not (profile.radii[0] <= r <= profile.body_radius):
+    radii = profile.radii
+    if not (radii[0] <= r <= profile.body_radius):
         raise OutOfDomainError(
             f"r = {r!r} outside sampled range "
-            f"[{profile.radii[0]}, {profile.body_radius}]")
-    return (float(np.interp(r, profile.radii, profile.densities)),
-            float(np.interp(r, profile.radii, profile.pressures)))
+            f"[{radii[0]}, {profile.body_radius}]")
+    i = bisect_right(radii, r) - 1
+    if r == radii[i]:  # a knot, the last one included
+        return profile.densities[i], profile.pressures[i]
+    # slope * (r - r_i) + f_i, the formula of numpy.interp
+    width, offset = radii[i + 1] - radii[i], r - radii[i]
+    return tuple((col[i + 1] - col[i]) / width * offset + col[i]
+                 for col in (profile.densities, profile.pressures))
 
 
 def enclosed_mass(profile: RadialProfile, r):
@@ -103,15 +111,13 @@ def enclosed_mass(profile: RadialProfile, r):
 
     Monotone non-decreasing in r; zero at r = 0.
     """
-    import numpy as np
     if not (0.0 <= r <= profile.body_radius):
         raise OutOfDomainError(
             f"r = {r!r} outside [0, {profile.body_radius}]")
     knots, rho, mass = profile.mass_table
-    i = min(int(np.searchsorted(knots, r, side="right")) - 1,
-            knots.shape[0] - 2)
+    i = min(bisect_right(knots, r) - 1, len(knots) - 2)
     slope = (rho[i + 1] - rho[i]) / (knots[i + 1] - knots[i])
-    return float(mass[i] + _shell_mass(knots[i], rho[i], slope, r - knots[i]))
+    return mass[i] + _shell_mass(knots[i], rho[i], slope, r - knots[i])
 
 
 def surface_potential_integral(profile: RadialProfile, gamma):
@@ -121,19 +127,20 @@ def surface_potential_integral(profile: RadialProfile, gamma):
     is finite at s -> 0 for bounded density (M ~ s^3), so a profile
     starting at zero radius poses no difficulty.
     """
-    import numpy as np
     knots, rho, mass = profile.mass_table
     # skip the interval below the first sampled radius, if the table has one
-    first = knots.shape[0] - len(profile)
-    r0, r1 = knots[first:-1], knots[first + 1:]
-    rho0, mass0 = rho[first:-1], mass[first:-1]
-    t = r1 - r0
-    # M_i * (1/r_i - 1/r_{i+1}), which is 0 on an interval from the center
-    inner = np.divide(mass0 * t, r0 * r1, out=np.zeros_like(t),
-                      where=r0 > 0.0)
-    shell = FOUR_PI * t * t / (12.0 * r1) * (
-        2.0 * rho0 * (3.0 * r0 + t) + np.diff(rho[first:]) * (r0 + r1))
-    return gamma * float(np.sum(inner + shell))
+    first = len(knots) - len(profile)
+    terms = []
+    for r0, r1, rho0, rho1, mass0 in zip(knots[first:], knots[first + 1:],
+                                         rho[first:], rho[first + 1:],
+                                         mass[first:]):
+        t = r1 - r0
+        # M_i * (1/r_i - 1/r_{i+1}), which is 0 on an interval from the center
+        inner = mass0 * t / (r0 * r1) if r0 > 0.0 else 0.0
+        shell = FOUR_PI * t * t / (12.0 * r1) * (
+            2.0 * rho0 * (3.0 * r0 + t) + (rho1 - rho0) * (r0 + r1))
+        terms.append(inner + shell)
+    return gamma * sum(terms)
 
 
 def pressure_gradient_max(profile: RadialProfile):
@@ -148,20 +155,24 @@ def pressure_gradient_max(profile: RadialProfile):
     DegenerateProfileError
         If the pressure is constant (no gradient maximum exists).
     """
-    import numpy as np
     radii, pressures = profile.radii, profile.pressures
-    slopes = np.abs(np.diff(pressures) / np.diff(radii))
-    grad = float(np.max(slopes))
+    # |dP/dr| of every segment; finite or inf, never nan, as the radii
+    # strictly increase and the pressures are finite
+    slopes = list(map(abs, map(truediv, map(sub, pressures[1:], pressures),
+                               map(sub, radii[1:], radii))))
+    grad = max(slopes)
     if grad <= 0.0:
         raise DegenerateProfileError(
             "pressure is constant; the gradient has no maximum")
-    k = int(np.argmax(slopes >= grad * (1.0 - _GRAD_P_TIE_RTOL)))
-    return GradPResult(float(radii[k]), float(pressures[k]), grad)
+    # the first slope within the tie margin of the steepest
+    cut = grad * (1.0 - _GRAD_P_TIE_RTOL)
+    k = slopes.index(next(filter(cut.__le__, slopes)))
+    return GradPResult(radii[k], pressures[k], grad)
 
 
 def mean_density(profile: RadialProfile):
     """Total tabulated mass divided by the body volume, kg/m^3."""
-    total = float(profile.mass_table.mass[-1])
+    total = profile.mass_table.mass[-1]
     return total / ((4.0 / 3.0) * math.pi * profile.body_radius**3)
 
 
@@ -177,6 +188,5 @@ def core_equilibrium_gravity(profile: RadialProfile, core_radius):
             f"(0, {profile.body_radius})")
     _, pressure = interpolate(profile, core_radius)
     area = 4.0 * math.pi * core_radius**2
-    outside = (float(profile.mass_table.mass[-1])
-               - enclosed_mass(profile, core_radius))
+    outside = profile.mass_table.mass[-1] - enclosed_mass(profile, core_radius)
     return pressure * area / outside

@@ -406,7 +406,41 @@ class TestInverse:
         assert "domain error" in captured.err and "inf" in captured.err
 
 
+# Finite profiles whose numerics overflow: densities and pressures near
+# 1e300, and 1e-300 m knot gaps under a 1.7e308 Pa pressure
+EXTREME_PROFILES = {
+    "huge_values": ["0,1e300,1e300", "1e6,9e299,9e299", "2e6,8e299,8e299",
+                    "3e6,7e299,7e299"],
+    "tiny_gaps": ["0,13000,1.7e308", "1e-300,12000,1e308",
+                  "2e-300,11000,1e307", "6.371e6,3000,0"],
+}
+
+
+def run_module(argv, tmp_path, kind):
+    """`python -m geopotent argv --profile <the EXTREME_PROFILES kind>`."""
+    path = tmp_path / f"{kind}.csv"
+    path.write_text(PROFILE_HEADER + "\n" + "\n".join(EXTREME_PROFILES[kind])
+                    + "\n")
+    return subprocess.run(
+        [sys.executable, "-m", "geopotent", *argv, "--profile", str(path)],
+        cwd=ROOT, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
+
+
 class TestProfileCommand:
+    @pytest.mark.parametrize("kind", sorted(EXTREME_PROFILES))
+    def test_overflow_is_one_domain_error_line(self, kind, tmp_path):
+        proc = run_module(["profile"], tmp_path, kind)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("geopotent: domain error: ")
+
+    def test_direct_reads_p_g_across_tiny_gaps(self, tmp_path):
+        proc = run_module(["direct", "--format", "json"], tmp_path,
+                          "tiny_gaps")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["inputs"]["p_g"] == 1.7e308
+
     def test_fixture_report(self, capsys, monkeypatch):
         monkeypatch.chdir(ROOT)
         assert main(["profile", "--profile", "tests/fixtures/prem20.csv"]) == 0
@@ -876,7 +910,7 @@ class TestConsoleEntry:
     def test_entry_exits_with_main_code(self, argv, code, capsys,
                                         monkeypatch):
         monkeypatch.delenv("GEOPOTENT_CONFIG", raising=False)
-        # entry() sets a default OPENBLAS_NUM_THREADS; a set value is kept
+        # entry() leaves OPENBLAS_NUM_THREADS as the user set it
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.setattr(sys, "argv", ["geopotent", *argv])
         with pytest.raises(SystemExit) as exc:
@@ -923,9 +957,9 @@ print(json.dumps({"code": code,
 class TestBlasThreads:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="needs /proc/self/task to count OS threads")
-    def test_cli_runs_numpy_with_one_thread(self):
-        assert fresh(PROFILE_RUN) == {"code": 0, "openblas": "1",
-                                      "numpy": True, "threads": 1}
+    def test_profile_run_has_one_thread_and_no_numpy(self):
+        assert fresh(PROFILE_RUN) == {"code": 0, "openblas": None,
+                                      "numpy": False, "threads": 1}
 
     def test_users_value_is_kept(self):
         run = fresh(PROFILE_RUN, OPENBLAS_NUM_THREADS="2")

@@ -167,10 +167,19 @@ class TestValidateProfile:
         assert prem_profile.body_radius == 6.371e6
         assert prem_profile.pressures[0] > 3.6e11
 
-    def test_arrays_read_only(self):
+    def test_columns_read_only(self):
         profile = uniform_profile()
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             profile.radii[0] = 1.0
+
+    def test_columns_are_float_tuples(self):
+        profile = validate_profile([(0, 4, 3), (1, 3, 2), (2, 2, 1),
+                                    (np.float64(3.0), np.float32(1.0), 0)])
+        for col in (profile.radii, profile.densities, profile.pressures):
+            assert type(col) is tuple
+            assert set(map(type, col)) == {float}
+        assert profile.samples == [(0.0, 4.0, 3.0), (1.0, 3.0, 2.0),
+                                   (2.0, 2.0, 1.0), (3.0, 1.0, 0.0)]
 
     def test_caller_arrays_stay_writable(self):
         r = np.array([0.0, 1.0e6, 2.0e6, 3.0e6])
@@ -180,9 +189,45 @@ class TestValidateProfile:
         for caller, own in ((r, profile.radii), (d, profile.densities),
                             (p, profile.pressures)):
             assert caller.flags.writeable
-            assert not own.flags.writeable
+            assert own == tuple(caller.tolist())
         r[1] = 1.5e6
         assert profile.radii[1] == 1.0e6
+
+
+BAD_PROFILE_INPUTS = {
+    "ragged_rows": (
+        lambda: validate_profile([(0, 1, 2), (1, 2)]),
+        "each sample must be a (radius, density, pressure) triple", None),
+    "non_numeric_cell": (
+        lambda: validate_profile([(0, "a", 1)] * 4),
+        "density is not a number at sample 0: 'a'", 0),
+    "none_cell": (
+        lambda: RadialProfile([0, 1, 2, 3], [4, 3, 2, 1], [3, 2, None, 0]),
+        "pressure is not a number at sample 2: None", 2),
+    "scalar_column": (
+        lambda: RadialProfile(5.0, [1], [1]),
+        "radius must be a one-dimensional column of numbers", None),
+    "string_column": (
+        lambda: RadialProfile("0123", [4, 3, 2, 1], [3, 2, 1, 0]),
+        "radius must be a one-dimensional column of numbers", None),
+    "two_dimensional_column": (
+        lambda: RadialProfile(np.arange(8.0).reshape(4, 2), [4, 3, 2, 1],
+                              [3, 2, 1, 0]),
+        "radius must be a one-dimensional column of numbers", None),
+    "int_too_large_for_a_float": (
+        lambda: validate_profile([(0, 4, 3), (1, 3, 2), (2, 10**400, 1),
+                                  (3, 1, 0)]),
+        "density at sample 2 is too large for a float", 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_PROFILE_INPUTS))
+def test_bad_profile_input_is_a_non_physical_value(kind):
+    build, message, index = BAD_PROFILE_INPUTS[kind]
+    with pytest.raises(NonPhysicalValueError) as err:
+        build()
+    assert str(err.value) == message
+    assert err.value.index == index
 
 
 class TestPotentialBreakdown:

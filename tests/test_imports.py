@@ -1,5 +1,6 @@
-"""What a fresh process imports: numpy only where arrays are used, and
-neither dataclasses nor inspect at all.
+"""What a fresh process imports: numpy only for ``sample_field`` and
+``FieldTable``, whose callers work with arrays, and neither dataclasses
+nor inspect at all. No CLI command imports numpy.
 
 Each test starts a new interpreter, because numpy, once imported by any
 earlier test, stays in this process's ``sys.modules``.
@@ -14,6 +15,8 @@ import sys
 import pytest
 
 import geopotent
+
+from test_profile_csv import MALFORMED
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEDULE = "tests/fixtures/growth_schedule.json"
@@ -67,9 +70,28 @@ def test_package_import_never_imports_numpy():
     assert fresh("import geopotent")["numpy"] is False
 
 
-def test_profile_command_imports_numpy():
-    run = run_main(["profile", "--profile", "tests/fixtures/prem20.csv"])
-    assert run == {"result": 0, "numpy": True}
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", ["profile", "direct"])
+def test_profile_commands_never_import_numpy(command, fmt):
+    run = run_main([command, "--profile", "tests/fixtures/prem20.csv",
+                    "--format", fmt])
+    assert run == {"result": 0, "numpy": False}
+
+
+@pytest.mark.parametrize("kind", ["non_numeric", "non_monotone"])
+def test_malformed_profiles_never_import_numpy(kind, tmp_path):
+    bad = tmp_path / f"{kind}.csv"
+    bad.write_text(MALFORMED[kind][0])
+    assert run_main(["profile", "--profile", str(bad)]) == {"result": 2,
+                                                           "numpy": False}
+
+
+def test_sample_field_imports_numpy():
+    run = fresh("import geopotent\n"
+                "sphere = geopotent.UniformSphere.from_mass_radius("
+                "5.9737e24, 6.371e6)\n"
+                "result = len(geopotent.sample_field(sphere, [0.0, 1.0e7]))")
+    assert run == {"result": 2, "numpy": True}
 
 
 def test_cli_import_loads_every_module():

@@ -94,7 +94,7 @@ def outcome(read, path):
         profile = read(path)
     except InputError as exc:
         return str(exc)
-    return [list(map(float.hex, col.tolist()))
+    return [list(map(float.hex, col))
             for col in (profile.radii, profile.densities, profile.pressures)]
 
 
@@ -173,7 +173,7 @@ def test_blank_lines_still_parse(tmp_path):
     blank.write_text(PROFILE_HEADER + "\n\n" + "\n\n".join(ROWS) + "\n \n")
     clean.write_text(csv_text(*ROWS))
     profile = read_profile_csv(str(blank))
-    assert profile.radii.tolist() == [0.0, 1e6, 2e6, 3e6, 4e6, 6.371e6]
+    assert list(profile.radii) == [0.0, 1e6, 2e6, 3e6, 4e6, 6.371e6]
     assert profile == read_profile_csv(str(clean))
 
 
@@ -186,5 +186,5 @@ def test_well_formed_files_never_call_the_fault_scan(monkeypatch, tmp_path):
     assert len(profile) == 20 and profile.radii[0] == 0.0
     blank = tmp_path / "blank.csv"
     blank.write_text(PROFILE_HEADER + "\n \n" + "\n\t\n".join(ROWS) + "\n")
-    assert read_profile_csv(str(blank)).radii.tolist() == [
+    assert list(read_profile_csv(str(blank)).radii) == [
         0.0, 1e6, 2e6, 3e6, 4e6, 6.371e6]

@@ -60,8 +60,8 @@ RECORDS = {
         EARTH, (6.4e6,) + EARTH[1:]),
     RadialProfile: (
         ("radii", "densities", "pressures"), {},
-        ([0.0, 1.0, 2.0, 3.0], [4.0, 3.0, 2.0, 1.0], [4.0, 3.0, 2.0, 1.0]),
-        ([0.0, 1.0, 2.0, 3.0], [4.0, 3.0, 2.0, 1.0], [4.0, 3.0, 2.0, 0.0])),
+        ((0.0, 1.0, 2.0, 3.0), (4.0, 3.0, 2.0, 1.0), (4.0, 3.0, 2.0, 1.0)),
+        ((0.0, 1.0, 2.0, 3.0), (4.0, 3.0, 2.0, 1.0), (4.0, 3.0, 2.0, 0.0))),
     PotentialBreakdown: (
         ("u_surface", "equipotential_surface", "compression_potential",
          "u_infinity"), {}, (1.0, 2.0, 0.5, 3.5), (1.0, 2.0, 0.0, 3.0)),
