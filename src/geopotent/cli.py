@@ -81,8 +81,8 @@ PULSE_HEADER = ",".join(PULSE_COLUMNS)
 # JSON.
 PULSE_MAX_SAMPLES = 100_000
 
-# The smallest float whose 10 significant digits read back as inf: below
-# it, "{:.10g}" alone is the rule of _fmt for a finite float
+# The smallest float whose 10 significant digits read back as inf: a
+# finite float below it in magnitude is written "%.10g", any other in full
 _FMT_LIMIT = 1.7976931345e308
 
 EXIT_OK = 0
@@ -95,9 +95,9 @@ EXIT_DOMAIN = 3
 def read_profile_csv(path):
     """Parse a profile CSV; errors carry 1-based line numbers.
 
-    Blank lines are skipped. The body is read in one columnar pass with
-    ``float`` and validated by ``RadialProfile``; a body with a row that
-    is not 3 numbers is scanned line by line only to word that row.
+    Blank lines are skipped. The body is split into cells in one pass
+    and ``RadialProfile`` parses and validates them; a body with a row
+    that is not 3 numbers is scanned line by line only to word that row.
     """
     lines = read_text(path).splitlines()
     if not lines or lines[0].strip() != PROFILE_HEADER:
@@ -108,6 +108,7 @@ def read_profile_csv(path):
     linenos = (range(2, len(lines) + 1) if len(body) == len(lines) - 1 else
                [n for n, line in enumerate(lines[1:], start=2) if line.strip()])
     del lines
+    # a row of other than 3 cells would shift every later row's columns
     if not set(map(str.count, body, repeat(","))) <= {2}:
         raise _bad_row(path, body, linenos)
     # hold one form of the body at a time, so peak RSS does not grow
@@ -116,15 +117,16 @@ def read_profile_csv(path):
     cells = text.split(",") if text else []
     del text
     try:
-        values = list(map(float, cells))
-    except ValueError:
-        # every line holds 3 cells, so this rebuilds the body
-        rows = map(",".join, zip(*[iter(cells)] * 3))
-        raise _bad_row(path, rows, linenos) from None
-    del cells
-    try:
-        return RadialProfile(values[0::3], values[1::3], values[2::3])
+        return RadialProfile(cells[0::3], cells[1::3], cells[2::3])
     except InputError as exc:
+        if exc.index is not None:
+            # the columns are parsed radius first, so a reported
+            # non-number lies at or after the first one in the file
+            head = cells[:3 * (exc.index + 1)]
+            bad = _bad_row(path, map(",".join, zip(*[iter(head)] * 3)),
+                           linenos)
+            if bad is not None:
+                raise bad from None
         line = f":{linenos[exc.index]}" if exc.index is not None else ""
         raise InputError(f"{path}{line}: {exc}") from exc
 
@@ -195,8 +197,7 @@ def _fmt(value):
     if isinstance(value, float):
         if not math.isfinite(value):
             raise DomainError(f"report holds a non-finite value: {value!r}")
-        text = f"{value:.10g}"
-        return text if math.isfinite(float(text)) else repr(value)
+        return f"{value:.10g}" if abs(value) < _FMT_LIMIT else repr(value)
     return str(value)
 
 

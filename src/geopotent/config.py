@@ -105,7 +105,11 @@ def parse_config(data, source="config") -> RunConfig:
         block = data["constants"]
         _check_keys(block, ("gamma",), f"{source}.constants")
         if "gamma" in block:
-            constants = PhysicalConstants(_number(block, "gamma", f"{source}.constants"))
+            try:
+                constants = PhysicalConstants(
+                    _number(block, "gamma", f"{source}.constants"))
+            except NonPhysicalValueError as exc:
+                raise ConfigError(f"{source}.constants: {exc}") from exc
 
     earth_fields = {}
     if "earth" in data:

@@ -240,11 +240,14 @@ class EarthParameters(Record):
 class RadialProfile(Record):
     """Tabulated (radius, density, pressure) model of a real body.
 
-    The columns are tuples of Python floats, copied from the inputs.
-    Radii are strictly increasing; density is positive; pressure is
-    non-negative and rises between adjacent samples by no more than
-    ``PRESSURE_SLACK`` relative. Construct through
-    :func:`validate_profile`.
+    Takes three columns of equal length, ordered by radius: lists,
+    tuples or 1-D arrays of numbers or numeric strings; a table ``t``
+    of rows is ``RadialProfile(*t.T)``. They are stored as tuples of
+    Python floats. Radii are strictly increasing and the last is the
+    body radius; density is positive; pressure is non-negative and rises
+    between adjacent samples by no more than ``PRESSURE_SLACK``
+    relative. The first violation raises an ``InputError`` subclass
+    carrying its sample ``index`` where it has one.
     """
 
     # no __slots__: the cached mass table lives in the instance __dict__
@@ -270,17 +273,12 @@ class RadialProfile(Record):
     def body_radius(self):
         return self.radii[-1]
 
-    @property
-    def samples(self):
-        """Rows as a list of (radius, density, pressure) tuples."""
-        return list(zip(self.radii, self.densities, self.pressures))
-
     def __len__(self):
         return len(self.radii)
 
 
 def _float_column(name, values):
-    """`values`, a sequence or array of numbers, as a tuple of floats."""
+    """A tuple of floats from a column of numbers or numeric strings."""
     tolist = getattr(values, "tolist", None)  # reads an array without numpy
     cells = tolist() if tolist is not None else values
     if _is_sequence(cells):
@@ -350,39 +348,6 @@ def _validate_columns(radii, densities, pressures):
         raise PressureIncreaseError(
             f"pressure rises with radius at sample {i}: {pressures[i - 1]} "
             f"-> {pressures[i]} exceeds slack {PRESSURE_SLACK:.2%}", index=i)
-
-
-def validate_profile(raw_samples):
-    """Validate raw (radius, density, pressure) rows into a RadialProfile.
-
-    Parameters
-    ----------
-    raw_samples : sequence of (float, float, float), or an (n, 3) array
-        Rows ordered by radius; the last radius becomes the body radius.
-        Pressure may rise between adjacent rows by at most
-        ``PRESSURE_SLACK`` relative.
-
-    Returns
-    -------
-    RadialProfile
-
-    Raises
-    ------
-    TooFewSamplesError, NonMonotonicRadiusError, NonPhysicalValueError,
-    PressureIncreaseError
-        The first violation found, with its sample index where relevant.
-    """
-    tolist = getattr(raw_samples, "tolist", None)
-    rows = tolist() if tolist is not None else list(raw_samples)
-    try:
-        widths = set(map(len, rows))
-    except TypeError:  # a row without a length
-        widths = None
-    if widths is None or not widths <= {3}:
-        raise NonPhysicalValueError(
-            "each sample must be a (radius, density, pressure) triple")
-    # no rows are an empty table, which RadialProfile words
-    return RadialProfile(*(zip(*rows) if rows else ((), (), ())))
 
 
 class PotentialBreakdown(namedtuple(

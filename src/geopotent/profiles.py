@@ -140,7 +140,13 @@ def surface_potential_integral(profile: RadialProfile, gamma):
         shell = FOUR_PI * t * t / (12.0 * r1) * (
             2.0 * rho0 * (3.0 * r0 + t) + (rho1 - rho0) * (r0 + r1))
         terms.append(inner + shell)
-    return gamma * sum(terms)
+    # exactly rounded, so the same bits on every Python version. A total
+    # past the float range, or terms holding both inf and -inf (an
+    # overflowing mass table), is what sum gives: inf or nan.
+    try:
+        return gamma * math.fsum(terms)
+    except (OverflowError, ValueError):
+        return gamma * sum(terms)
 
 
 def pressure_gradient_max(profile: RadialProfile):

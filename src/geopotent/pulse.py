@@ -34,6 +34,7 @@ from .errors import (
     OutOfDomainError,
 )
 from .kernels import exterior_gravity
+from .solver import direct_problem
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
@@ -88,16 +89,17 @@ def pulsating_potential(mass, radius_t, observer_r, gamma=_DEFAULT_GAMMA):
 def surface_background(earth: EarthParameters | None = None) -> BackgroundState:
     """Compression-free surface background for the precursor view.
 
-    u0 is the uniform-equivalent surface potential, u_infinity adds the
-    surface equipotential term, so the baseline equipotential velocity is
-    exactly the surface first cosmic velocity.
+    The direct problem of the homogeneous model (phi_G = 0): u0 is its
+    uniform-equivalent surface potential and u_infinity its at-infinity
+    value, so the baseline equipotential velocity is exactly the surface
+    first cosmic velocity.
     """
     if earth is None:
         earth = EarthParameters()
-    u_r = earth.uniform_surface_potential
-    v1k = earth.surface_first_cosmic_velocity
+    breakdown = direct_problem(earth, 0.0)
     g0 = exterior_gravity(earth.gm, earth.mean_radius)
-    return BackgroundState(u0=u_r, g0=g0, u_infinity=u_r + 0.5 * v1k * v1k)
+    return BackgroundState(u0=breakdown.u_surface, g0=g0,
+                           u_infinity=breakdown.u_infinity)
 
 
 def cavity_mass_deficit(schedule: CavitySchedule, t):

@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from geopotent import UniformSphere, validate_profile
+from geopotent import RadialProfile, UniformSphere
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 PREM_CSV = os.path.join(FIXTURES, "prem20.csv")
@@ -18,7 +18,7 @@ EARTH_V1K = 7910.0
 @pytest.fixture(scope="session")
 def prem_profile():
     tab = np.genfromtxt(PREM_CSV, delimiter=",", skip_header=1)
-    return validate_profile([tuple(row) for row in tab])
+    return RadialProfile(*tab.T)
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +30,7 @@ def uniform_profile(rho=EARTH_MEAN_DENSITY, body_radius=EARTH_RADIUS, n=21):
     """Uniform-density profile with the analytic hydrostatic pressure curve."""
     r = np.linspace(0.0, body_radius, n)
     pressure = (2.0 / 3.0) * np.pi * GAMMA * rho**2 * (body_radius**2 - r**2)
-    return validate_profile(list(zip(r, np.full(n, rho), pressure)))
+    return RadialProfile(r, np.full(n, rho), pressure)
 
 
 def random_sphere(rng):

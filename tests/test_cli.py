@@ -46,6 +46,8 @@ GOLDEN_CASES = {
                      "--config", "tests/fixtures/earth_config.json",
                      "--format", "json"],
     "profile.csv": ["profile", "--profile", "tests/fixtures/prem20.csv"],
+    "profile.json": ["profile", "--profile", "tests/fixtures/prem20.csv",
+                     "--format", "json"],
     "anomaly.csv": ["anomaly", "--depth", "5000", "--radius", "500",
                     "--density-contrast", "-2700", "--offsets", "5000,10000",
                     "--u0", "6.258e7", "--g0", "9.823",
@@ -140,7 +142,8 @@ class TestGolden:
 
 class TestFormatConsistency:
     @pytest.mark.parametrize("csv_name,json_name", [
-        ("direct.csv", "direct.json"), ("inverse.csv", "inverse.json")])
+        ("direct.csv", "direct.json"), ("inverse.csv", "inverse.json"),
+        ("profile.csv", "profile.json")])
     def test_csv_values_are_rounded_json_values(self, csv_name, json_name,
                                                 tmp_path, monkeypatch):
         monkeypatch.chdir(ROOT)
@@ -152,6 +155,8 @@ class TestFormatConsistency:
             value = report["result"][key]
             if isinstance(value, str):
                 assert cell == value
+            elif isinstance(value, bool):
+                assert cell == json.dumps(value)
             else:
                 assert float(cell) == float(f"{value:.10g}")
 
@@ -413,6 +418,11 @@ EXTREME_PROFILES = {
                     "3e6,7e299,7e299"],
     "tiny_gaps": ["0,13000,1.7e308", "1e-300,12000,1e308",
                   "2e-300,11000,1e307", "6.371e6,3000,0"],
+    # the homogeneity terms hold inf and -inf
+    "inf_minus_inf": ["0.0,1.461323978307312e+306,3",
+                      "0.6266681744477031,6.721879136322771e+307,2",
+                      "0.807207630616892,1.4159081731331236e+307,1",
+                      "2.658075869097086,6.457404100416946e+306,0"],
 }
 
 
@@ -769,6 +779,15 @@ class TestConfigHandling:
         assert main(["direct", "--config", str(cfg), "--p-g", "1e11"]) == 2
         err = capsys.readouterr().err
         assert "missing key(s)" in err and "layer_half_thickness" in err
+
+    @pytest.mark.parametrize("gamma", [0, -1])
+    def test_bad_gamma_names_the_file(self, gamma, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"constants": {"gamma": gamma}}))
+        assert main(["direct", "--p-g", "1e11", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"geopotent: error: {cfg}.constants: gamma must be positive "
+            f"and finite, got {float(gamma)!r}\n"))
 
     @pytest.mark.parametrize("literal", [
         "1" + "0" * 400, "NaN", "Infinity", "-Infinity", "1e400"],

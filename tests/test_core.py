@@ -16,7 +16,6 @@ from geopotent import (
     RadialProfile,
     ScheduleSegment,
     UniformSphere,
-    validate_profile,
 )
 from geopotent.errors import (
     NonMonotonicRadiusError,
@@ -107,7 +106,7 @@ class TestEarthParameters:
             EarthParameters(mass=-5.9737e24)
 
 
-class TestValidateProfile:
+class TestRadialProfile:
     def test_uniform_synthetic_is_valid(self):
         profile = uniform_profile()
         assert profile.body_radius == EARTH_RADIUS
@@ -115,52 +114,48 @@ class TestValidateProfile:
         assert profile.densities[0] == EARTH_MEAN_DENSITY
 
     def test_non_monotonic_radii(self):
-        rows = [(r * 1e6, 5515.0, 1e10) for r in (0.0, 2.0, 1.0, 3.0)]
         with pytest.raises(NonMonotonicRadiusError) as err:
-            validate_profile(rows)
+            RadialProfile([0.0, 2e6, 1e6, 3e6], [5515.0] * 4, [1e10] * 4)
         assert err.value.index == 2
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
-            validate_profile([(0.0, 5515.0, 1e10)] )
+            RadialProfile([0.0], [5515.0], [1e10])
         with pytest.raises(TooFewSamplesError):
-            validate_profile([])
+            RadialProfile([], [], [])
 
     def test_non_physical_values(self):
+        radii = [0, 1e6, 2e6, 3e6]
         with pytest.raises(NonPhysicalValueError):
-            validate_profile([(0, 5515, 1e10), (1e6, -1.0, 9e9),
-                              (2e6, 5515, 8e9), (3e6, 5515, 7e9)])
+            RadialProfile(radii, [5515, -1.0, 5515, 5515],
+                          [1e10, 9e9, 8e9, 7e9])
         with pytest.raises(NonPhysicalValueError):
-            validate_profile([(0, 5515, 1e10), (1e6, 5515, -9e9),
-                              (2e6, 5515, 8e9), (3e6, 5515, 7e9)])
+            RadialProfile(radii, [5515] * 4, [1e10, -9e9, 8e9, 7e9])
 
     def test_pressure_rise_beyond_slack(self):
-        rows = [(0, 5515, 1.0e10), (1e6, 5515, 9.0e9),
-                (2e6, 5515, 9.5e9), (3e6, 5515, 7e9)]
         with pytest.raises(PressureIncreaseError) as err:
-            validate_profile(rows)
+            RadialProfile([0, 1e6, 2e6, 3e6], [5515] * 4,
+                          [1.0e10, 9.0e9, 9.5e9, 7e9])
         assert err.value.index == 2
 
     def test_pressure_rise_within_slack(self):
-        rows = [(0, 5515, 1.0e10), (1e6, 5515, 9.0e9),
-                (2e6, 5515, 9.0e9 * 1.004), (3e6, 5515, 7e9)]
-        profile = validate_profile(rows)
+        profile = RadialProfile([0, 1e6, 2e6, 3e6], [5515] * 4,
+                                [1.0e10, 9.0e9, 9.0e9 * 1.004, 7e9])
         assert profile.body_radius == 3e6
 
     def test_idempotent(self):
         profile = uniform_profile()
-        again = validate_profile(profile.samples)
+        again = RadialProfile(profile.radii, profile.densities,
+                              profile.pressures)
         assert again == profile
 
     def test_array_input_matches_rows(self):
         profile = uniform_profile()
         table = np.column_stack((profile.radii, profile.densities,
                                  profile.pressures))
-        assert validate_profile(table) == profile
+        assert RadialProfile(*table.T) == profile
         with pytest.raises(TooFewSamplesError, match="profile is empty"):
-            validate_profile(np.empty((0, 3)))
-        with pytest.raises(NonPhysicalValueError, match="triple"):
-            validate_profile(table[:, :2])
+            RadialProfile(*np.empty((0, 3)).T)
 
     def test_prem_fixture_loads(self, prem_profile):
         assert len(prem_profile) == 20
@@ -173,13 +168,13 @@ class TestValidateProfile:
             profile.radii[0] = 1.0
 
     def test_columns_are_float_tuples(self):
-        profile = validate_profile([(0, 4, 3), (1, 3, 2), (2, 2, 1),
-                                    (np.float64(3.0), np.float32(1.0), 0)])
+        profile = RadialProfile([0, 1, 2, np.float64(3.0)],
+                                [4, 3, 2, np.float32(1.0)], [3, 2, 1, 0])
         for col in (profile.radii, profile.densities, profile.pressures):
             assert type(col) is tuple
             assert set(map(type, col)) == {float}
-        assert profile.samples == [(0.0, 4.0, 3.0), (1.0, 3.0, 2.0),
-                                   (2.0, 2.0, 1.0), (3.0, 1.0, 0.0)]
+        assert (profile.radii, profile.densities, profile.pressures) == (
+            (0.0, 1.0, 2.0, 3.0), (4.0, 3.0, 2.0, 1.0), (3.0, 2.0, 1.0, 0.0))
 
     def test_caller_arrays_stay_writable(self):
         r = np.array([0.0, 1.0e6, 2.0e6, 3.0e6])
@@ -195,11 +190,8 @@ class TestValidateProfile:
 
 
 BAD_PROFILE_INPUTS = {
-    "ragged_rows": (
-        lambda: validate_profile([(0, 1, 2), (1, 2)]),
-        "each sample must be a (radius, density, pressure) triple", None),
     "non_numeric_cell": (
-        lambda: validate_profile([(0, "a", 1)] * 4),
+        lambda: RadialProfile([0] * 4, ["a"] * 4, [1] * 4),
         "density is not a number at sample 0: 'a'", 0),
     "none_cell": (
         lambda: RadialProfile([0, 1, 2, 3], [4, 3, 2, 1], [3, 2, None, 0]),
@@ -215,8 +207,8 @@ BAD_PROFILE_INPUTS = {
                               [3, 2, 1, 0]),
         "radius must be a one-dimensional column of numbers", None),
     "int_too_large_for_a_float": (
-        lambda: validate_profile([(0, 4, 3), (1, 3, 2), (2, 10**400, 1),
-                                  (3, 1, 0)]),
+        lambda: RadialProfile([0, 1, 2, 3], [4, 3, 10**400, 1],
+                              [3, 2, 1, 0]),
         "density at sample 2 is too large for a float", 2),
 }
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from geopotent import cli, validate_profile
+from geopotent import RadialProfile, cli
 from geopotent.cli import PROFILE_HEADER, main, read_profile_csv
 from geopotent.errors import InputError
 
@@ -67,7 +67,7 @@ def per_line_read(path):
     validate, with a sample index read as a line number."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    rows, linenos = [], []
+    columns, linenos = ([], [], []), []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -76,13 +76,15 @@ def per_line_read(path):
             raise InputError(f"{path}:{lineno}: expected 3 comma-separated "
                              f"values, got {len(parts)}")
         try:
-            rows.append([float(part) for part in parts])
+            values = [float(part) for part in parts]
         except ValueError:
             raise InputError(
                 f"{path}:{lineno}: non-numeric value in {line!r}") from None
+        for column, value in zip(columns, values):
+            column.append(value)
         linenos.append(lineno)
     try:
-        return validate_profile(rows)
+        return RadialProfile(*columns)
     except InputError as exc:
         line = f":{linenos[exc.index]}" if exc.index is not None else ""
         raise InputError(f"{path}{line}: {exc}") from None
@@ -137,6 +139,12 @@ MALFORMED = {
         ":4: expected 3 comma-separated values, got 2"),
     "non_numeric": (csv_text(*swap(3, "bogus,10000,2e11")),
                     ":5: non-numeric value in 'bogus,10000,2e11'"),
+    "non_numeric_pressure_above_a_non_numeric_radius": (
+        csv_text(*ROWS[:2], "2e6,11000,x", ROWS[3], "y,5000,1e11", ROWS[5]),
+        ":4: non-numeric value in '2e6,11000,x'"),
+    "non_numeric_after_a_non_monotone_row": (
+        csv_text(*swap(3, "1.5e6,10000,2e11")[:4], "4e6,5000,z", ROWS[5]),
+        ":6: non-numeric value in '4e6,5000,z'"),
     "blank_lines_before_a_bad_row": (
         PROFILE_HEADER + "\n\n  \n" + "\n".join(swap(3, "3e6,x,2e11")) + "\n",
         ":7: non-numeric value in '3e6,x,2e11'"),

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import time
@@ -8,13 +9,13 @@ import numpy as np
 import pytest
 
 from geopotent import (
+    RadialProfile,
     core_equilibrium_gravity,
     enclosed_mass,
     interpolate,
     mean_density,
     pressure_gradient_max,
     surface_potential_integral,
-    validate_profile,
 )
 from geopotent import cli, profiles
 from geopotent.errors import DegenerateProfileError, OutOfDomainError
@@ -49,7 +50,7 @@ def two_shell_profile(rho_inner, rho_outer, body_radius=EARTH_RADIUS):
     rho = [rho_inner, rho_inner, rho_inner, rho_outer, rho_outer, rho_outer]
     p0 = 1e10
     pressure = [p0 * (1.0 - r / body_radius / 1.0001) for r in radii]
-    return validate_profile(list(zip(radii, rho, pressure)))
+    return RadialProfile(radii, rho, pressure)
 
 
 def profile_with_narrow_pairs(rng, first_radius, n=None, n_pairs=3):
@@ -65,7 +66,7 @@ def profile_with_narrow_pairs(rng, first_radius, n=None, n_pairs=3):
     radii = np.unique(np.concatenate((radii, radii[pairs] + 20.0)))
     rho = rng.uniform(1.0e3, 1.3e4, radii.size)
     pressure = np.linspace(3.6e11, 0.0, radii.size)
-    return validate_profile(list(zip(radii, rho, pressure)))
+    return RadialProfile(radii, rho, pressure)
 
 
 class ExactProfile:
@@ -180,9 +181,9 @@ class TestMassTable:
         assert table.knots[0] == 0.0
 
     def test_center_knot_added_above_zero(self):
-        profile = validate_profile([
-            (1.0e5, 9000.0, 3e11), (1.0e6, 8000.0, 2e11),
-            (2.0e6, 5000.0, 1e11), (3.0e6, 3000.0, 0.0)])
+        profile = RadialProfile([1.0e5, 1.0e6, 2.0e6, 3.0e6],
+                                [9000.0, 8000.0, 5000.0, 3000.0],
+                                [3e11, 2e11, 1e11, 0.0])
         knots, densities, mass = profile.mass_table
         assert list(knots) == [0.0, 1.0e5, 1.0e6, 2.0e6, 3.0e6]
         assert densities[0] == densities[1] == 9000.0
@@ -311,6 +312,34 @@ class TestSurfacePotentialIntegral:
         value = surface_potential_integral(prem_profile, GAMMA)
         assert value == pytest.approx(FIXTURE_SURFACE_INTEGRAL, rel=1e-6)
 
+    def test_prem_value_is_the_exact_one_rounded(self, prem_profile):
+        # the terms are added exactly rounded, so the full-precision JSON
+        # cell is the same on every Python version; on PREM-20 it is the
+        # exact rational integral rounded once
+        exact = GAMMA * 4.0 * math.pi * float(
+            ExactProfile(prem_profile).potential_integral())
+        assert surface_potential_integral(prem_profile, GAMMA) == exact
+        path = os.path.join(os.path.dirname(__file__), "golden",
+                            "profile.json")
+        with open(path, encoding="utf-8") as fh:
+            result = json.load(fh)["result"]
+        assert result["homogeneity_integral_j_kg"] == exact
+
+    @pytest.mark.parametrize("radii,densities,is_total", [
+        # finite terms whose sum passes the float range
+        ([0.0, 0.4943944560935246, 2.189688451460996, 2.943663174444477],
+         [5.990681266047877e307, 2.4131632584750815e307,
+          3.87755296054204e306, 1.0192913958223423e308], math.isinf),
+        # a mass table overflowing to -inf: terms of inf and -inf
+        ([0.0, 0.6266681744477031, 0.807207630616892, 2.658075869097086],
+         [1.461323978307312e306, 6.721879136322771e307,
+          1.4159081731331236e307, 6.457404100416946e306], math.isnan),
+    ], ids=["overflow", "inf_minus_inf"])
+    def test_non_finite_total_is_what_sum_gives(self, radii, densities,
+                                                is_total):
+        profile = RadialProfile(radii, densities, [0.0] * 4)
+        assert is_total(surface_potential_integral(profile, GAMMA))
+
     def test_centrally_condensed_exceeds_uniform_bound(self, prem_profile):
         value = surface_potential_integral(prem_profile, GAMMA)
         rho0 = mean_density(prem_profile)
@@ -336,7 +365,7 @@ class TestSurfacePotentialIntegral:
             if decreasing:
                 rho = rho[::-1].copy()
             pressure = np.linspace(1e10, 0.0, n)
-            profile = validate_profile(list(zip(radii, rho, pressure)))
+            profile = RadialProfile(radii, rho, pressure)
             value = surface_potential_integral(profile, GAMMA)
             bound = (2.0 / 3.0) * GAMMA * mean_density(profile) * math.pi \
                 * profile.body_radius**2
@@ -382,7 +411,7 @@ def random_gradient_profile(rng):
     drops = slopes * np.diff(radii) / body * 10.0 ** rng.uniform(5.0, 11.5)
     pressure = np.concatenate((np.cumsum(drops[::-1])[::-1], [0.0]))
     rho = rng.uniform(1.0e3, 1.3e4, n)
-    return validate_profile(list(zip(radii, rho, pressure)))
+    return RadialProfile(radii, rho, pressure)
 
 
 class TestPressureGradientMax:
@@ -412,10 +441,10 @@ class TestPressureGradientMax:
     def test_millimetre_gap_prompt_and_small(self):
         # a 1 mm gap on a 6371 km span: the cost must not grow with the
         # ratio of span to gap
-        rows = [(0.0, 9000.0, 3.6e11), (1.0e6, 8000.0, 3.0e11),
-                (1.0e6 + 1.0e-3, 8000.0, 2.9e11), (3.0e6, 5000.0, 1.0e11),
-                (EARTH_RADIUS, 3000.0, 0.0)]
-        profile = validate_profile(rows)
+        profile = RadialProfile(
+            [0.0, 1.0e6, 1.0e6 + 1.0e-3, 3.0e6, EARTH_RADIUS],
+            [9000.0, 8000.0, 8000.0, 5000.0, 3000.0],
+            [3.6e11, 3.0e11, 2.9e11, 1.0e11, 0.0])
         tracemalloc.start()
         try:
             start = time.perf_counter()
@@ -435,8 +464,8 @@ class TestPressureGradientMax:
         # finder returns the last interior plateau, one knot in from R
         p0, radius, n = 3.6e11, EARTH_RADIUS, 101
         r = np.linspace(0.0, radius, n)
-        profile = validate_profile(list(zip(
-            r, np.full(n, 5515.0), p0 * (1.0 - (r / radius) ** 2))))
+        profile = RadialProfile(r, np.full(n, 5515.0),
+                                p0 * (1.0 - (r / radius) ** 2))
         result = pressure_gradient_max(profile)
         knot = radius / (n - 1)
         assert result.radius_at_max > radius - 2.0 * knot
@@ -448,7 +477,7 @@ class TestPressureGradientMax:
         p0, radius, width, n = 1e11, 6.371e6, 6.371e6 / 40.0, 201
         r = np.linspace(0.0, radius, n)
         p = p0 / (1.0 + np.exp((r - radius / 2.0) / width))
-        profile = validate_profile(list(zip(r, np.full(n, 5515.0), p)))
+        profile = RadialProfile(r, np.full(n, 5515.0), p)
         result = pressure_gradient_max(profile)
         knot = radius / (n - 1)
         assert abs(result.radius_at_max - radius / 2.0) <= knot
@@ -473,25 +502,26 @@ class TestPressureGradientMax:
     def test_power_of_two_rescaling_exact(self, prem_profile):
         base = pressure_gradient_max(prem_profile)
         for c in (2.0, 0.25, 1024.0):
-            scaled = validate_profile(
-                [(r, d, c * p) for r, d, p in prem_profile.samples])
+            scaled = RadialProfile(prem_profile.radii, prem_profile.densities,
+                                   [c * p for p in prem_profile.pressures])
             result = pressure_gradient_max(scaled)
             assert result.radius_at_max == base.radius_at_max
             assert result.gradient_magnitude == c * base.gradient_magnitude
 
     def test_generic_rescaling(self, prem_profile):
         base = pressure_gradient_max(prem_profile)
-        scaled = validate_profile(
-            [(r, d, 3.0 * p) for r, d, p in prem_profile.samples])
+        scaled = RadialProfile(prem_profile.radii, prem_profile.densities,
+                               [3.0 * p for p in prem_profile.pressures])
         result = pressure_gradient_max(scaled)
         assert result.radius_at_max == base.radius_at_max
         assert result.gradient_magnitude == pytest.approx(
             3.0 * base.gradient_magnitude, rel=1e-12)
 
     def test_constant_pressure_degenerate(self):
-        rows = [(r, 5515.0, 1e10) for r in (0.0, 1e6, 2e6, 3e6)]
+        profile = RadialProfile([0.0, 1e6, 2e6, 3e6], [5515.0] * 4,
+                                [1e10] * 4)
         with pytest.raises(DegenerateProfileError):
-            pressure_gradient_max(validate_profile(rows))
+            pressure_gradient_max(profile)
 
 
 class TestMeanDensity:

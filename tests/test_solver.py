@@ -10,6 +10,7 @@ from geopotent import (
     BoundaryReference,
     DensityTrend,
     EarthParameters,
+    RadialProfile,
     compression_potential,
     direct_problem,
     homogeneity_bound,
@@ -224,8 +225,7 @@ class TestHomogeneityBound:
         radii = [0.0, 2e6, 3e6, 3e6 * (1 + 1e-9), 5e6, 6.371e6]
         rho = [1000.0, 1000.0, 1000.0, 9000.0, 9000.0, 9000.0]
         pressure = np.linspace(1e10, 0.0, 6)
-        from geopotent import validate_profile
-        profile = validate_profile(list(zip(radii, rho, pressure)))
+        profile = RadialProfile(radii, rho, pressure)
         report = homogeneity_bound(profile, GAMMA)
         assert report.holds
         assert report.relative_gap < 0.0
