@@ -191,12 +191,17 @@ def read_schedule_json(path):
 
 # -- report rendering --------------------------------------------------------
 
-def _fmt(value):
+def _not_finite(where, value):
+    """The error for a non-finite report cell, named `where`."""
+    return DomainError(f"report cell {where} is not finite: {value!r}")
+
+
+def _fmt(value, where=""):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         if not math.isfinite(value):
-            raise DomainError(f"report holds a non-finite value: {value!r}")
+            raise _not_finite(where, value)
         return f"{value:.10g}" if abs(value) < _FMT_LIMIT else repr(value)
     return str(value)
 
@@ -205,7 +210,7 @@ def _preamble(report):
     lines = [f"# geopotent {report['command']}"]
     for section in ("constants", "earth", "inputs"):
         for key, value in report.get(section, {}).items():
-            lines.append(f"# {section}.{key}={_fmt(value)}")
+            lines.append(f"# {section}.{key}={_fmt(value, f'{section}.{key}')}")
     return lines
 
 
@@ -214,16 +219,18 @@ class Table(NamedTuple):
 
     ``columns`` names the columns and ``data`` holds one tuple of cells
     per column. JSON writes a table as its array of row objects, CSV as
-    a header line and one line per row.
+    a header line and one line per row. ``name`` names the table in
+    errors; the pulse series is the report's ``rows``.
     """
 
     columns: tuple
     data: tuple
+    name: str = "rows"
 
 
 def _table(name, columns):
     """A named report table, from a mapping of column name to cells."""
-    table = Table(tuple(columns), tuple(map(tuple, columns.values())))
+    table = Table(tuple(columns), tuple(map(tuple, columns.values())), name)
     return {"name": name, "columns": list(table.columns), "rows": table}
 
 
@@ -245,7 +252,8 @@ def _csv_lines(table):
            for col in table.data):
         lines = map(",".join(["%.10g"] * len(table.columns)).__mod__, rows)
     else:
-        lines = (",".join(map(_fmt, row)) for row in rows)
+        names = [f"{table.name}.{column}" for column in table.columns]
+        lines = (",".join(map(_fmt, row, names)) for row in rows)
     return [",".join(table.columns), *lines]
 
 
@@ -254,7 +262,7 @@ def render_csv(report):
     if report.get("result"):
         lines.append("field,value")
         for key, value in report["result"].items():
-            lines.append(f"{key},{_fmt(value)}")
+            lines.append(f"{key},{_fmt(value, f'result.{key}')}")
     # the pulse series, or the rows of each named table
     tables = ([report["rows"]] if "rows" in report
               else [table["rows"] for table in report.get("tables", ())])
@@ -264,9 +272,9 @@ def render_csv(report):
     return "\n".join(lines)
 
 
-def _json_cell(value):
+def _json_cell(value, where):
     if isinstance(value, float) and not math.isfinite(value):
-        raise DomainError(f"report holds a non-finite value: {value!r}")
+        raise _not_finite(where, value)
     return json.dumps(value)
 
 
@@ -283,15 +291,17 @@ def _json_rows(table, indent, out):
         fast = _finite_floats(col)
         key = json.dumps(name).replace("%", "%%")
         slots.append(f"{inner}  {key}: {'%r' if fast else '%s'}")
-        cells.append(col if fast else map(_json_cell, col))
+        cells.append(col if fast else map(_json_cell, col,
+                                          repeat(f"{table.name}.{name}")))
     template = f"{inner}{{\n" + ",\n".join(slots) + f"\n{inner}}}"
     rows = ",\n".join(map(template.__mod__, zip(*cells)))
     out.extend(("[\n", rows, f"\n{indent}]") if rows else ("[]",))
 
 
-def _json(value, indent, out):
+def _json(value, indent, out, where=""):
     """Append `value` to `out` as ``json.dumps(value, indent=2)`` writes
-    it at `indent`, with each Table written by ``_json_rows``."""
+    it at `indent`, with each Table written by ``_json_rows``. `where`
+    is the dotted path of keys to `value`, which names a bad cell."""
     inner = indent + "  "
     if isinstance(value, Table):
         _json_rows(value, indent, out)
@@ -299,18 +309,18 @@ def _json(value, indent, out):
         sep = "{"
         for key, item in value.items():
             out.append(f"{sep}\n{inner}{json.dumps(key)}: ")
-            _json(item, inner, out)
+            _json(item, inner, out, f"{where}.{key}" if where else key)
             sep = ","
         out.append(f"\n{indent}}}")
     elif isinstance(value, (list, tuple)) and value:
         sep = "["
         for item in value:
             out.append(f"{sep}\n{inner}")
-            _json(item, inner, out)
+            _json(item, inner, out, where)
             sep = ","
         out.append(f"\n{indent}]")
     else:
-        out.append(_json_cell(value))
+        out.append(_json_cell(value, where))
 
 
 def render_json(report):
@@ -338,7 +348,8 @@ def _base_report(command, cfg: RunConfig):
     return {
         "command": command,
         "constants": {"gamma": cfg.constants.gamma},
-        "earth": cfg.earth._asdict(),
+        "earth": {**cfg.earth._asdict(),
+                  "gm": cfg.constants.gamma * cfg.earth.mass},
     }
 
 
@@ -357,7 +368,7 @@ def cmd_direct(cfg: RunConfig, args):
             "no pressure source: pass --p-g, set p_g_override in the "
             "config, or pass --profile")
     phi_g = compression_potential(p_g, cfg.earth.mean_density)
-    breakdown = direct_problem(cfg.earth, phi_g)
+    breakdown = direct_problem(cfg.earth, phi_g, cfg.constants.gamma)
     report = _base_report("direct", cfg)
     report["inputs"] = {"p_g": p_g, "p_g_source": source,
                         "rho_g": cfg.earth.mean_density}
@@ -371,7 +382,8 @@ def cmd_direct(cfg: RunConfig, args):
 
 
 def cmd_inverse(cfg: RunConfig, args):
-    result = inverse_problem(cfg.earth.gm, args.u_inf, cfg.earth.mean_radius)
+    result = inverse_problem(cfg.constants.gamma * cfg.earth.mass, args.u_inf,
+                             cfg.earth.mean_radius)
     report = _base_report("inverse", cfg)
     report["inputs"] = {"u_infinity": args.u_inf}
     report["result"] = {
@@ -435,7 +447,7 @@ def _parse_float_list(text, flag):
 
 
 def _background(cfg: RunConfig, args):
-    default = surface_background(cfg.earth)
+    default = surface_background(cfg.earth, cfg.constants.gamma)
     flags = (args.u0, args.g0, args.u_inf)
     return BackgroundState(*(d if f is None else f
                              for f, d in zip(flags, default)))
@@ -486,13 +498,14 @@ def cmd_pulse(cfg: RunConfig, args):
         if n > PULSE_MAX_SAMPLES:
             raise InputError(
                 f"--num-samples must be <= {PULSE_MAX_SAMPLES}, got {n}")
-        span = schedule.t_end - schedule.t_start
+        t_start, t_end = schedule.t_start, schedule.t_end
+        span = t_end - t_start
         # t_start + span*(n-1)/(n-1) can round one ulp past t_end
-        times = [min(schedule.t_start + span * i / (n - 1), schedule.t_end)
-                 for i in range(n)]
+        times = [min(t_start + span * i / (n - 1), t_end) for i in range(n)]
+    gamma = cfg.constants.gamma
     table = evaluate_schedule(schedule, times,
-                              background=surface_background(cfg.earth),
-                              gamma=cfg.constants.gamma)
+                              background=surface_background(cfg.earth, gamma),
+                              gamma=gamma)
     report = _base_report("pulse", cfg)
     report["inputs"] = {
         "schedule": path,

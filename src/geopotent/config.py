@@ -5,8 +5,7 @@ rejected so typos fail loudly; every number must be finite):
 
     constants      {"gamma": float}
     earth          {"mean_radius", "mass", "mean_density",
-                    "surface_first_cosmic_velocity", "gm"} (all optional;
-                    gm defaults to gamma * mass)
+                    "surface_first_cosmic_velocity"} (all optional)
     p_g_override   float, Pa; used by the direct problem instead of a
                    profile-derived pressure
     boundaries     [{"name", "radius", "layer_half_thickness"}, ...]; a
@@ -28,6 +27,7 @@ import os
 
 from .core import DEFAULT_CONSTANTS, EarthParameters, PhysicalConstants, Record
 from .errors import ConfigError, InputError, NonPhysicalValueError
+from .pulse import surface_background
 from .solver import BoundaryReference
 
 ENV_CONFIG = "GEOPOTENT_CONFIG"
@@ -117,8 +117,10 @@ def parse_config(data, source="config") -> RunConfig:
         _check_keys(block, EarthParameters._fields, f"{source}.earth")
         earth_fields = {k: _number(block, k, f"{source}.earth") for k in block}
     try:
-        earth = EarthParameters.with_constants(constants, **earth_fields)
-    except NonPhysicalValueError as exc:
+        earth = EarthParameters(**earth_fields)
+        # its surface terms must be finite too; g0 divides by R^2
+        surface_background(earth, constants.gamma)
+    except (NonPhysicalValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{source}.earth: {exc}") from exc
 
     p_g_override = None

@@ -23,7 +23,6 @@ from .errors import (
     ScheduleError,
     TooFewSamplesError,
 )
-from .kernels import uniform_sphere_potential
 
 # Relative tolerance for the mass/density/radius consistency of a sphere.
 SPHERE_CONSISTENCY_TOL = 1e-9
@@ -196,45 +195,21 @@ class UniformSphere(Record):
 
 
 class EarthParameters(Record):
-    """Bulk parameters of the body under study (defaults: Earth).
+    """Measured bulk values of the body under study (defaults: Earth).
 
-    ``gm`` is the product gamma * mass; keep it consistent with the
-    constant set in use (checked by the config loader to 1e-9 relative).
+    Gamma is not one of them: every function that needs it takes it from
+    the caller, which computes gamma * mass where it is used.
     """
 
     __slots__ = _fields = ("mean_radius", "mass", "mean_density",
-                           "surface_first_cosmic_velocity", "gm")
+                           "surface_first_cosmic_velocity")
 
     def __init__(self, mean_radius=6.371e6, mass=5.9737e24, mean_density=5515.0,
-                 surface_first_cosmic_velocity=7910.0,
-                 gm=6.6743e-11 * 5.9737e24):
+                 surface_first_cosmic_velocity=7910.0):
         self._set(mean_radius, mass, mean_density,
-                  surface_first_cosmic_velocity, gm)
+                  surface_first_cosmic_velocity)
         for name, value in zip(self._fields, self._values()):
             _require_positive(name, value)
-
-    @property
-    def uniform_surface_potential(self):
-        """uniform_sphere_potential at gamma = gm/mass and the mean values."""
-        return uniform_sphere_potential(self.gm / self.mass, self.mean_density,
-                                        self.mean_radius)
-
-    def check_gm(self, constants):
-        """Raise unless gm matches constants.gamma * mass to 1e-9 relative."""
-        expected = constants.gamma * self.mass
-        if abs(self.gm - expected) / expected > 1e-9:
-            raise NonPhysicalValueError(
-                f"gm = {self.gm!r} inconsistent with gamma*mass = {expected!r}"
-            )
-
-    @classmethod
-    def with_constants(cls, constants, **overrides):
-        """Build parameters whose gm is derived from the given constants."""
-        mass = overrides.get("mass", cls().mass)
-        gm = overrides.get("gm", constants.gamma * mass)
-        params = cls(**{**overrides, "gm": gm})
-        params.check_gm(constants)
-        return params
 
 
 class RadialProfile(Record):
@@ -352,17 +327,15 @@ def _validate_columns(radii, densities, pressures):
 
 class PotentialBreakdown(namedtuple(
         "PotentialBreakdown",
-        "u_surface equipotential_surface compression_potential u_infinity")):
+        "u_surface equipotential_surface compression_potential")):
     """Output of the direct problem: the surface energy balance.
 
-    ``u_infinity`` is the sum of the three parts by construction; the
-    constructor rejects any other value.
+    ``u_infinity`` is read as the sum of the three parts.
     """
 
     __slots__ = ()
 
-    def __new__(cls, u_surface, equipotential_surface, compression_potential,
-                u_infinity):
+    def __new__(cls, u_surface, equipotential_surface, compression_potential):
         _require_positive("u_surface", u_surface)
         _require_positive("equipotential_surface", equipotential_surface)
         if not (math.isfinite(compression_potential)
@@ -370,22 +343,18 @@ class PotentialBreakdown(namedtuple(
             raise NonPhysicalValueError(
                 f"compression_potential must be >= 0, got "
                 f"{compression_potential!r}")
-        total = u_surface + equipotential_surface + compression_potential
-        if u_infinity != total:
-            raise NonPhysicalValueError(
-                f"u_infinity {u_infinity!r} is not the sum of its "
-                f"parts {total!r}")
         return super().__new__(cls, u_surface, equipotential_surface,
-                               compression_potential, u_infinity)
+                               compression_potential)
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through here
         return cls(*iterable)
 
-    @classmethod
-    def from_parts(cls, u_surface, equipotential_surface, compression_potential):
-        return cls(u_surface, equipotential_surface, compression_potential,
-                   u_surface + equipotential_surface + compression_potential)
+    @property
+    def u_infinity(self):
+        """u_surface + equipotential_surface + compression_potential."""
+        return (self.u_surface + self.equipotential_surface
+                + self.compression_potential)
 
 
 class DensityTrend(str, Enum):

@@ -73,7 +73,8 @@ def build_mass_table(radii, densities):
     """The MassTable of a piecewise-linear density sampled at `radii`.
 
     `radii` and `densities` are tuples of floats, as a RadialProfile
-    holds them.
+    holds them. Raises OutOfDomainError at the first knot whose enclosed
+    mass is not finite.
     """
     if radii[0] > 0.0:
         radii, densities = (0.0, *radii), densities[:1] + densities
@@ -81,7 +82,12 @@ def build_mass_table(radii, densities):
               for r, r_next, rho, rho_next
               in zip(radii, radii[1:], densities, densities[1:])]
     # summed in order, from 0 at the center
-    return MassTable(radii, densities, tuple(accumulate(shells, initial=0.0)))
+    mass = tuple(accumulate(shells, initial=0.0))
+    if not math.isfinite(mass[-1]):  # a non-finite sum stays non-finite
+        i = next(i for i, m in enumerate(mass) if not math.isfinite(m))
+        raise OutOfDomainError(
+            f"enclosed mass at r = {radii[i]!r} m is not finite: {mass[i]!r}")
+    return MassTable(radii, densities, mass)
 
 
 def interpolate(profile: RadialProfile, r):
@@ -135,17 +141,17 @@ def surface_potential_integral(profile: RadialProfile, gamma):
                                          rho[first:], rho[first + 1:],
                                          mass[first:]):
         t = r1 - r0
-        # M_i * (1/r_i - 1/r_{i+1}), which is 0 on an interval from the center
-        inner = mass0 * t / (r0 * r1) if r0 > 0.0 else 0.0
+        # M_i * (1/r_i - 1/r_{i+1}), 0 where no mass is enclosed, as where
+        # r0 * r1 underflows: each mass-table product below r0 did too
+        inner = mass0 * t / (r0 * r1) if mass0 else 0.0
         shell = FOUR_PI * t * t / (12.0 * r1) * (
             2.0 * rho0 * (3.0 * r0 + t) + (rho1 - rho0) * (r0 + r1))
         terms.append(inner + shell)
     # exactly rounded, so the same bits on every Python version. A total
-    # past the float range, or terms holding both inf and -inf (an
-    # overflowing mass table), is what sum gives: inf or nan.
+    # past the float range is what sum gives: inf.
     try:
         return gamma * math.fsum(terms)
-    except (OverflowError, ValueError):
+    except OverflowError:
         return gamma * sum(terms)
 
 
@@ -179,7 +185,12 @@ def pressure_gradient_max(profile: RadialProfile):
 def mean_density(profile: RadialProfile):
     """Total tabulated mass divided by the body volume, kg/m^3."""
     total = profile.mass_table.mass[-1]
-    return total / ((4.0 / 3.0) * math.pi * profile.body_radius**3)
+    volume = (4.0 / 3.0) * math.pi * profile.body_radius**3
+    if not volume:
+        raise OutOfDomainError(
+            f"the volume of a body of radius {profile.body_radius!r} m "
+            "underflows to 0")
+    return total / volume
 
 
 def core_equilibrium_gravity(profile: RadialProfile, core_radius):

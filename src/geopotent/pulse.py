@@ -86,18 +86,17 @@ def pulsating_potential(mass, radius_t, observer_r, gamma=_DEFAULT_GAMMA):
     return -gm / observer_r + 1.5 * gm / radius_t
 
 
-def surface_background(earth: EarthParameters | None = None) -> BackgroundState:
+def surface_background(earth: EarthParameters = EarthParameters(),
+                       gamma=_DEFAULT_GAMMA) -> BackgroundState:
     """Compression-free surface background for the precursor view.
 
     The direct problem of the homogeneous model (phi_G = 0): u0 is its
     uniform-equivalent surface potential and u_infinity its at-infinity
     value, so the baseline equipotential velocity is exactly the surface
-    first cosmic velocity.
+    first cosmic velocity; g0 is gamma*M/R^2.
     """
-    if earth is None:
-        earth = EarthParameters()
-    breakdown = direct_problem(earth, 0.0)
-    g0 = exterior_gravity(earth.gm, earth.mean_radius)
+    breakdown = direct_problem(earth, 0.0, gamma)
+    g0 = exterior_gravity(gamma * earth.mass, earth.mean_radius)
     return BackgroundState(u0=breakdown.u_surface, g0=g0,
                            u_infinity=breakdown.u_infinity)
 

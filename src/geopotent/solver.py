@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from . import profiles
 from .core import (
+    DEFAULT_CONSTANTS,
     LINE_BREAKS,
     DensityTrend,
     EarthParameters,
@@ -88,27 +89,31 @@ def compression_potential(p_g, rho_g):
     return p_g / rho_g
 
 
-def direct_problem(earth: EarthParameters, phi_g) -> PotentialBreakdown:
+def direct_problem(earth: EarthParameters, phi_g,
+                   gamma=DEFAULT_CONSTANTS.gamma) -> PotentialBreakdown:
     """Maximum (at-infinity) potential from surface data.
 
     Parameters
     ----------
     earth : EarthParameters
-        Bulk parameters; gamma is recovered as gm / mass.
+        Measured bulk values of the body.
     phi_g : float
         Compression potential, J/kg; zero selects the homogeneous model.
+    gamma : float, optional
+        Gravitational constant.
 
     Returns
     -------
     PotentialBreakdown
         u_surface = (2/3)*gamma*rho*pi*R^2, equipotential_surface =
-        v1k^2/2, and their sum with phi_g as u_infinity.
+        v1k^2/2 and compression_potential = phi_g; u_infinity is their sum.
     """
     if not (math.isfinite(phi_g) and phi_g >= 0.0):
         raise NonPhysicalInputError(f"phi_g must be >= 0, got {phi_g!r}")
     v1k = earth.surface_first_cosmic_velocity
-    return PotentialBreakdown.from_parts(
-        earth.uniform_surface_potential, 0.5 * v1k * v1k, phi_g)
+    return PotentialBreakdown(
+        uniform_sphere_potential(gamma, earth.mean_density, earth.mean_radius),
+        0.5 * v1k * v1k, phi_g)
 
 
 def inverse_problem(gm, u_infinity, body_radius) -> InversionResult:

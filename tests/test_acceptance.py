@@ -45,8 +45,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # documented constant set for every reported-value criterion
 EARTH = EarthParameters(mean_radius=6.371e6, mass=5.9737e24,
                         mean_density=5515.0,
-                        surface_first_cosmic_velocity=7910.0,
-                        gm=6.6743e-11 * 5.9737e24)
+                        surface_first_cosmic_velocity=7910.0)
 
 
 def _ok(number, label):

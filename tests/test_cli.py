@@ -25,6 +25,7 @@ from geopotent.cli import (
     PULSE_MAX_SAMPLES,
     Table,
     _fmt,
+    _table,
     entry,
     main,
     render_csv,
@@ -303,9 +304,22 @@ class TestRowTemplates:
         columns = (first, *PULSE_COLUMNS[1:])
         report = {"command": "pulse",
                   "rows": Table(columns, tuple(zip(*values)))}
-        with pytest.raises(DomainError, match="-inf") as err:
+        with pytest.raises(DomainError) as err:
             render(report)
-        assert "nan" not in str(err.value)
+        assert str(err.value) == \
+            "report cell rows.delta_g_m_s2 is not finite: -inf"
+
+    @pytest.mark.parametrize("render", [render_csv, render_json])
+    def test_non_finite_cell_is_named_by_its_section_or_table(self, render):
+        report = {"command": "anomaly", "inputs": {"u0": 1.0}, "tables": [
+            _table("signals", {"label": ["a", "b"], "k1": [1.0, math.nan]})]}
+        with pytest.raises(DomainError) as err:
+            render(report)
+        assert str(err.value) == "report cell signals.k1 is not finite: nan"
+        report["inputs"]["u0"] = math.inf
+        with pytest.raises(DomainError) as err:
+            render(report)
+        assert str(err.value) == "report cell inputs.u0 is not finite: inf"
 
 
 class TestReportTables:
@@ -412,7 +426,8 @@ class TestInverse:
 
 
 # Finite profiles whose numerics overflow: densities and pressures near
-# 1e300, and 1e-300 m knot gaps under a 1.7e308 Pa pressure
+# 1e300, 1e-300 m knot gaps under a 1.7e308 Pa pressure, and a body whose
+# volume underflows
 EXTREME_PROFILES = {
     "huge_values": ["0,1e300,1e300", "1e6,9e299,9e299", "2e6,8e299,8e299",
                     "3e6,7e299,7e299"],
@@ -423,6 +438,17 @@ EXTREME_PROFILES = {
                       "0.6266681744477031,6.721879136322771e+307,2",
                       "0.807207630616892,1.4159081731331236e+307,1",
                       "2.658075869097086,6.457404100416946e+306,0"],
+    "tiny_body": ["0,5515,3", "3e-111,5515,2", "6e-111,5515,1",
+                  "1e-110,5515,0"],
+}
+
+# the one stderr line of `profile` on each, which names the radius or cell
+EXTREME_ERRORS = {
+    "huge_values": "enclosed mass at r = 1000000.0 m is not finite: nan",
+    "tiny_gaps": "report cell result.grad_p_gradient_pa_m is not finite: inf",
+    "inf_minus_inf":
+        "enclosed mass at r = 0.807207630616892 m is not finite: -inf",
+    "tiny_body": "the volume of a body of radius 1e-110 m underflows to 0",
 }
 
 
@@ -443,7 +469,13 @@ class TestProfileCommand:
         proc = run_module(["profile"], tmp_path, kind)
         assert (proc.returncode, proc.stdout) == (3, "")
         [line] = proc.stderr.splitlines()
-        assert line.startswith("geopotent: domain error: ")
+        assert line == f"geopotent: domain error: {EXTREME_ERRORS[kind]}"
+
+    @pytest.mark.parametrize("kind", sorted(EXTREME_PROFILES))
+    def test_json_reports_the_same_error(self, kind, tmp_path):
+        proc = run_module(["profile", "--format", "json"], tmp_path, kind)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", f"geopotent: domain error: {EXTREME_ERRORS[kind]}\n")
 
     def test_direct_reads_p_g_across_tiny_gaps(self, tmp_path):
         proc = run_module(["direct", "--format", "json"], tmp_path,
@@ -634,6 +666,18 @@ class TestPulseCommand:
         assert main(["pulse", "--schedule", str(path)]) == 2
         assert capsys.readouterr() == (
             "", f"geopotent: error: {path}: segment 1: {message}\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("contrast", [1e300, -1e300])
+    def test_non_finite_delta_names_the_cell(self, contrast, fmt, tmp_path,
+                                             capsys):
+        # the mass deficit overflows to inf, so every delta is inf - inf
+        path = self.write_schedule(
+            tmp_path, lambda s: s.update(host_density_contrast=contrast))
+        assert main(["pulse", "--schedule", str(path), "--format", fmt]) == 3
+        assert capsys.readouterr() == ("", (
+            "geopotent: domain error: report cell rows.delta_u_j_kg is not "
+            "finite: nan\n"))
 
     def test_segment_faults_come_before_schedule_faults(self, tmp_path,
                                                         capsys):
@@ -828,11 +872,34 @@ class TestConfigHandling:
             f"geopotent: error: {cfg}.boundaries[1]: boundary name must be a "
             f"string without a comma or line break, got {name!r}\n"))
 
-    def test_inconsistent_gm_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("earth, detail", [
+        ({"mean_density": 1e300, "mean_radius": 1e10, "mass": 1e30},
+         "u_surface must be positive and finite, got inf"),
+        # g0 = gamma*M/R^2 with R^2 underflowing to 0
+        ({"mean_density": 1e300, "mean_radius": 1e-170},
+         "float division by zero")], ids=["overflow", "zero_r_squared"])
+    @pytest.mark.parametrize("argv", [
+        ["direct", "--p-g", "1e11"],
+        ["pulse", "--schedule", "tests/fixtures/growth_schedule.json"],
+        ["inverse", "--u-inf", "111652000"]],
+        ids=["direct", "pulse", "inverse"])
+    def test_earth_whose_surface_terms_fail_names_the_file(
+            self, argv, earth, detail, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"earth": earth}))
+        assert main(argv + ["--config", str(cfg)]) == 2
+        assert capsys.readouterr() == (
+            "", f"geopotent: error: {cfg}.earth: {detail}\n")
+
+    def test_gm_key_rejected(self, tmp_path, capsys):
+        # gamma * mass is computed from constants.gamma and earth.mass
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"earth": {"mass": 5.9737e24,
                                              "gm": 4.2e14}}))
         assert main(["direct", "--config", str(cfg), "--p-g", "1e11"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"geopotent: error: unknown key(s) in {cfg}.earth: gm; ")
 
     @pytest.mark.parametrize("config_out, flag", [
         ("-", []), ("report.csv", ["--out", "-"]), (None, ["--out", "-"])],

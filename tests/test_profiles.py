@@ -190,6 +190,28 @@ class TestMassTable:
         assert mass[1] == pytest.approx(
             (4.0 / 3.0) * math.pi * 9000.0 * 1.0e5**3, rel=1e-15)
 
+    @pytest.mark.parametrize("radii,densities,message", [
+        # M passes the float range
+        ([0.0, 0.4943944560935246, 2.189688451460996, 2.943663174444477],
+         [5.990681266047877e307, 2.4131632584750815e307,
+          3.87755296054204e306, 1.0192913958223423e308],
+         "enclosed mass at r = 2.189688451460996 m is not finite: inf"),
+        # the negative slope term of a shell overflows to -inf
+        ([0.0, 0.6266681744477031, 0.807207630616892, 2.658075869097086],
+         [1.461323978307312e306, 6.721879136322771e307,
+          1.4159081731331236e307, 6.457404100416946e306],
+         "enclosed mass at r = 0.807207630616892 m is not finite: -inf"),
+    ], ids=["overflow", "inf_minus_inf"])
+    def test_non_finite_mass_names_the_radius(self, radii, densities,
+                                              message):
+        profile = RadialProfile(radii, densities, [0.0] * 4)
+        for quantity in (lambda p: enclosed_mass(p, 0.1),
+                         lambda p: surface_potential_integral(p, GAMMA),
+                         mean_density):
+            with pytest.raises(OutOfDomainError) as err:
+                quantity(profile)
+            assert str(err.value) == message
+
     def test_profile_report_builds_one_table(self, monkeypatch, capsys):
         builds = []
         build = profiles.build_mass_table
@@ -325,20 +347,20 @@ class TestSurfacePotentialIntegral:
             result = json.load(fh)["result"]
         assert result["homogeneity_integral_j_kg"] == exact
 
-    @pytest.mark.parametrize("radii,densities,is_total", [
-        # finite terms whose sum passes the float range
-        ([0.0, 0.4943944560935246, 2.189688451460996, 2.943663174444477],
-         [5.990681266047877e307, 2.4131632584750815e307,
-          3.87755296054204e306, 1.0192913958223423e308], math.isinf),
-        # a mass table overflowing to -inf: terms of inf and -inf
-        ([0.0, 0.6266681744477031, 0.807207630616892, 2.658075869097086],
-         [1.461323978307312e306, 6.721879136322771e307,
-          1.4159081731331236e307, 6.457404100416946e306], math.isnan),
-    ], ids=["overflow", "inf_minus_inf"])
-    def test_non_finite_total_is_what_sum_gives(self, radii, densities,
-                                                is_total):
-        profile = RadialProfile(radii, densities, [0.0] * 4)
-        assert is_total(surface_potential_integral(profile, GAMMA))
+    def test_non_finite_total_is_what_sum_gives(self):
+        # a finite mass table whose terms sum past the float range
+        profile = RadialProfile([0.0, 0.5, 1.0, 1e6], [5e307, 5e307, 1.0, 1.0],
+                                [0.0] * 4)
+        assert all(map(math.isfinite, profile.mass_table.mass))
+        assert math.isinf(surface_potential_integral(profile, GAMMA))
+
+    def test_knots_too_close_to_the_centre(self):
+        # 1e-300 * 2e-300 underflows to 0, where no mass is enclosed
+        profile = RadialProfile([0.0, 1e-300, 2e-300, 6.371e6],
+                                [13000.0, 12000.0, 11000.0, 3000.0],
+                                [1.7e308, 1e308, 1e307, 0.0])
+        assert profile.mass_table.mass[:3] == (0.0, 0.0, 0.0)
+        assert surface_potential_integral(profile, GAMMA) > 0.0
 
     def test_centrally_condensed_exceeds_uniform_bound(self, prem_profile):
         value = surface_potential_integral(prem_profile, GAMMA)
@@ -539,6 +561,15 @@ class TestMeanDensity:
         value = mean_density(prem_profile)
         assert value == pytest.approx(FIXTURE_MEAN_DENSITY, rel=1e-8)
         assert value == pytest.approx(5515.0, rel=0.01)
+
+    def test_volume_underflow_names_the_radius(self):
+        # (4/3)*pi*R^3 underflows to 0 for a body below about 1e-108 m
+        profile = RadialProfile([0.0, 3e-111, 6e-111, 1e-110], [5515.0] * 4,
+                                [3.0, 2.0, 1.0, 0.0])
+        with pytest.raises(OutOfDomainError) as err:
+            mean_density(profile)
+        assert str(err.value) == ("the volume of a body of radius 1e-110 m "
+                                  "underflows to 0")
 
 
 class TestCoreEquilibriumGravity:

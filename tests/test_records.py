@@ -42,7 +42,7 @@ from geopotent.errors import NonPhysicalValueError
 SEGMENT = ScheduleSegment(0.0, 10.0, "constant", (500.0,))
 SPHERE = UniformSphere.from_mass_radius(1e12, 500.0)
 OTHER_SPHERE = UniformSphere.from_mass_radius(2e12, 500.0)
-EARTH = (6.371e6, 5.9737e24, 5515.0, 7910.0, 6.6743e-11 * 5.9737e24)
+EARTH = (6.371e6, 5.9737e24, 5515.0, 7910.0)
 
 # class: (field names, defaults by name, values, values that differ)
 RECORDS = {
@@ -54,17 +54,17 @@ RECORDS = {
         (OTHER_SPHERE.mass, OTHER_SPHERE.radius, OTHER_SPHERE.density)),
     EarthParameters: (
         ("mean_radius", "mass", "mean_density",
-         "surface_first_cosmic_velocity", "gm"),
+         "surface_first_cosmic_velocity"),
         dict(zip(("mean_radius", "mass", "mean_density",
-                  "surface_first_cosmic_velocity", "gm"), EARTH)),
+                  "surface_first_cosmic_velocity"), EARTH)),
         EARTH, (6.4e6,) + EARTH[1:]),
     RadialProfile: (
         ("radii", "densities", "pressures"), {},
         ((0.0, 1.0, 2.0, 3.0), (4.0, 3.0, 2.0, 1.0), (4.0, 3.0, 2.0, 1.0)),
         ((0.0, 1.0, 2.0, 3.0), (4.0, 3.0, 2.0, 1.0), (4.0, 3.0, 2.0, 0.0))),
     PotentialBreakdown: (
-        ("u_surface", "equipotential_surface", "compression_potential",
-         "u_infinity"), {}, (1.0, 2.0, 0.5, 3.5), (1.0, 2.0, 0.0, 3.0)),
+        ("u_surface", "equipotential_surface", "compression_potential"), {},
+        (1.0, 2.0, 0.5), (1.0, 2.0, 0.0)),
     InversionResult: (
         ("r0", "depth", "trend"), {},
         (3.5e6, 2.8e6, DensityTrend.DECREASING_OUTWARD),
@@ -192,9 +192,9 @@ def test_domain_record_is_not_a_tuple(cls):
 
 
 def test_validating_named_tuples_check_replace_too():
-    breakdown = PotentialBreakdown.from_parts(1.0, 2.0, 0.5)
+    breakdown = PotentialBreakdown(1.0, 2.0, 0.5)
     with pytest.raises(NonPhysicalValueError):
-        breakdown._replace(u_infinity=4.0)
+        breakdown._replace(u_surface=-1.0)
     result = InversionResult(3.5e6, 2.8e6, DensityTrend.UNIFORM)
     with pytest.raises(NonPhysicalValueError):
         result._replace(r0=-math.inf)

@@ -41,13 +41,12 @@ REPORTED = {
 
 
 def earth_like_parameters(sphere):
-    gm = GAMMA * sphere.mass
     return EarthParameters(
         mean_radius=sphere.radius,
         mass=sphere.mass,
         mean_density=sphere.density,
-        surface_first_cosmic_velocity=math.sqrt(gm / sphere.radius),
-        gm=gm,
+        surface_first_cosmic_velocity=math.sqrt(GAMMA * sphere.mass
+                                                / sphere.radius),
     )
 
 
@@ -88,7 +87,7 @@ class TestDirectProblem:
         earth = EarthParameters()
         result = direct_problem(earth, 0.0)
         assert result.u_infinity == pytest.approx(
-            earth.gm / earth.mean_radius, rel=1e-4)
+            GAMMA * earth.mass / earth.mean_radius, rel=1e-4)
         assert result.u_infinity == pytest.approx(6.258e7, rel=1e-3)
 
     def test_sum_invariant_exact(self):
@@ -135,14 +134,15 @@ class TestInverseProblem:
         for _ in range(100):
             sphere = random_sphere(rng)
             earth = earth_like_parameters(sphere)
-            u_inf = direct_problem(earth, 0.0).u_infinity
-            result = inverse_problem(earth.gm, u_inf, sphere.radius)
+            gm = GAMMA * earth.mass
+            u_inf = direct_problem(earth, 0.0, GAMMA).u_infinity
+            result = inverse_problem(gm, u_inf, sphere.radius)
             # compression-free balance gives gm/R, so r0 recovers R
             assert result.r0 == pytest.approx(sphere.radius, rel=1e-12)
             # against the full fall-from-infinity value (3/2) gm/R the
             # same division lands at two thirds of the radius
-            full = 1.5 * earth.gm / sphere.radius
-            r0_full = inverse_problem(earth.gm, full, sphere.radius).r0
+            full = 1.5 * gm / sphere.radius
+            r0_full = inverse_problem(gm, full, sphere.radius).r0
             assert r0_full == pytest.approx(2.0 * sphere.radius / 3.0,
                                             rel=1e-12)
 
