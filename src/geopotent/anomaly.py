@@ -17,15 +17,20 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
-from .core import DEFAULT_CONSTANTS, AnomalySource, _require_positive
+from .core import (
+    DEFAULT_CONSTANTS,
+    AnomalySource,
+    CheckedTuple,
+    _require_positive,
+)
 from .errors import NonPhysicalInputError, OutOfDomainError
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
 
-class BackgroundState(namedtuple("BackgroundState", "u0 g0 u_infinity")):
+class BackgroundState(CheckedTuple,
+                      namedtuple("BackgroundState", "u0 g0 u_infinity")):
     """Unperturbed field at the observer: potential, gravity, at-infinity value.
 
     A tuple, so ``BackgroundState(*t)`` accepts any 3-sequence; every
@@ -41,24 +46,19 @@ class BackgroundState(namedtuple("BackgroundState", "u0 g0 u_infinity")):
             _require_positive(name, value)
         return super().__new__(cls, u0, g0, u_infinity)
 
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through here
-        return cls(*iterable)
 
-
-class SensitivityPair(NamedTuple):
+class SensitivityPair(namedtuple("SensitivityPair", "k1 k2 ratio")):
     """Linear sensitivity of potential (k1) and gravity (k2) anomalies.
 
     ratio = k1/k2 = (1/2)*(r/r0): the potential channel dominates once
     the observation distance exceeds twice the source radius.
     """
 
-    k1: float
-    k2: float
-    ratio: float
+    __slots__ = ()
 
 
-class AnomalySignal(NamedTuple):
+class AnomalySignal(namedtuple("AnomalySignal", "delta_u delta_g delta_v_s "
+                               "relative_u relative_g")):
     """Perturbations at the observer caused by a buried source.
 
     delta_u and delta_g carry the sign of the density contrast;
@@ -66,11 +66,7 @@ class AnomalySignal(NamedTuple):
     potential drops).
     """
 
-    delta_u: float
-    delta_g: float
-    delta_v_s: float
-    relative_u: float
-    relative_g: float
+    __slots__ = ()
 
 
 def sensitivity_coefficients(r, r0, gamma=_DEFAULT_GAMMA) -> SensitivityPair:
@@ -89,19 +85,26 @@ def crossover_radius(r0):
     return 2.0 * r0
 
 
-def speed_change(delta_u, base, speed):
-    """sqrt(2*(base - delta_u)) - speed, where speed is sqrt(2*base).
+def speed_changes(delta_u, base, speed):
+    """sqrt(2*(base - du)) - speed for each du of `delta_u`, as a list.
 
-    The change of the equipotential velocity sqrt(2*(u_infinity - u))
-    when u rises by delta_u. It is written as -2*delta_u over the sum of
-    the two speeds, so the two close speeds are never subtracted; no
-    change in u gives +0.0. A speed past the float range gives nan, as
-    the difference did, not a quotient that reads 0.
+    `speed` is sqrt(2*base). Each value is the change of the
+    equipotential velocity sqrt(2*(u_infinity - u)) when u rises by du.
+    It is written as -2*du over the sum of the two speeds, so the two
+    close speeds are never subtracted; no change in u gives +0.0. A
+    speed past the float range gives nan, as the difference did, not a
+    quotient that reads 0.
     """
-    if delta_u == 0.0:  # also the 0/0 of base == 0
-        return 0.0
-    speeds = math.sqrt(2.0 * (base - delta_u)) + speed
-    return -2.0 * delta_u / speeds if speeds < math.inf else math.nan
+    return [0.0 if du == 0.0  # also the 0/0 of base == 0
+            else -2.0 * du / s
+            if (s := math.sqrt(2.0 * (base - du)) + speed) < math.inf
+            else math.nan
+            for du in delta_u]
+
+
+def speed_change(delta_u, base, speed):
+    """The one value of :func:`speed_changes` for a single delta_u."""
+    return speed_changes((delta_u,), base, speed)[0]
 
 
 def point_mass_signal(delta_mass, distance, background: BackgroundState,
@@ -125,12 +128,8 @@ def point_mass_signal(delta_mass, distance, background: BackgroundState,
         raise OutOfDomainError(
             f"perturbed potential exceeds u_infinity (delta_u = {delta_u!r})")
     return AnomalySignal(
-        delta_u=delta_u,
-        delta_g=delta_g,
-        delta_v_s=speed_change(delta_u, base, math.sqrt(2.0 * base)),
-        relative_u=delta_u / background.u0,
-        relative_g=delta_g / background.g0,
-    )
+        delta_u, delta_g, speed_change(delta_u, base, math.sqrt(2.0 * base)),
+        delta_u / background.u0, delta_g / background.g0)
 
 
 def anomalous_mass(source: AnomalySource):
@@ -146,20 +145,16 @@ def sphere_anomaly(source: AnomalySource, background: BackgroundState,
                              background, gamma)
 
 
-class DetectabilityRow(NamedTuple):
+class DetectabilityRow(namedtuple(
+        "DetectabilityRow",
+        "offset relative_u relative_g advantage delta_u delta_g delta_v_s")):
     """Signals at one observation distance.
 
     advantage = relative_u / relative_g grows linearly with the offset:
     the raw delta_u/delta_g ratio of a point source is the distance itself.
     """
 
-    offset: float
-    relative_u: float
-    relative_g: float
-    advantage: float
-    delta_u: float
-    delta_g: float
-    delta_v_s: float
+    __slots__ = ()
 
 
 def detectability_report(source: AnomalySource, observer_offsets,
@@ -182,12 +177,7 @@ def detectability_report(source: AnomalySource, observer_offsets,
     for offset in offsets:
         sig = point_mass_signal(delta_mass, offset, background, gamma)
         rows.append(DetectabilityRow(
-            offset=offset,
-            relative_u=sig.relative_u,
-            relative_g=sig.relative_g,
-            advantage=sig.relative_u / sig.relative_g,
-            delta_u=sig.delta_u,
-            delta_g=sig.delta_g,
-            delta_v_s=sig.delta_v_s,
-        ))
+            offset, sig.relative_u, sig.relative_g,
+            sig.relative_u / sig.relative_g,  # advantage
+            sig.delta_u, sig.delta_g, sig.delta_v_s))
     return rows

@@ -23,8 +23,8 @@ import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 from itertools import repeat
-from typing import NamedTuple
 
 from . import __version__
 from .anomaly import (
@@ -214,7 +214,7 @@ def _preamble(report):
     return lines
 
 
-class Table(NamedTuple):
+class Table(namedtuple("Table", "columns data name", defaults=("rows",))):
     """The rows of a report table, held as columns.
 
     ``columns`` names the columns and ``data`` holds one tuple of cells
@@ -223,9 +223,7 @@ class Table(NamedTuple):
     errors; the pulse series is the report's ``rows``.
     """
 
-    columns: tuple
-    data: tuple
-    name: str = "rows"
+    __slots__ = ()
 
 
 def _table(name, columns):
@@ -361,7 +359,8 @@ def cmd_direct(cfg: RunConfig, args):
     elif cfg.p_g_override is not None:
         p_g, source = cfg.p_g_override, "config_override"
     elif args.profile:
-        grad = pressure_gradient_max(read_profile_csv(args.profile))
+        grad = _on_profile(args.profile, pressure_gradient_max,
+                           read_profile_csv(args.profile))
         p_g, source = grad.pressure_at_max, "profile_grad_p_max"
     else:
         raise MissingPressureSourceError(
@@ -402,9 +401,21 @@ def cmd_inverse(cfg: RunConfig, args):
     return report
 
 
+def _on_profile(path, func, *args):
+    """func(*args), with the profile `path` prefixed to its DomainError."""
+    try:
+        return func(*args)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+
+
 def cmd_profile(cfg: RunConfig, args):
     path = _quoted_path(args.profile, "--profile")
-    profile = read_profile_csv(path)
+    return _on_profile(path, _profile_report, cfg, path,
+                       read_profile_csv(path))
+
+
+def _profile_report(cfg, path, profile):
     gamma = cfg.constants.gamma
     total = enclosed_mass(profile, profile.body_radius)
     rho_mean = mean_density(profile)

@@ -325,7 +325,18 @@ def _validate_columns(radii, densities, pressures):
             f"-> {pressures[i]} exceeds slack {PRESSURE_SLACK:.2%}", index=i)
 
 
-class PotentialBreakdown(namedtuple(
+class CheckedTuple:
+    """First base of a named tuple whose ``__new__`` checks its fields:
+    ``_make``, and so ``_replace``, builds through ``__new__``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class PotentialBreakdown(CheckedTuple, namedtuple(
         "PotentialBreakdown",
         "u_surface equipotential_surface compression_potential")):
     """Output of the direct problem: the surface energy balance.
@@ -346,10 +357,6 @@ class PotentialBreakdown(namedtuple(
         return super().__new__(cls, u_surface, equipotential_surface,
                                compression_potential)
 
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through here
-        return cls(*iterable)
-
     @property
     def u_infinity(self):
         """u_surface + equipotential_surface + compression_potential."""
@@ -365,7 +372,8 @@ class DensityTrend(str, Enum):
     INCREASING_OUTWARD = "increasing_outward"
 
 
-class InversionResult(namedtuple("InversionResult", "r0 depth trend")):
+class InversionResult(CheckedTuple,
+                      namedtuple("InversionResult", "r0 depth trend")):
     """Characteristic gravitational radius and its classification.
 
     ``depth`` is body_radius - r0 (negative when the characteristic
@@ -377,10 +385,6 @@ class InversionResult(namedtuple("InversionResult", "r0 depth trend")):
     def __new__(cls, r0, depth, trend):
         _require_positive("r0", r0)
         return super().__new__(cls, r0, depth, trend)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through here
-        return cls(*iterable)
 
 
 class AnomalySource(Record):

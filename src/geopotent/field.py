@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import kernels
 from .core import (
@@ -38,23 +38,30 @@ from .errors import (
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
 
-class FieldSample(NamedTuple):
+class FieldSample(namedtuple("FieldSample", "radius potential gravity "
+                             "equipotential_velocity kinetic_potential")):
     """Field quantities bundled at one radius.
 
     potential + kinetic_potential equals the generating sphere's
     at-infinity potential by construction.
     """
 
-    radius: float
-    potential: float
-    gravity: float
-    equipotential_velocity: float
-    kinetic_potential: float
+    __slots__ = ()
+
+
+def _numpy():
+    """numpy, which only the ``field`` extra installs."""
+    try:
+        import numpy
+    except ImportError as exc:
+        raise ImportError("sample_field needs numpy: "
+                          "pip install 'geopotent[field]'") from exc
+    return numpy
 
 
 def _read_only_column(values):
     """A read-only view of `values` as a contiguous 1-D float64 array."""
-    import numpy as np
+    np = _numpy()
     arr = np.ascontiguousarray(values, dtype=np.float64).view()
     if arr.ndim != 1:
         raise NonPhysicalValueError("field columns must be one-dimensional")
@@ -205,7 +212,7 @@ def sample_field(sphere: UniformSphere, radii, gamma=_DEFAULT_GAMMA):
     caller's array does. Raises NonPhysicalInputError naming the index of
     the first negative or non-finite radius.
     """
-    import numpy as np
+    np = _numpy()
     r = np.array(radii if isinstance(radii, np.ndarray) else list(radii),
                  dtype=np.float64)
     bad = np.flatnonzero(~(np.isfinite(r) & (r >= 0.0)))

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import namedtuple
 from itertools import accumulate
 from operator import sub, truediv
-from typing import NamedTuple
 
 from .core import RadialProfile
 from .errors import DegenerateProfileError, OutOfDomainError
@@ -34,15 +34,14 @@ FOUR_PI = 4.0 * math.pi
 _GRAD_P_TIE_RTOL = 1e-12
 
 
-class GradPResult(NamedTuple):
+class GradPResult(namedtuple("GradPResult", "radius_at_max pressure_at_max "
+                             "gradient_magnitude")):
     """Inner knot of the steepest knot segment, its pressure and |dP/dr|."""
 
-    radius_at_max: float
-    pressure_at_max: float
-    gradient_magnitude: float
+    __slots__ = ()
 
 
-class MassTable(NamedTuple):
+class MassTable(namedtuple("MassTable", "knots densities mass")):
     """Enclosed mass at the knots of a profile, from the center outward.
 
     ``knots`` are the sampled radii, preceded by ``0`` when the first
@@ -51,9 +50,7 @@ class MassTable(NamedTuple):
     M(knots[i]). All three are tuples of floats.
     """
 
-    knots: tuple
-    densities: tuple
-    mass: tuple
+    __slots__ = ()
 
 
 def _shell_mass(r, rho, slope, t):

@@ -19,9 +19,9 @@ the exact volume sum.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
-from .anomaly import BackgroundState, point_mass_signal, speed_change
+from .anomaly import BackgroundState, point_mass_signal, speed_changes
 from .core import (
     DEFAULT_CONSTANTS,
     CavitySchedule,
@@ -39,7 +39,8 @@ from .solver import direct_problem
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
 
-class PulseSample(NamedTuple):
+class PulseSample(namedtuple("PulseSample", "t source_radius potential "
+                             "delta_u delta_g delta_v_s")):
     """One time step of the precursor series.
 
     `potential` is the literal constant-mass value at the observer; the
@@ -47,12 +48,7 @@ class PulseSample(NamedTuple):
     sample of the run.
     """
 
-    t: float
-    source_radius: float
-    potential: float
-    delta_u: float
-    delta_g: float
-    delta_v_s: float
+    __slots__ = ()
 
 
 class PulseTable(ColumnTable):
@@ -140,10 +136,8 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
     times = [float(t) for t in sample_times]
     if not times:
         return PulseTable([], [], [], [], [], [])
-    if background is None:
-        background = surface_background()
-    else:
-        background = BackgroundState(*background)
+    background = (surface_background() if background is None
+                  else BackgroundState(*background))
     # segment_at rejects a time outside the span before any sample is built
     cubes = [schedule.segment_at(t).radius_cubed(t) for t in times]
     deficits = [(4.0 / 3.0) * math.pi * cubed * schedule.host_density_contrast
@@ -172,7 +166,7 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
         potential=[-gm / observer + 1.5 * gm / radius for radius in radii],
         delta_u=delta_u,
         delta_g=[gamma * dm / (observer * observer) for dm in delta_masses],
-        delta_v_s=[speed_change(du, base, speed) for du in delta_u],
+        delta_v_s=speed_changes(delta_u, base, speed),
     )
 
 

@@ -14,7 +14,7 @@ localizes the resulting radius against reference boundaries.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import profiles
 from .core import (
@@ -68,7 +68,9 @@ class BoundaryReference(Record):
         self._set(name, radius, layer_half_thickness)
 
 
-class HomogeneityBoundReport(NamedTuple):
+class HomogeneityBoundReport(namedtuple(
+        "HomogeneityBoundReport",
+        "integral_side uniform_side holds relative_gap")):
     """Both sides of the surface-potential bound and whether it holds.
 
     relative_gap = (integral_side - uniform_side) / uniform_side; a
@@ -76,10 +78,7 @@ class HomogeneityBoundReport(NamedTuple):
     exceeds that of its uniform equivalent.
     """
 
-    integral_side: float
-    uniform_side: float
-    holds: bool
-    relative_gap: float
+    __slots__ = ()
 
 
 def compression_potential(p_g, rho_g):
@@ -164,13 +163,9 @@ def homogeneity_bound(profile: RadialProfile,
     density. Centrally condensed bodies come out above the uniform side,
     so `holds` is reported, never assumed.
     """
-    left = profiles.surface_potential_integral(profile, gamma)
+    integral = profiles.surface_potential_integral(profile, gamma)
     rho0 = profiles.mean_density(profile)
-    right = uniform_sphere_potential(gamma, rho0, profile.body_radius)
-    gap = (left - right) / right
-    return HomogeneityBoundReport(
-        integral_side=left,
-        uniform_side=right,
-        holds=gap <= _BOUND_EQUALITY_MARGIN,
-        relative_gap=gap,
-    )
+    uniform = uniform_sphere_potential(gamma, rho0, profile.body_radius)
+    gap = (integral - uniform) / uniform
+    return HomogeneityBoundReport(integral, uniform,
+                                  gap <= _BOUND_EQUALITY_MARGIN, gap)

@@ -440,16 +440,29 @@ EXTREME_PROFILES = {
                       "2.658075869097086,6.457404100416946e+306,0"],
     "tiny_body": ["0,5515,3", "3e-111,5515,2", "6e-111,5515,1",
                   "1e-110,5515,0"],
+    "constant_pressure": ["0,5515,1e9", "1e6,5515,1e9", "2e6,5515,1e9",
+                          "3e6,5515,1e9"],
 }
 
-# the one stderr line of `profile` on each, which names the radius or cell
+# the one stderr line of `profile` on each: a failing profile numeric
+# names the file, then the radius; a report cell names the cell
 EXTREME_ERRORS = {
-    "huge_values": "enclosed mass at r = 1000000.0 m is not finite: nan",
+    "huge_values":
+        "{path}: enclosed mass at r = 1000000.0 m is not finite: nan",
     "tiny_gaps": "report cell result.grad_p_gradient_pa_m is not finite: inf",
-    "inf_minus_inf":
+    "inf_minus_inf": "{path}: "
         "enclosed mass at r = 0.807207630616892 m is not finite: -inf",
-    "tiny_body": "the volume of a body of radius 1e-110 m underflows to 0",
+    "tiny_body":
+        "{path}: the volume of a body of radius 1e-110 m underflows to 0",
+    "constant_pressure":
+        "{path}: pressure is constant; the gradient has no maximum",
 }
+
+
+def extreme_error(tmp_path, kind):
+    """The stderr line of `profile` on the EXTREME_PROFILES `kind`."""
+    message = EXTREME_ERRORS[kind].format(path=tmp_path / f"{kind}.csv")
+    return f"geopotent: domain error: {message}"
 
 
 def run_module(argv, tmp_path, kind):
@@ -469,13 +482,18 @@ class TestProfileCommand:
         proc = run_module(["profile"], tmp_path, kind)
         assert (proc.returncode, proc.stdout) == (3, "")
         [line] = proc.stderr.splitlines()
-        assert line == f"geopotent: domain error: {EXTREME_ERRORS[kind]}"
+        assert line == extreme_error(tmp_path, kind)
 
     @pytest.mark.parametrize("kind", sorted(EXTREME_PROFILES))
     def test_json_reports_the_same_error(self, kind, tmp_path):
         proc = run_module(["profile", "--format", "json"], tmp_path, kind)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
-            3, "", f"geopotent: domain error: {EXTREME_ERRORS[kind]}\n")
+            3, "", extreme_error(tmp_path, kind) + "\n")
+
+    def test_direct_names_the_constant_pressure_file(self, tmp_path):
+        proc = run_module(["direct"], tmp_path, "constant_pressure")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            3, "", extreme_error(tmp_path, "constant_pressure") + "\n")
 
     def test_direct_reads_p_g_across_tiny_gaps(self, tmp_path):
         proc = run_module(["direct", "--format", "json"], tmp_path,

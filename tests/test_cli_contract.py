@@ -1,8 +1,9 @@
-"""The CLI contract under arbitrary numeric flags and unreadable files.
+"""The CLI contract under arbitrary numeric flags and input files.
 
-Whatever the flag values, `cli.main` returns 0, 2 or 3, lets no
-exception escape, prints no traceback, and an exit-0 report holds only
-finite numbers, in CSV and in JSON.
+Whatever the flag values, and whatever numbers the profile, schedule
+and config files hold, `cli.main` returns 0, 2 or 3, lets no exception
+escape, prints no traceback, and an exit-0 report holds only finite
+numbers, in CSV and in JSON.
 """
 
 import contextlib
@@ -10,6 +11,8 @@ import io
 import json
 import math
 import os
+import tempfile
+from decimal import Decimal
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,8 @@ from geopotent.cli import PULSE_MAX_SAMPLES, main
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "fixtures")
 GROWTH = os.path.join(FIXTURES, "growth_schedule.json")  # span [0, 86400]
+PREM = os.path.join(FIXTURES, "prem20.csv")
+CONFIG = os.path.join(FIXTURES, "earth_config.json")
 NOT_UTF8 = os.path.join(FIXTURES, "not_utf8.csv")
 MISSING = os.path.join(FIXTURES, "no_such_dir", "no_such_file")
 
@@ -156,6 +161,10 @@ def non_finite_json_numbers(node):
 @example(argv=["direct", "--p-g=1e11", f"--config={NOT_UTF8}"])
 @example(argv=["direct", "--p-g=1e11", f"--config={FIXTURES}"])
 def test_exit_code_and_finite_report(argv):
+    assert_contract(argv)
+
+
+def assert_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -170,3 +179,112 @@ def test_exit_code_and_finite_report(argv):
     else:
         bad = list(non_finite_csv_cells(text))
     assert not bad, (argv, bad)
+
+
+# -- generated input files ---------------------------------------------------
+#
+# Each file is a fixture with one or two numbers set to EXTREMES values,
+# or with all its radii or all its densities scaled by 10**k. A wholly
+# random file would almost never pass validation, so it would reach
+# only the rejection paths.
+
+exponents = st.one_of(st.integers(-12, 12), st.integers(-330, 330))
+
+
+def scaled(number, k):
+    """`number` (a float or its text) times 10**k, correctly rounded."""
+    return float(Decimal(str(number)).scaleb(k))
+
+
+def read(path):
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+@st.composite
+def profile_text(draw):
+    header, *lines = read(PREM).splitlines()
+    rows = [line.split(",") for line in lines]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(0, 2))] = draw(st.sampled_from(EXTREMES))
+    else:
+        column, k = draw(st.sampled_from([0, 1])), draw(exponents)
+        for row in rows:  # the radii or the densities
+            row[column] = repr(scaled(row[column], k))
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
+
+
+def number_paths(node, path=()):
+    """The key paths of every number in a parsed JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from number_paths(value, (*path, key))
+    elif type(node) in (int, float):
+        yield path
+
+
+def update(data, path, change):
+    """Replace the number at key `path` in `data` by change(number)."""
+    *parents, key = path
+    for parent in parents:
+        data = data[parent]
+    data[key] = change(data[key])
+
+
+@st.composite
+def json_text(draw, fixture):
+    data = json.loads(read(fixture))
+    paths = list(number_paths(data))
+    if draw(st.booleans()):
+        for path in draw(st.lists(st.sampled_from(paths), min_size=1,
+                                  max_size=2)):
+            extreme = float(draw(st.sampled_from(EXTREMES)))
+            update(data, path, lambda _: extreme)
+    else:
+        word, k = draw(st.sampled_from(["radius", "density"])), draw(exponents)
+        for path in paths:  # the radii or the densities
+            if word in str(path[-1]):
+                update(data, path, lambda number: scaled(number, k))
+    return json.dumps(data)  # nan and inf as NaN and Infinity
+
+
+# the runs of each generated file, which is written to {path}
+FILE_RUNS = {
+    "profile.csv": (profile_text(), [
+        ["profile", "--profile={path}"],
+        ["direct", "--profile={path}"],
+    ]),
+    "schedule.json": (json_text(GROWTH), [
+        ["pulse", "--schedule={path}"],
+        ["pulse", "--schedule={path}", "--times=0,43200,64800,86400"],
+    ]),
+    "config.json": (json_text(CONFIG), [
+        ["direct", "--config={path}"],
+        ["inverse", "--u-inf=111652000", "--config={path}"],
+        ["profile", f"--profile={PREM}", "--config={path}"],
+        ANOMALY + ["--offsets=5000,10000", "--config={path}"],
+        ["pulse", f"--schedule={GROWTH}", "--config={path}"],
+    ]),
+}
+
+
+@st.composite
+def generated_run(draw):
+    name = draw(st.sampled_from(sorted(FILE_RUNS)))
+    text, runs = FILE_RUNS[name]
+    return name, draw(text), draw(st.sampled_from(runs))
+
+
+@settings(max_examples=250, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(run=generated_run(), fmt=st.sampled_from([[], ["--format=json"]]))
+def test_generated_files_keep_the_contract(run, fmt):
+    name, text, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert_contract([arg.format(path=path) for arg in argv] + fmt)

@@ -1,6 +1,7 @@
 """What a fresh process imports: numpy only for ``sample_field`` and
-``FieldTable``, whose callers work with arrays, and neither dataclasses
-nor inspect at all. No CLI command imports numpy.
+``FieldTable``, whose callers work with arrays, and neither dataclasses,
+inspect nor typing at all. No CLI command imports numpy, and an install
+without the ``field`` extra has none.
 
 Each test starts a new interpreter, because numpy, once imported by any
 earlier test, stays in this process's ``sys.modules``.
@@ -30,17 +31,18 @@ SCALAR_COMMANDS = {
 }
 
 
-def fresh(statements):
+def fresh(statements, flags=()):
     """Run `statements` in a new interpreter; return the dict it reports.
 
     The statements may set ``result``; the report holds it and whether
-    numpy was imported by the end of the run.
+    numpy was imported by the end of the run. `flags` go to the
+    interpreter.
     """
     report = ("\nimport json, sys\n"
               "print(json.dumps({'result': globals().get('result'),"
               " 'numpy': 'numpy' in sys.modules}))\n")
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
-    proc = subprocess.run([sys.executable, "-c", statements + report],
+    proc = subprocess.run([sys.executable, *flags, "-c", statements + report],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           check=True)
     return json.loads(proc.stdout.splitlines()[-1])
@@ -94,6 +96,24 @@ def test_sample_field_imports_numpy():
     assert run == {"result": 2, "numpy": True}
 
 
+@pytest.mark.parametrize("table", [
+    "geopotent.sample_field(sphere, [0.0, 1.0e7])",
+    "geopotent.FieldTable(*[[1.0, 2.0]] * 5)",
+])
+def test_field_without_numpy_names_the_extra(table):
+    run = fresh("import sys\n"
+                "sys.modules['numpy'] = None  # as if it were not installed\n"
+                "import geopotent\n"
+                "sphere = geopotent.UniformSphere.from_mass_radius("
+                "5.9737e24, 6.371e6)\n"
+                "try:\n"
+                f"    {table}\n"
+                "except ImportError as exc:\n"
+                "    result = str(exc)\n")
+    assert run["result"] == ("sample_field needs numpy: "
+                             "pip install 'geopotent[field]'")
+
+
 def test_cli_import_loads_every_module():
     # perfbench/tracer.py compares the loaded geopotent modules before and
     # after a traced run, so a lazily imported module fails --trace 1.
@@ -124,3 +144,12 @@ def test_schedule_constructor_is_on_the_class():
     run = fresh("from geopotent import CavitySchedule\n"
                 "result = '__init__' in vars(CavitySchedule)")
     assert run["result"] is True
+
+
+def test_startup_without_site_never_imports_typing():
+    # the result records are collections.namedtuple classes; -S keeps
+    # site and any .pth file from loading typing first
+    run = fresh("import sys, geopotent.cli\n"
+                "code = geopotent.cli.main(['direct', '--p-g', '3.6e11'])\n"
+                "result = [code, 'typing' in sys.modules]", flags=["-S"])
+    assert run == {"result": [0, False], "numpy": False}
