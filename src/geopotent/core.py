@@ -13,8 +13,8 @@ import operator
 from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, partial
+from itertools import groupby, repeat
 
 from .errors import (
     NonMonotonicRadiusError,
@@ -40,6 +40,15 @@ def _require_positive(name, value, error=NonPhysicalValueError):
     """Raise `error` unless `value` is positive and finite."""
     if not (math.isfinite(value) and value > 0.0):
         raise error(f"{name} must be positive and finite, got {value!r}")
+
+
+def _cube(name, value, error=NonPhysicalValueError):
+    """``value ** 3``; `error` naming `name` if the cube overflows a float."""
+    try:
+        return value ** 3
+    except OverflowError:
+        raise error(f"{name} {value!r} is too large: its cube overflows the "
+                    f"float range") from None
 
 
 class Record:
@@ -172,7 +181,7 @@ class UniformSphere(Record):
         _require_positive("mass", mass)
         _require_positive("radius", radius)
         _require_positive("density", density)
-        implied = (4.0 / 3.0) * math.pi * density * radius**3
+        implied = (4.0 / 3.0) * math.pi * density * _cube("radius", radius)
         if abs(mass - implied) / mass > SPHERE_CONSISTENCY_TOL:
             raise NonPhysicalValueError(
                 f"inconsistent sphere: mass {mass!r} vs "
@@ -182,11 +191,13 @@ class UniformSphere(Record):
 
     @classmethod
     def from_mass_radius(cls, mass, radius):
-        return cls(mass, radius, mass / ((4.0 / 3.0) * math.pi * radius**3))
+        return cls(mass, radius,
+                   mass / ((4.0 / 3.0) * math.pi * _cube("radius", radius)))
 
     @classmethod
     def from_density_radius(cls, density, radius):
-        return cls((4.0 / 3.0) * math.pi * density * radius**3, radius, density)
+        return cls((4.0 / 3.0) * math.pi * density * _cube("radius", radius),
+                   radius, density)
 
     @classmethod
     def from_mass_density(cls, mass, density):
@@ -399,6 +410,7 @@ class AnomalySource(Record):
 
     def __init__(self, depth, radius, density_contrast):
         _require_positive("radius", radius)
+        _cube("radius", radius)
         if not (math.isfinite(depth) and depth > radius):
             raise NonPhysicalValueError(
                 f"source must be fully buried: depth {depth!r} must "
@@ -456,21 +468,20 @@ class ScheduleSegment(Record):
                                 f"parameter(s), got {len(radii)}")
         if any(not (math.isfinite(r) and r > 0.0) for r in radii):
             raise ScheduleError(f"radii must be positive, got {radii}")
+        for name, radius in zip(names, radii):
+            _cube(name, radius, ScheduleError)
         self._set(start, end, kind, radii)
 
-    def radius_cubed(self, t):
-        """R(t)^3. Coalescence reports the exact conserved volume sum."""
+    def radii_cubed(self, times):
+        """R(t)^3 at each time of the list `times`, all in this segment."""
         if self.kind == "constant":
-            return self.params[0] ** 3
+            return [self.params[0] ** 3] * len(times)
         if self.kind == "linear":
             r_a, r_b = self.params
-            frac = (t - self.t_start) / (self.t_end - self.t_start)
-            return (r_a + (r_b - r_a) * frac) ** 3
+            t0, dr, span = self.t_start, r_b - r_a, self.t_end - self.t_start
+            return [(r_a + dr * ((t - t0) / span)) ** 3 for t in times]
         r_1, r_2 = self.params
-        return r_1**3 + r_2**3
-
-    def radius(self, t):
-        return self.radius_cubed(t) ** (1.0 / 3.0)
+        return [r_1**3 + r_2**3] * len(times)
 
     def max_radius(self):
         if self.kind == "constant":
@@ -514,7 +525,7 @@ class CavitySchedule(Record):
                     index=i)
         self._set(segments, source_mass, observer_radius,
                   host_density_contrast)
-        # Boundary times between consecutive segments, for segment_at.
+        # Boundary times between consecutive segments, for radii_cubed.
         object.__setattr__(self, "_ends",
                            tuple(seg.t_end for seg in segments[:-1]))
 
@@ -526,9 +537,13 @@ class CavitySchedule(Record):
     def t_end(self):
         return self.segments[-1].t_end
 
-    def segment_at(self, t):
-        """Segment covering time t; end times belong to the next segment."""
-        if not (self.t_start <= t <= self.t_end):
-            raise ScheduleError(
-                f"time {t} outside schedule span [{self.t_start}, {self.t_end}]")
-        return self.segments[bisect_right(self._ends, t)]
+    def radii_cubed(self, times):
+        """R(t)^3 at each of `times`; end times belong to the next segment."""
+        t_start, t_end = self.t_start, self.t_end
+        for t in times:
+            if not (t_start <= t <= t_end):
+                raise ScheduleError(
+                    f"time {t} outside schedule span [{t_start}, {t_end}]")
+        runs = groupby(times, partial(bisect_right, self._ends))
+        return [cubed for i, run in runs
+                for cubed in self.segments[i].radii_cubed(list(run))]

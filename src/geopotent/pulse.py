@@ -103,8 +103,7 @@ def cavity_mass_deficit(schedule: CavitySchedule, t):
     Coalescence segments use the exact conserved volume R1^3 + R2^3, so
     merging two cavities doubles the deficit of two equal ones exactly.
     """
-    seg = schedule.segment_at(t)
-    return ((4.0 / 3.0) * math.pi * seg.radius_cubed(t)
+    return ((4.0 / 3.0) * math.pi * schedule.radii_cubed([t])[0]
             * schedule.host_density_contrast)
 
 
@@ -138,8 +137,8 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
         return PulseTable([], [], [], [], [], [])
     background = (surface_background() if background is None
                   else BackgroundState(*background))
-    # segment_at rejects a time outside the span before any sample is built
-    cubes = [schedule.segment_at(t).radius_cubed(t) for t in times]
+    # radii_cubed rejects a time outside the span before any sample is built
+    cubes = schedule.radii_cubed(times)
     deficits = [(4.0 / 3.0) * math.pi * cubed * schedule.host_density_contrast
                 for cubed in cubes]
     delta_masses = [deficit - deficits[0] for deficit in deficits]

@@ -216,7 +216,7 @@ def test_criterion_7_pulsating_model():
         assert b.delta_v_s > a.delta_v_s
 
     merge = ScheduleSegment(0.0, 1.0, "coalesce_step", (500.0, 500.0))
-    assert merge.radius_cubed(0.5) == 2.0 * 500.0**3
+    assert merge.radii_cubed([0.5]) == [2.0 * 500.0**3]
     merged_schedule = CavitySchedule(
         segments=(ScheduleSegment(0.0, 10.0, "constant", (500.0,)),
                   ScheduleSegment(10.0, 20.0, "coalesce_step", (500.0, 500.0))),

@@ -589,7 +589,7 @@ class TestAnomalyCommand:
         ["--offsets", "5000", "--u0", "1e-320"],  # relative_u overflows
         ["--offsets", "1e308"],                   # delta_g underflows to 0
         ["--offsets", "5000", "--radius", "1e-200"],  # mass underflows to 0
-        ["--depth", "1e300", "--radius", "1e299",     # radius**3 overflows
+        ["--depth", "1e300", "--radius", "1e100",     # mass overflows to inf
          "--density-contrast", "1e300", "--offsets", "2e300"],
     ])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -601,20 +601,34 @@ class TestAnomalyCommand:
         assert out == ""
         assert "domain error" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("extra, message", [
-        (["--depth", "1e300", "--radius", "1e299",
-          "--density-contrast", "1e300", "--offsets", "2e300"],
-         "anomaly: OverflowError: Numerical result out of range"),
-        (["--depth", "5000", "--radius", "1e-200",
-          "--density-contrast", "-2700", "--offsets", "5000"],
-         "anomaly: ZeroDivisionError: float division by zero"),
-    ], ids=["overflow", "zero-division"])
-    def test_arithmetic_error_names_command_and_type(self, extra, message,
-                                                     capsys):
-        assert main(["anomaly"] + extra) == 3
+    def test_arithmetic_error_names_command_and_type(self, capsys):
+        assert main(["anomaly", "--depth", "5000", "--radius", "1e-200",
+                     "--density-contrast", "-2700", "--offsets", "5000"]) == 3
+        assert capsys.readouterr().err == (
+            "geopotent: domain error: anomaly: ZeroDivisionError: float "
+            "division by zero\n")
+
+    def test_errno_overflow_names_command_and_type(self, capsys,
+                                                   monkeypatch):
+        # no input reaches a float ** overflow any more; raise the one it
+        # gave, whose str() is "(34, '...')"
+        def overflow(*args):
+            return 1e299 ** 3
+
+        monkeypatch.setattr("geopotent.cli.detectability_report", overflow)
+        assert main(["anomaly", "--depth", "5000", "--radius", "500",
+                     "--density-contrast", "-2700", "--offsets", "5000"]) == 3
         err = capsys.readouterr().err
-        assert err == f"geopotent: domain error: {message}\n"
+        assert err == ("geopotent: domain error: anomaly: OverflowError: "
+                       "Numerical result out of range\n")
         assert "(34," not in err
+
+    def test_radius_whose_cube_overflows(self, capsys):
+        assert main(["anomaly", "--depth", "1e104", "--radius", "1e103",
+                     "--density-contrast", "-2700", "--offsets", "1e104"]) == 2
+        assert capsys.readouterr() == ("", (
+            "geopotent: error: radius 1e+103 is too large: its cube "
+            "overflows the float range\n"))
 
 
 class TestPulseCommand:
@@ -684,6 +698,25 @@ class TestPulseCommand:
         assert main(["pulse", "--schedule", str(path)]) == 2
         assert capsys.readouterr() == (
             "", f"geopotent: error: {path}: segment 1: {message}\n")
+
+    @pytest.mark.parametrize("kind, params, name", [
+        ("constant", {"radius": 1e110}, "radius"),
+        ("linear", {"radius_start": 1.0, "radius_end": 1e110}, "radius_end"),
+        ("coalesce_step", {"radius_1": 1e110, "radius_2": 1e110},
+         "radius_1"),
+    ])
+    def test_radius_whose_cube_overflows_names_segment(self, kind, params,
+                                                       name, tmp_path,
+                                                       capsys):
+        # with the observer this far out, no radius reaches it
+        def edit(schedule):
+            schedule["observer_radius"] = 1e300
+            schedule["segments"][1].update(kind=kind, params=params)
+        path = self.write_schedule(tmp_path, edit)
+        assert main(["pulse", "--schedule", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"geopotent: error: {path}: segment 1: {name} 1e+110 is too "
+            f"large: its cube overflows the float range\n"))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("contrast", [1e300, -1e300])

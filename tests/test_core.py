@@ -84,6 +84,17 @@ class TestUniformSphere:
         with pytest.raises(NonPhysicalValueError):
             UniformSphere.from_density_radius(1000.0, 0.0)
 
+    @pytest.mark.parametrize("build", [
+        lambda: UniformSphere(1e300, 1e103, 1.0),
+        lambda: UniformSphere.from_mass_radius(1e300, 1e103),
+        lambda: UniformSphere.from_density_radius(1.0, 1e103),
+    ], ids=["init", "from_mass_radius", "from_density_radius"])
+    def test_radius_whose_cube_overflows(self, build):
+        with pytest.raises(NonPhysicalValueError) as err:
+            build()
+        assert str(err.value) == ("radius 1e+103 is too large: its cube "
+                                  "overflows the float range")
+
 
 class TestEarthParameters:
     def test_defaults_are_the_measured_values(self):
@@ -268,6 +279,11 @@ class TestAnomalySource:
         with pytest.raises(NonPhysicalValueError):
             AnomalySource(depth=5000.0, radius=500.0, density_contrast=0.0)
 
+    def test_radius_whose_cube_overflows(self):
+        with pytest.raises(NonPhysicalValueError, match="radius 1e\\+103 is "
+                           "too large: its cube overflows the float range"):
+            AnomalySource(depth=1e104, radius=1e103, density_contrast=-2700.0)
+
 
 def _segment(t0, t1, kind, params):
     return ScheduleSegment(t_start=t0, t_end=t1, kind=kind, params=params)
@@ -281,7 +297,7 @@ class TestCavitySchedule:
             source_mass=1e12, observer_radius=5000.0,
             host_density_contrast=-2700.0)
         assert sched.t_start == 0 and sched.t_end == 200
-        assert sched.segment_at(150).kind == "linear"
+        assert sched.radii_cubed([50, 150]) == [500.0**3, 750.0**3]
 
     def test_segments_must_be_contiguous(self):
         with pytest.raises(ScheduleError) as err:
@@ -301,9 +317,9 @@ class TestCavitySchedule:
 
     def test_coalesce_conserves_volume(self):
         seg = _segment(0, 100, "coalesce_step", (500.0, 500.0))
-        assert seg.radius_cubed(50.0) == 2.0 * 500.0**3
-        assert seg.radius(50.0) == pytest.approx(500.0 * 2.0 ** (1.0 / 3.0),
-                                                 rel=1e-15)
+        assert seg.radii_cubed([0.0, 50.0]) == [2.0 * 500.0**3] * 2
+        assert seg.radii_cubed([50.0])[0] ** (1.0 / 3.0) == pytest.approx(
+            500.0 * 2.0 ** (1.0 / 3.0), rel=1e-15)
 
     def test_unknown_kind(self):
         with pytest.raises(ScheduleError):
@@ -317,8 +333,9 @@ class TestCavitySchedule:
             segments=(_segment(0, 100, "constant", (500.0,)),),
             source_mass=1e12, observer_radius=5000.0,
             host_density_contrast=-2700.0)
-        with pytest.raises(ScheduleError):
-            sched.segment_at(101.0)
+        with pytest.raises(ScheduleError) as err:
+            sched.radii_cubed([50.0, 101.0])
+        assert str(err.value) == "time 101.0 outside schedule span [0.0, 100.0]"
 
 
 class TestScheduleSegment:
@@ -347,6 +364,12 @@ class TestScheduleSegment:
         (0, math.nan, "constant", (500.0,), "t_end must exceed t_start"),
         ("zero", 100, "constant", (500.0,),
          "times and radii must be numbers, got 'zero', 100 and (500.0,)"),
+        (0, 100, "constant", (1e110,),
+         "radius 1e+110 is too large: its cube overflows the float range"),
+        (0, 100, "linear", (1.0, 1e110), "radius_end 1e+110 is too large: "
+                                         "its cube overflows the float range"),
+        (0, 100, "coalesce_step", (1e110, 1e110), "radius_1 1e+110 is too "
+         "large: its cube overflows the float range"),
     ])
     def test_invalid_segment_raises_at_construction(self, t0, t1, kind,
                                                     params, message):
@@ -367,8 +390,9 @@ class TestScheduleSegment:
                 min(params) <= 0.0
             return
         # a tiny radius may cube to 0.0, never to a negative number
-        radius = seg.radius(100.0 * frac)
-        assert type(radius) is float and radius >= 0.0
+        [cubed] = seg.radii_cubed([100.0 * frac])
+        assert type(cubed) is float and cubed >= 0.0
+        assert type(cubed ** (1.0 / 3.0)) is float
 
     def test_stores_floats(self):
         seg = _segment(0, 100, "linear", [500, 1000])

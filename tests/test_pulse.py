@@ -210,15 +210,23 @@ def random_schedule(rng, n_segments):
     return make_schedule(segments)
 
 
-def scan_segment_at(schedule, t):
-    """Reference lookup: scan segments in order; end times belong to the
-    next segment."""
-    if not (schedule.t_start <= t <= schedule.t_end):
-        raise ScheduleError(f"time {t} outside schedule span")
-    for seg in schedule.segments[:-1]:
-        if t < seg.t_end:
-            return seg
-    return schedule.segments[-1]
+def scan_radius_cubed(schedule, t):
+    """Reference R(t)^3: scan the segments in order (end times belong to
+    the next segment), then apply the segment kind's formula."""
+    segments = schedule.segments
+    t_start, t_end = segments[0].t_start, segments[-1].t_end
+    if not (t_start <= t <= t_end):
+        raise ScheduleError(
+            f"time {t} outside schedule span [{t_start}, {t_end}]")
+    seg = next((seg for seg in segments[:-1] if t < seg.t_end), segments[-1])
+    if seg.kind == "constant":
+        return seg.params[0] ** 3
+    if seg.kind == "linear":
+        r_a, r_b = seg.params
+        frac = (t - seg.t_start) / (seg.t_end - seg.t_start)
+        return (r_a + (r_b - r_a) * frac) ** 3
+    r_1, r_2 = seg.params
+    return r_1**3 + r_2**3
 
 
 def scan_evaluate_schedule(schedule, times, background=None, gamma=GAMMA):
@@ -226,12 +234,12 @@ def scan_evaluate_schedule(schedule, times, background=None, gamma=GAMMA):
     function per sample, in the order a per-sample loop makes them."""
     if background is None:
         background = surface_background()
-    first = scan_segment_at(schedule, times[0])
-    base_deficit = ((4.0 / 3.0) * math.pi * first.radius_cubed(times[0])
+    base_cubed = scan_radius_cubed(schedule, times[0])
+    base_deficit = ((4.0 / 3.0) * math.pi * base_cubed
                     * schedule.host_density_contrast)
     out = []
     for t in times:
-        cubed = scan_segment_at(schedule, t).radius_cubed(t)
+        cubed = scan_radius_cubed(schedule, t)
         radius = cubed ** (1.0 / 3.0)
         potential = pulsating_potential(schedule.source_mass, radius,
                                         schedule.observer_radius, gamma)
@@ -284,6 +292,10 @@ def adversarial_case(rng):
     return schedule, times, background, gamma
 
 
+def hexes(values):
+    return [float.hex(v) for v in values]
+
+
 class TestSegmentLookupParity:
     rng = np.random.default_rng(2024)
     schedule = random_schedule(rng, 1200)
@@ -291,31 +303,46 @@ class TestSegmentLookupParity:
     times = (boundaries
              + [math.nextafter(b, -math.inf) for b in boundaries[1:]]
              + rng.uniform(schedule.t_start, schedule.t_end, 2000).tolist())
+    shuffled = random.Random(7).sample(times, len(times))
 
-    def test_segment_at_matches_scan(self):
+    @pytest.mark.parametrize("order", ["built", "shuffled"])
+    def test_radii_cubed_matches_scan(self, order):
         kinds = {seg.kind for seg in self.schedule.segments}
         assert kinds == {"constant", "linear", "coalesce_step"}
-        for t in self.times:
-            assert self.schedule.segment_at(t) \
-                is scan_segment_at(self.schedule, t)
+        times = self.times if order == "built" else self.shuffled
+        want = [scan_radius_cubed(self.schedule, t) for t in times]
+        assert hexes(self.schedule.radii_cubed(times)) == hexes(want)
 
     def test_boundary_belongs_to_next_segment(self):
         segments = self.schedule.segments
-        for i, seg in enumerate(segments[1:], start=1):
-            assert self.schedule.segment_at(seg.t_start) is segments[i]
-        assert self.schedule.segment_at(self.schedule.t_end) is segments[-1]
+        starts = [seg.t_start for seg in segments[1:]]
+        assert hexes(self.schedule.radii_cubed(starts)) == hexes(
+            seg.radii_cubed([seg.t_start])[0] for seg in segments[1:])
+        end = self.schedule.t_end
+        assert self.schedule.radii_cubed([end]) \
+            == segments[-1].radii_cubed([end])
 
     @pytest.mark.parametrize("offset", ["before", "after", "nan", "inf"])
     def test_outside_span_raises(self, offset):
         t = {"before": math.nextafter(self.schedule.t_start, -math.inf),
              "after": math.nextafter(self.schedule.t_end, math.inf),
              "nan": math.nan, "inf": math.inf}[offset]
-        with pytest.raises(ScheduleError):
-            self.schedule.segment_at(t)
+        with pytest.raises(ScheduleError) as want:
+            scan_radius_cubed(self.schedule, t)
+        # the first time outside the span is named, wherever it stands
+        inside = self.times[:3]
+        for times in ([t], inside + [t], inside + [t, -math.inf]):
+            with pytest.raises(ScheduleError) as err:
+                self.schedule.radii_cubed(times)
+            assert str(err.value) == str(want.value)
+            assert err.value.index is None
 
-    def test_evaluate_schedule_matches_scan_reference(self):
-        assert evaluate_schedule(self.schedule, self.times) \
-            == scan_evaluate_schedule(self.schedule, self.times)
+    @pytest.mark.parametrize("order", ["built", "shuffled"])
+    def test_evaluate_schedule_matches_scan_reference(self, order):
+        times = self.times if order == "built" else self.shuffled
+        got = outcome(evaluate_schedule, self.schedule, times)
+        assert got == outcome(scan_evaluate_schedule, self.schedule, times)
+        assert len(got) == len(times)
 
 
 class TestColumnarParity:
