@@ -163,7 +163,9 @@ def detectability_report(source: AnomalySource, observer_offsets,
 
     Offsets must be at least the burial depth (the point reduction is not
     valid closer in); every offset is checked before any signal is
-    evaluated. Returns one row per offset, input order preserved.
+    evaluated. Returns one row per offset, input order preserved. A
+    relative gravity signal that underflows to 0 leaves the advantage
+    undefined and raises ``OutOfDomainError``.
     """
     background = BackgroundState(*background)
     offsets = [float(offset) for offset in observer_offsets]
@@ -176,6 +178,10 @@ def detectability_report(source: AnomalySource, observer_offsets,
     rows = []
     for offset in offsets:
         sig = point_mass_signal(delta_mass, offset, background, gamma)
+        if not sig.relative_g:
+            raise OutOfDomainError(
+                f"delta_g / g0 underflows to 0 at offset {offset!r} m; the "
+                "advantage relative_u / relative_g is undefined")
         rows.append(DetectabilityRow(
             offset, sig.relative_u, sig.relative_g,
             sig.relative_u / sig.relative_g,  # advantage

@@ -23,6 +23,7 @@ import argparse
 import json
 import math
 import sys
+from bisect import bisect_right
 from collections import namedtuple
 from itertools import repeat
 
@@ -232,22 +233,27 @@ def _table(name, columns):
     return {"name": name, "columns": list(table.columns), "rows": table}
 
 
-def _finite_floats(col):
-    return set(map(type, col)) <= {float} and all(map(math.isfinite, col))
+def _small_floats(col, limit):
+    """Whether `col` holds only floats whose magnitudes sum below `limit`.
+
+    A nan or an inf fails the sum. A column that fails is written cell
+    by cell, as the same text where its cells are finite.
+    """
+    return set(map(type, col)) <= {float} and sum(map(abs, col)) < limit
 
 
 def _csv_lines(table):
     """CSV lines of a table: its header, then one line per row.
 
-    A table of finite floats that all print in 10 digits fills one
-    ``%.10g`` row template per line; ``%`` and ``format`` both format a
-    float with ``.10g`` through ``PyOS_double_to_string``. Any other
-    table goes through ``_fmt`` cell by cell in row-major order, so a
-    non-finite cell raises at the first one.
+    A table of floats whose magnitudes sum, column by column, below
+    ``_FMT_LIMIT`` fills one ``%.10g`` row template per line; ``%`` and
+    ``format`` both format a float with ``.10g`` through
+    ``PyOS_double_to_string``. Any other table goes through ``_fmt``
+    cell by cell in row-major order, so a non-finite cell raises at the
+    first one.
     """
     rows = zip(*table.data)
-    if all(_finite_floats(col) and max(map(abs, col), default=0.0) < _FMT_LIMIT
-           for col in table.data):
+    if all(_small_floats(col, _FMT_LIMIT) for col in table.data):
         lines = map(",".join(["%.10g"] * len(table.columns)).__mod__, rows)
     else:
         names = [f"{table.name}.{column}" for column in table.columns]
@@ -279,14 +285,15 @@ def _json_cell(value, where):
 def _json_rows(table, indent, out):
     """Append a table to `out` as ``json.dumps(..., indent=2)`` writes it.
 
-    Every row fills one template. A column of finite floats goes in as
-    is, through ``%r``: ``float.__repr__``, which ``json`` uses too. Any
-    other column goes through ``_json_cell`` in row-major order, so a
-    non-finite cell raises at the first one.
+    Every row fills one template. A column of floats whose magnitudes
+    sum to a finite float goes in as is, through ``%r``:
+    ``float.__repr__``, which ``json`` uses too. Any other column goes
+    through ``_json_cell`` in row-major order, so a non-finite cell
+    raises at the first one.
     """
     inner, slots, cells = indent + "  ", [], []
     for name, col in zip(table.columns, table.data):
-        fast = _finite_floats(col)
+        fast = _small_floats(col, math.inf)
         key = json.dumps(name).replace("%", "%%")
         slots.append(f"{inner}  {key}: {'%r' if fast else '%s'}")
         cells.append(col if fast else map(_json_cell, col,
@@ -511,8 +518,11 @@ def cmd_pulse(cfg: RunConfig, args):
                 f"--num-samples must be <= {PULSE_MAX_SAMPLES}, got {n}")
         t_start, t_end = schedule.t_start, schedule.t_end
         span = t_end - t_start
-        # t_start + span*(n-1)/(n-1) can round one ulp past t_end
-        times = [min(t_start + span * i / (n - 1), t_end) for i in range(n)]
+        times = [t_start + span * i / (n - 1) for i in range(n)]
+        # the grid never decreases, but its tail can round one ulp past
+        # t_end
+        k = bisect_right(times, t_end)
+        times[k:] = repeat(t_end, n - k)
     gamma = cfg.constants.gamma
     table = evaluate_schedule(schedule, times,
                               background=surface_background(cfg.earth, gamma),
@@ -541,10 +551,10 @@ def build_parser():
     def common(p):
         p.add_argument("--config", help=f"JSON config path (default: "
                                         f"${ENV_CONFIG} if set)")
-        p.add_argument("--format", choices=("csv", "json"), default=None,
-                       help="output format (default: config or csv)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       help="output format (default: csv)")
         p.add_argument("--out", default=None,
-                       help="output path (default: config or stdout)")
+                       help='output path (default: stdout, as is "-")')
 
     p = sub.add_parser("direct", help="surface balance -> at-infinity potential")
     common(p)
@@ -611,9 +621,7 @@ def main(argv=None):
     try:
         cfg = resolve_config(args.config)
         report = _COMMANDS[args.command](cfg, args)
-        fmt = args.format or cfg.output_format
-        out_path = args.out or cfg.output_path
-        emit(report, fmt, out_path)
+        emit(report, args.format, args.out)
         return EXIT_OK
     except InputError as exc:
         print(f"geopotent: error: {exc}", file=sys.stderr)

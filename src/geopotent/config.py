@@ -11,8 +11,6 @@ rejected so typos fail loudly; every number must be finite):
     boundaries     [{"name", "radius", "layer_half_thickness"}, ...]; a
                    name is a string with no comma and no line break
                    (any character where str.splitlines() breaks)
-    output_format  "csv" | "json"
-    output_path    path, or "-" for stdout
 
 The default boundary set ships the core-mantle boundary at 3.48e6 m and
 the inner-core boundary at 1.2215e6 m (standard reference Earth values);
@@ -39,14 +37,11 @@ DEFAULT_BOUNDARIES = (
 
 
 class RunConfig(Record):
-    __slots__ = _fields = ("constants", "earth", "p_g_override", "boundaries",
-                           "output_format", "output_path")
+    __slots__ = _fields = ("constants", "earth", "p_g_override", "boundaries")
 
     def __init__(self, constants=DEFAULT_CONSTANTS, earth=EarthParameters(),
-                 p_g_override=None, boundaries=DEFAULT_BOUNDARIES,
-                 output_format="csv", output_path=None):  # None or "-": stdout
-        self._set(constants, earth, p_g_override, boundaries, output_format,
-                  output_path)
+                 p_g_override=None, boundaries=DEFAULT_BOUNDARIES):
+        self._set(constants, earth, p_g_override, boundaries)
 
 
 def read_text(path, error=InputError):
@@ -97,8 +92,7 @@ def _number(obj, key, where):
 
 def parse_config(data, source="config") -> RunConfig:
     """Build a RunConfig from a parsed JSON object."""
-    _check_keys(data, ("constants", "earth", "p_g_override", "boundaries",
-                       "output_format", "output_path"), source)
+    _check_keys(data, RunConfig._fields, source)
 
     constants = DEFAULT_CONSTANTS
     if "constants" in data:
@@ -147,20 +141,8 @@ def parse_config(data, source="config") -> RunConfig:
                 raise ConfigError(f"{where}: {exc}") from exc
         boundaries = tuple(parsed)
 
-    output_format = data.get("output_format", "csv")
-    if output_format not in ("csv", "json"):
-        raise ConfigError(
-            f"{source}.output_format must be 'csv' or 'json', got "
-            f"{output_format!r}")
-
-    output_path = data.get("output_path")
-    if output_path is not None:
-        if not isinstance(output_path, str):
-            raise ConfigError(f"{source}.output_path must be a string")
-
     return RunConfig(constants=constants, earth=earth,
-                     p_g_override=p_g_override, boundaries=boundaries,
-                     output_format=output_format, output_path=output_path)
+                     p_g_override=p_g_override, boundaries=boundaries)
 
 
 def load_config(path) -> RunConfig:

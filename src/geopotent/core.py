@@ -191,8 +191,13 @@ class UniformSphere(Record):
 
     @classmethod
     def from_mass_radius(cls, mass, radius):
-        return cls(mass, radius,
-                   mass / ((4.0 / 3.0) * math.pi * _cube("radius", radius)))
+        _require_positive("mass", mass)
+        _require_positive("radius", radius)
+        volume = (4.0 / 3.0) * math.pi * _cube("radius", radius)
+        if not volume:
+            raise NonPhysicalValueError(
+                f"the volume of a body of radius {radius!r} m underflows to 0")
+        return cls(mass, radius, mass / volume)
 
     @classmethod
     def from_density_radius(cls, density, radius):
@@ -201,6 +206,8 @@ class UniformSphere(Record):
 
     @classmethod
     def from_mass_density(cls, mass, density):
+        _require_positive("mass", mass)
+        _require_positive("density", density)
         radius = (3.0 * mass / (4.0 * math.pi * density)) ** (1.0 / 3.0)
         return cls(mass, radius, density)
 

@@ -194,7 +194,8 @@ def core_equilibrium_gravity(profile: RadialProfile, core_radius):
     """Mean field strength balancing the pressure on a core surface.
 
     P(core) * 4*pi*core^2 / (M_total - M(core)): the force pressing on
-    the core boundary divided by the mass outside it.
+    the core boundary divided by the mass outside it. An outside mass
+    that rounds to 0 raises OutOfDomainError.
     """
     if not (0.0 < core_radius < profile.body_radius):
         raise OutOfDomainError(
@@ -203,4 +204,7 @@ def core_equilibrium_gravity(profile: RadialProfile, core_radius):
     _, pressure = interpolate(profile, core_radius)
     area = 4.0 * math.pi * core_radius**2
     outside = profile.mass_table.mass[-1] - enclosed_mass(profile, core_radius)
+    if not outside:
+        raise OutOfDomainError(
+            f"the mass outside r = {core_radius!r} m rounds to 0")
     return pressure * area / outside

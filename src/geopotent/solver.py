@@ -161,11 +161,16 @@ def homogeneity_bound(profile: RadialProfile,
     The integral side is the center-to-surface potential of the tabulated
     body; the uniform side is kernels.uniform_sphere_potential at its mean
     density. Centrally condensed bodies come out above the uniform side,
-    so `holds` is reported, never assumed.
+    so `holds` is reported, never assumed. A uniform side that underflows
+    to 0 raises OutOfDomainError, as the relative gap divides by it.
     """
     integral = profiles.surface_potential_integral(profile, gamma)
     rho0 = profiles.mean_density(profile)
     uniform = uniform_sphere_potential(gamma, rho0, profile.body_radius)
+    if not uniform:
+        raise OutOfDomainError(
+            f"the uniform-sphere potential of a body of radius "
+            f"{profile.body_radius!r} m underflows to 0")
     gap = (integral - uniform) / uniform
     return HomogeneityBoundReport(integral, uniform,
                                   gap <= _BOUND_EQUALITY_MARGIN, gap)

@@ -293,6 +293,17 @@ class TestRowTemplates:
             assert render_json(report) == json.dumps(
                 plain(report), indent=2) + "\n"
 
+    def test_columns_whose_magnitudes_sum_past_the_limit(self):
+        # each cell is finite and below LIMIT, but the column's sum of
+        # magnitudes is not: the per-cell path writes the same text
+        half = math.nextafter(LIMIT, 0.0)
+        table = Table(("a", "b"), ((half, -half, 1.0), (1e308, 1e308, 2.0)))
+        report = {"command": "pulse", "rows": table}
+        assert render_csv(report).splitlines()[2:] == [
+            "1.797693134e+308,1e+308", "-1.797693134e+308,1e+308", "1,2"]
+        assert render_json(report) == json.dumps(plain(report),
+                                                 indent=2) + "\n"
+
     @pytest.mark.parametrize("render", [render_csv, render_json])
     @pytest.mark.parametrize("first", [PULSE_COLUMNS[0], "boundary"])
     def test_first_non_finite_cell_is_named(self, render, first):
@@ -442,6 +453,12 @@ EXTREME_PROFILES = {
                   "1e-110,5515,0"],
     "constant_pressure": ["0,5515,1e9", "1e6,5515,1e9", "2e6,5515,1e9",
                           "3e6,5515,1e9"],
+    # the uniform side of the homogeneity bound underflows to 0
+    "tiny_density": ["0,1e-316,3", "1e6,1e-316,2", "2e6,1e-316,1",
+                     "6.371e6,1e-316,0"],
+    # a core so dense that the mass outside the CMB rounds to 0
+    "dense_core": ["0,1e100,3.6e11", "7e5,13000,3.5e11", "4e6,5000,1e11",
+                   "6.371e6,3000,0"],
 }
 
 # the one stderr line of `profile` on each: a failing profile numeric
@@ -456,6 +473,9 @@ EXTREME_ERRORS = {
         "{path}: the volume of a body of radius 1e-110 m underflows to 0",
     "constant_pressure":
         "{path}: pressure is constant; the gradient has no maximum",
+    "tiny_density": "{path}: the uniform-sphere potential of a body of "
+        "radius 6371000.0 m underflows to 0",
+    "dense_core": "{path}: the mass outside r = 3480000.0 m rounds to 0",
 }
 
 
@@ -601,8 +621,26 @@ class TestAnomalyCommand:
         assert out == ""
         assert "domain error" in err and "Traceback" not in err
 
-    def test_arithmetic_error_names_command_and_type(self, capsys):
-        assert main(["anomaly", "--depth", "5000", "--radius", "1e-200",
+    @pytest.mark.parametrize("extra, offset", [
+        (["--offsets", "1e308"], "1e+308"),
+        (["--offsets", "5000", "--radius", "1e-200"], "5000.0")])
+    def test_underflowing_delta_g_is_named(self, extra, offset, capsys):
+        argv = ["anomaly", "--depth", "5000", "--radius", "500",
+                "--density-contrast", "-2700"] + extra
+        assert main(argv) == 3
+        assert capsys.readouterr() == ("", (
+            f"geopotent: domain error: delta_g / g0 underflows to 0 at "
+            f"offset {offset} m; the advantage relative_u / relative_g is "
+            f"undefined\n"))
+
+    def test_arithmetic_error_names_command_and_type(self, capsys,
+                                                     monkeypatch):
+        # no input reaches a ZeroDivisionError any more; raise one
+        def divide(*args):
+            return 1.0 / 0.0
+
+        monkeypatch.setattr("geopotent.cli.detectability_report", divide)
+        assert main(["anomaly", "--depth", "5000", "--radius", "500",
                      "--density-contrast", "-2700", "--offsets", "5000"]) == 3
         assert capsys.readouterr().err == (
             "geopotent: domain error: anomaly: ZeroDivisionError: float "
@@ -742,6 +780,32 @@ class TestPulseCommand:
         assert main(["pulse", "--schedule", str(path)]) == 2
         assert "segment 1: radii must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("segments, message", [
+        ({}, "segments must be an array"), ([], "schedule has no segments")],
+        ids=["object", "empty"])
+    def test_schedule_segments_named(self, segments, message, tmp_path,
+                                     capsys):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({
+            "source_mass": 1e12, "observer_radius": 5000.0,
+            "host_density_contrast": -2700.0, "segments": segments}))
+        assert main(["pulse", "--schedule", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"geopotent: error: {path}: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["pulse", "--schedule", "tests/fixtures/growth_schedule.json",
+         "--times", "0,a"],
+        ["anomaly", "--depth", "5000", "--radius", "500",
+         "--density-contrast", "-2700", "--offsets", "0,a"]],
+        ids=["times", "offsets"])
+    def test_non_numeric_list_flag_named(self, argv, capsys, monkeypatch):
+        monkeypatch.chdir(ROOT)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", (
+            f"geopotent: error: {argv[-2]} must be a comma-separated list "
+            f"of numbers, got '0,a'\n"))
+
     def test_empty_times_rejected(self, capsys, monkeypatch):
         monkeypatch.chdir(ROOT)
         assert main(["pulse", "--schedule",
@@ -867,6 +931,30 @@ class TestConfigHandling:
         assert main(["direct", "--config", str(cfg)]) == 2
         assert "typo_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("data, message", [
+        ({"earth": []}, ".earth must be an object"),
+        ({"p_g_override": -1}, ".p_g_override must be positive"),
+        ({"p_g_override": 0}, ".p_g_override must be positive"),
+        ({"boundaries": {}}, ".boundaries must be an array")],
+        ids=["earth", "negative_p_g", "zero_p_g", "boundaries"])
+    def test_malformed_block_named(self, data, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["inverse", "--u-inf", "111652000",
+                     "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == (
+            "", f"geopotent: error: {cfg}{message}\n")
+
+    def test_invalid_json_named(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"p_g_override": ')
+        assert main(["inverse", "--u-inf", "111652000",
+                     "--config", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"geopotent: error: {cfg}: invalid JSON: ")
+        assert len(err.splitlines()) == 1
+
     def test_boundary_missing_key_named(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"boundaries": [{"name": "CMB",
@@ -952,28 +1040,29 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith(
             f"geopotent: error: unknown key(s) in {cfg}.earth: gm; ")
 
-    @pytest.mark.parametrize("config_out, flag", [
-        ("-", []), ("report.csv", ["--out", "-"]), (None, ["--out", "-"])],
-        ids=["config", "flag_over_config_path", "flag"])
-    def test_dash_out_writes_stdout(self, config_out, flag, tmp_path, capsys,
+    @pytest.mark.parametrize("flag", [[], ["--out", "-"]],
+                             ids=["none", "flag"])
+    def test_dash_out_writes_stdout(self, flag, tmp_path, capsys,
                                     monkeypatch):
         monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({} if config_out is None
-                                  else {"output_path": config_out}))
+        cfg.write_text("{}")
         assert main(["inverse", "--u-inf", "111652000",
                      "--config", str(cfg)] + flag) == 0
         out, err = capsys.readouterr()
         assert out.startswith("# geopotent inverse\n") and err == ""
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
-    def test_config_sets_output_format(self, tmp_path, capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("output_format", "csv"), ("output_path", "-")])
+    def test_output_keys_rejected(self, key, value, tmp_path, capsys):
+        # the output is chosen by --format and --out alone
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"p_g_override": 1e11,
-                                   "output_format": "json"}))
-        assert main(["direct", "--config", str(cfg)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["command"] == "direct"
+        cfg.write_text(json.dumps({"p_g_override": 1e11, key: value}))
+        assert main(["direct", "--config", str(cfg)]) == 2
+        assert capsys.readouterr() == (
+            "", f"geopotent: error: unknown key(s) in {cfg}: {key}; allowed: "
+                "boundaries, constants, earth, p_g_override\n")
 
 
 class TestUnreadableFiles:

@@ -84,6 +84,21 @@ class TestUniformSphere:
         with pytest.raises(NonPhysicalValueError):
             UniformSphere.from_density_radius(1000.0, 0.0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: UniformSphere.from_mass_radius(1.0, 0.0),
+         "radius must be positive and finite, got 0.0"),
+        (lambda: UniformSphere.from_mass_radius(1.0, 1e-110),
+         "the volume of a body of radius 1e-110 m underflows to 0"),
+        (lambda: UniformSphere.from_mass_density(1.0, 0.0),
+         "density must be positive and finite, got 0.0"),
+        (lambda: UniformSphere.from_mass_density(math.nan, 1.0),
+         "mass must be positive and finite, got nan"),
+    ], ids=["zero_radius", "volume_underflows", "zero_density", "nan_mass"])
+    def test_factories_validate_before_they_divide(self, build, message):
+        with pytest.raises(NonPhysicalValueError) as err:
+            build()
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("build", [
         lambda: UniformSphere(1e300, 1e103, 1.0),
         lambda: UniformSphere.from_mass_radius(1e300, 1e103),
@@ -220,6 +235,9 @@ BAD_PROFILE_INPUTS = {
         lambda: RadialProfile(np.arange(8.0).reshape(4, 2), [4, 3, 2, 1],
                               [3, 2, 1, 0]),
         "radius must be a one-dimensional column of numbers", None),
+    "mismatched_lengths": (
+        lambda: RadialProfile([0, 1, 2, 3], [4, 3, 2], [3, 2, 1, 0]),
+        "profile columns have mismatched lengths", None),
     "int_too_large_for_a_float": (
         lambda: RadialProfile([0, 1, 2, 3], [4, 3, 10**400, 1],
                               [3, 2, 1, 0]),
@@ -314,6 +332,15 @@ class TestCavitySchedule:
                 segments=(_segment(0, 100, "linear", (500.0, 6000.0)),),
                 source_mass=1e12, observer_radius=5000.0,
                 host_density_contrast=-2700.0)
+
+    @pytest.mark.parametrize("contrast", [math.nan, math.inf, -math.inf])
+    def test_host_density_contrast_must_be_finite(self, contrast):
+        with pytest.raises(NonPhysicalValueError) as err:
+            CavitySchedule(
+                segments=(_segment(0, 100, "constant", (500.0,)),),
+                source_mass=1e12, observer_radius=5000.0,
+                host_density_contrast=contrast)
+        assert str(err.value) == "host_density_contrast must be finite"
 
     def test_coalesce_conserves_volume(self):
         seg = _segment(0, 100, "coalesce_step", (500.0, 500.0))

@@ -153,6 +153,8 @@ MALFORMED = {
         f":5: {NON_MONOTONE}"),
     "non_monotone": (csv_text(*swap(3, "1.5e6,10000,2e11")),
                      f":5: {NON_MONOTONE}"),
+    "negative_first_radius": (csv_text(*swap(0, "-1,13000,3.6e11")),
+                              ":2: first radius must be >= 0, got -1.0"),
     "non_finite": (csv_text(*swap(3, "3e6,inf,2e11")),
                    ":5: density is not finite at sample 3"),
     "pressure_rise": (csv_text(*swap(3, "3e6,10000,4e11")),

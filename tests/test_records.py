@@ -83,13 +83,11 @@ RECORDS = {
         ("name", "radius", "layer_half_thickness"), {},
         ("CMB", 3.48e6, 1.5e5), ("ICB", 3.48e6, 1.5e5)),
     RunConfig: (
-        ("constants", "earth", "p_g_override", "boundaries", "output_format",
-         "output_path"),
+        ("constants", "earth", "p_g_override", "boundaries"),
         {"constants": DEFAULT_CONSTANTS, "earth": EarthParameters(),
-         "p_g_override": None, "boundaries": DEFAULT_BOUNDARIES,
-         "output_format": "csv", "output_path": None},
-        (PhysicalConstants(6.7e-11), EarthParameters(), 1e11, (), "json", "-"),
-        (PhysicalConstants(6.7e-11), EarthParameters(), 1e11, (), "csv", "-")),
+         "p_g_override": None, "boundaries": DEFAULT_BOUNDARIES},
+        (PhysicalConstants(6.7e-11), EarthParameters(), 1e11, ()),
+        (PhysicalConstants(6.7e-11), EarthParameters(), 2e11, ())),
     GradPResult: (
         ("radius_at_max", "pressure_at_max", "gradient_magnitude"), {},
         (1.0, 2.0, 3.0), (1.0, 2.0, 4.0)),
