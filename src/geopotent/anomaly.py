@@ -70,12 +70,20 @@ class AnomalySignal(namedtuple("AnomalySignal", "delta_u delta_g delta_v_s "
 
 
 def sensitivity_coefficients(r, r0, gamma=_DEFAULT_GAMMA) -> SensitivityPair:
-    """k1 = (2/3)*pi*gamma*(r/r0)^2 and k2 = (4/3)*pi*gamma*(r/r0)."""
+    """k1 = (2/3)*pi*gamma*(r/r0)^2 and k2 = (4/3)*pi*gamma*(r/r0).
+
+    A k2 that underflows to 0 leaves the ratio undefined and raises
+    ``OutOfDomainError``.
+    """
     _require_positive("r", r, NonPhysicalInputError)
     _require_positive("r0", r0, NonPhysicalInputError)
     x = r / r0
     k1 = (2.0 / 3.0) * math.pi * gamma * (x * x)
     k2 = (4.0 / 3.0) * math.pi * gamma * x
+    if not k2:
+        raise OutOfDomainError(
+            f"k2 underflows to 0 at r / r0 = {x!r}; the ratio k1 / k2 is "
+            "undefined")
     return SensitivityPair(k1=k1, k2=k2, ratio=k1 / k2)
 
 
@@ -113,11 +121,16 @@ def point_mass_signal(delta_mass, distance, background: BackgroundState,
 
     delta_u = gamma*dM/d, delta_g = gamma*dM/d^2; delta_v_s is the change
     of sqrt(2*(u_infinity - u)) when u0 is perturbed by delta_u
-    (:func:`speed_change`).
+    (:func:`speed_change`). A distance whose square underflows to 0
+    raises ``OutOfDomainError``.
     """
     _require_positive("distance", distance, NonPhysicalInputError)
+    squared = distance * distance
+    if not squared:
+        raise OutOfDomainError(
+            f"the square of the distance {distance!r} m underflows to 0")
     delta_u = gamma * delta_mass / distance
-    delta_g = gamma * delta_mass / (distance * distance)
+    delta_g = gamma * delta_mass / squared
     base = background.u_infinity - background.u0
     if base < 0.0:
         raise OutOfDomainError(

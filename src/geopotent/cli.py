@@ -233,32 +233,35 @@ def _table(name, columns):
     return {"name": name, "columns": list(table.columns), "rows": table}
 
 
-def _small_floats(col, limit):
-    """Whether `col` holds only floats whose magnitudes sum below `limit`.
+def _row_slots(table, fast, limit, slow):
+    """The row-template slots of a table's columns, and its rows to fill.
 
-    A nan or an inf fails the sum. A column that fails is written cell
-    by cell, as the same text where its cells are finite.
+    A column of floats whose magnitudes sum below `limit` takes the
+    `fast` slot and goes in as is; a nan or an inf fails the sum. Any
+    other column takes a ``%s`` slot, filled with ``slow(cell,
+    "<table>.<column>")``. Those cells are made as the rows are read, so
+    a non-finite cell raises at the first one in row-major order.
     """
-    return set(map(type, col)) <= {float} and sum(map(abs, col)) < limit
+    slots, cells = [], []
+    for name, col in zip(table.columns, table.data):
+        if set(map(type, col)) <= {float} and sum(map(abs, col)) < limit:
+            slots.append(fast)
+            cells.append(col)
+        else:
+            slots.append("%s")
+            cells.append(map(slow, col, repeat(f"{table.name}.{name}")))
+    return slots, zip(*cells)
 
 
 def _csv_lines(table):
     """CSV lines of a table: its header, then one line per row.
 
-    A table of floats whose magnitudes sum, column by column, below
-    ``_FMT_LIMIT`` fills one ``%.10g`` row template per line; ``%`` and
-    ``format`` both format a float with ``.10g`` through
-    ``PyOS_double_to_string``. Any other table goes through ``_fmt``
-    cell by cell in row-major order, so a non-finite cell raises at the
-    first one.
+    A float column below ``_FMT_LIMIT`` fills a ``%.10g`` slot: ``%``
+    and ``format`` both format a float with ``.10g`` through
+    ``PyOS_double_to_string``, so it reads as ``_fmt`` writes it.
     """
-    rows = zip(*table.data)
-    if all(_small_floats(col, _FMT_LIMIT) for col in table.data):
-        lines = map(",".join(["%.10g"] * len(table.columns)).__mod__, rows)
-    else:
-        names = [f"{table.name}.{column}" for column in table.columns]
-        lines = (",".join(map(_fmt, row, names)) for row in rows)
-    return [",".join(table.columns), *lines]
+    slots, rows = _row_slots(table, "%.10g", _FMT_LIMIT, _fmt)
+    return [",".join(table.columns), *map(",".join(slots).__mod__, rows)]
 
 
 def render_csv(report):
@@ -285,21 +288,16 @@ def _json_cell(value, where):
 def _json_rows(table, indent, out):
     """Append a table to `out` as ``json.dumps(..., indent=2)`` writes it.
 
-    Every row fills one template. A column of floats whose magnitudes
-    sum to a finite float goes in as is, through ``%r``:
-    ``float.__repr__``, which ``json`` uses too. Any other column goes
-    through ``_json_cell`` in row-major order, so a non-finite cell
-    raises at the first one.
+    Every row fills one template. A finite float column fills a ``%r``
+    slot: ``float.__repr__``, which ``json`` uses too.
     """
-    inner, slots, cells = indent + "  ", [], []
-    for name, col in zip(table.columns, table.data):
-        fast = _small_floats(col, math.inf)
-        key = json.dumps(name).replace("%", "%%")
-        slots.append(f"{inner}  {key}: {'%r' if fast else '%s'}")
-        cells.append(col if fast else map(_json_cell, col,
-                                          repeat(f"{table.name}.{name}")))
-    template = f"{inner}{{\n" + ",\n".join(slots) + f"\n{inner}}}"
-    rows = ",\n".join(map(template.__mod__, zip(*cells)))
+    inner = indent + "  "
+    slots, rows = _row_slots(table, "%r", math.inf, _json_cell)
+    fields = ",\n".join(
+        f"{inner}  {json.dumps(name).replace('%', '%%')}: {slot}"
+        for name, slot in zip(table.columns, slots))
+    template = f"{inner}{{\n{fields}\n{inner}}}"
+    rows = ",\n".join(map(template.__mod__, rows))
     out.extend(("[\n", rows, f"\n{indent}]") if rows else ("[]",))
 
 

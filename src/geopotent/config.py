@@ -24,7 +24,12 @@ import math
 import os
 
 from .core import DEFAULT_CONSTANTS, EarthParameters, PhysicalConstants, Record
-from .errors import ConfigError, InputError, NonPhysicalValueError
+from .errors import (
+    ConfigError,
+    InputError,
+    NonPhysicalValueError,
+    OutOfDomainError,
+)
 from .pulse import surface_background
 from .solver import BoundaryReference
 
@@ -114,7 +119,7 @@ def parse_config(data, source="config") -> RunConfig:
         earth = EarthParameters(**earth_fields)
         # its surface terms must be finite too; g0 divides by R^2
         surface_background(earth, constants.gamma)
-    except (NonPhysicalValueError, ZeroDivisionError) as exc:
+    except (NonPhysicalValueError, OutOfDomainError) as exc:
         raise ConfigError(f"{source}.earth: {exc}") from exc
 
     p_g_override = None

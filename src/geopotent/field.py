@@ -90,6 +90,15 @@ def _require_radius(r):
         raise NonPhysicalInputError(f"radius must be >= 0, got {r!r}")
 
 
+def _root(name, value):
+    """sqrt(value); a negative `value`, as a negative gamma gives, named
+    `name`, raises OutOfDomainError."""
+    if value < 0.0:
+        raise OutOfDomainError(f"{name} = {value!r} is negative; it has no "
+                               "real square root")
+    return math.sqrt(value)
+
+
 def u_infinity_homogeneous(sphere: UniformSphere, gamma=_DEFAULT_GAMMA):
     """At-infinity potential (3/2)*gamma*M/R of a homogeneous sphere."""
     return 1.5 * (gamma * sphere.mass) / sphere.radius
@@ -143,7 +152,7 @@ def first_cosmic_velocity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
         raise OutOfDomainError(
             f"first cosmic velocity is defined on and outside the boundary "
             f"(r >= {sphere.radius}), got r = {r!r}")
-    return math.sqrt(gamma * sphere.mass / r)
+    return _root("gamma*M/r", gamma * sphere.mass / r)
 
 
 def equipotential_velocity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
@@ -153,7 +162,7 @@ def equipotential_velocity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
     to zero toward the center (g is linear in r inside).
     """
     _require_radius(r)
-    return math.sqrt(gravity(sphere, r, gamma) * r)
+    return _root("g*r", gravity(sphere, r, gamma) * r)
 
 
 def potential_from_velocity(u_infinity, v_s):

@@ -41,13 +41,14 @@ class GradPResult(namedtuple("GradPResult", "radius_at_max pressure_at_max "
     __slots__ = ()
 
 
-class MassTable(namedtuple("MassTable", "knots densities mass")):
+class MassTable(namedtuple("MassTable", "knots densities mass shells")):
     """Enclosed mass at the knots of a profile, from the center outward.
 
     ``knots`` are the sampled radii, preceded by ``0`` when the first
     sampled radius is above zero; ``densities`` are the densities there,
     the innermost one repeated at that added center knot. ``mass[i]`` is
-    M(knots[i]). All three are tuples of floats.
+    M(knots[i]), and ``shells[i]`` the mass between knots[i] and
+    knots[i + 1]. All four are tuples of floats.
     """
 
     __slots__ = ()
@@ -84,7 +85,7 @@ def build_mass_table(radii, densities):
         i = next(i for i, m in enumerate(mass) if not math.isfinite(m))
         raise OutOfDomainError(
             f"enclosed mass at r = {radii[i]!r} m is not finite: {mass[i]!r}")
-    return MassTable(radii, densities, mass)
+    return MassTable(radii, densities, mass, tuple(shells))
 
 
 def interpolate(profile: RadialProfile, r):
@@ -117,7 +118,7 @@ def enclosed_mass(profile: RadialProfile, r):
     if not (0.0 <= r <= profile.body_radius):
         raise OutOfDomainError(
             f"r = {r!r} outside [0, {profile.body_radius}]")
-    knots, rho, mass = profile.mass_table
+    knots, rho, mass, _ = profile.mass_table
     i = min(bisect_right(knots, r) - 1, len(knots) - 2)
     slope = (rho[i + 1] - rho[i]) / (knots[i + 1] - knots[i])
     return mass[i] + _shell_mass(knots[i], rho[i], slope, r - knots[i])
@@ -130,7 +131,7 @@ def surface_potential_integral(profile: RadialProfile, gamma):
     is finite at s -> 0 for bounded density (M ~ s^3), so a profile
     starting at zero radius poses no difficulty.
     """
-    knots, rho, mass = profile.mass_table
+    knots, rho, mass, _ = profile.mass_table
     # skip the interval below the first sampled radius, if the table has one
     first = len(knots) - len(profile)
     terms = []
@@ -194,16 +195,24 @@ def core_equilibrium_gravity(profile: RadialProfile, core_radius):
     """Mean field strength balancing the pressure on a core surface.
 
     P(core) * 4*pi*core^2 / (M_total - M(core)): the force pressing on
-    the core boundary divided by the mass outside it. An outside mass
-    that rounds to 0 raises OutOfDomainError.
+    the core boundary divided by the mass outside it. The outside mass
+    is summed from the shells above the core, never as that difference,
+    which a dense core cancels away. An outside mass that rounds to 0
+    raises OutOfDomainError.
     """
     if not (0.0 < core_radius < profile.body_radius):
         raise OutOfDomainError(
             f"core_radius = {core_radius!r} must lie strictly inside "
             f"(0, {profile.body_radius})")
-    _, pressure = interpolate(profile, core_radius)
+    density, pressure = interpolate(profile, core_radius)
     area = 4.0 * math.pi * core_radius**2
-    outside = profile.mass_table.mass[-1] - enclosed_mass(profile, core_radius)
+    knots, rho, _, shells = profile.mass_table
+    i = bisect_right(knots, core_radius)  # the first knot above the core
+    # the shell from the core out to that knot, written in the offset from
+    # the core, then the shells above it, exactly rounded
+    slope = (rho[i] - rho[i - 1]) / (knots[i] - knots[i - 1])
+    first = _shell_mass(core_radius, density, slope, knots[i] - core_radius)
+    outside = math.fsum((first, *shells[i:]))
     if not outside:
         raise OutOfDomainError(
             f"the mass outside r = {core_radius!r} m rounds to 0")

@@ -89,10 +89,15 @@ def surface_background(earth: EarthParameters = EarthParameters(),
     The direct problem of the homogeneous model (phi_G = 0): u0 is its
     uniform-equivalent surface potential and u_infinity its at-infinity
     value, so the baseline equipotential velocity is exactly the surface
-    first cosmic velocity; g0 is gamma*M/R^2.
+    first cosmic velocity; g0 is gamma*M/R^2. An R^2 that underflows to
+    0 raises ``OutOfDomainError``.
     """
     breakdown = direct_problem(earth, 0.0, gamma)
-    g0 = exterior_gravity(gamma * earth.mass, earth.mean_radius)
+    radius = earth.mean_radius
+    if not radius * radius:
+        raise OutOfDomainError(
+            f"the square of the mean radius {radius!r} m underflows to 0")
+    g0 = exterior_gravity(gamma * earth.mass, radius)
     return BackgroundState(u0=breakdown.u_surface, g0=g0,
                            u_infinity=breakdown.u_infinity)
 

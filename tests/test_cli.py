@@ -456,9 +456,6 @@ EXTREME_PROFILES = {
     # the uniform side of the homogeneity bound underflows to 0
     "tiny_density": ["0,1e-316,3", "1e6,1e-316,2", "2e6,1e-316,1",
                      "6.371e6,1e-316,0"],
-    # a core so dense that the mass outside the CMB rounds to 0
-    "dense_core": ["0,1e100,3.6e11", "7e5,13000,3.5e11", "4e6,5000,1e11",
-                   "6.371e6,3000,0"],
 }
 
 # the one stderr line of `profile` on each: a failing profile numeric
@@ -475,7 +472,6 @@ EXTREME_ERRORS = {
         "{path}: pressure is constant; the gradient has no maximum",
     "tiny_density": "{path}: the uniform-sphere potential of a body of "
         "radius 6371000.0 m underflows to 0",
-    "dense_core": "{path}: the mass outside r = 3480000.0 m rounds to 0",
 }
 
 
@@ -509,6 +505,19 @@ class TestProfileCommand:
         proc = run_module(["profile", "--format", "json"], tmp_path, kind)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             3, "", extreme_error(tmp_path, kind) + "\n")
+
+    def test_dense_core_keeps_the_mass_outside_the_cmb(self, tmp_path,
+                                                        capsys):
+        # M_total - M(CMB) once cancelled to 0 under a 1e100 kg/m^3 core;
+        # the shells above the CMB are summed instead
+        path = tmp_path / "dense_core.csv"
+        path.write_text("\n".join([
+            PROFILE_HEADER, "0,1e100,3.6e11", "7e5,13000,3.5e11",
+            "4e6,5000,1e11", "6.371e6,3000,0"]) + "\n")
+        assert main(["profile", "--profile", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert "CMB,3480000,5.810053204" in out.splitlines()
 
     def test_direct_names_the_constant_pressure_file(self, tmp_path):
         proc = run_module(["direct"], tmp_path, "constant_pressure")
@@ -611,6 +620,8 @@ class TestAnomalyCommand:
         ["--offsets", "5000", "--radius", "1e-200"],  # mass underflows to 0
         ["--depth", "1e300", "--radius", "1e100",     # mass overflows to inf
          "--density-contrast", "1e300", "--offsets", "2e300"],
+        ["--depth", "1e-170", "--radius", "1e-171",   # distance^2 underflows
+         "--density-contrast", "1", "--offsets", "1e-170"],
     ])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_result_is_domain_error(self, extra, fmt, capsys):
@@ -620,6 +631,7 @@ class TestAnomalyCommand:
         out, err = capsys.readouterr()
         assert out == ""
         assert "domain error" in err and "Traceback" not in err
+        assert "ZeroDivisionError" not in err
 
     @pytest.mark.parametrize("extra, offset", [
         (["--offsets", "1e308"], "1e+308"),
@@ -1016,7 +1028,8 @@ class TestConfigHandling:
          "u_surface must be positive and finite, got inf"),
         # g0 = gamma*M/R^2 with R^2 underflowing to 0
         ({"mean_density": 1e300, "mean_radius": 1e-170},
-         "float division by zero")], ids=["overflow", "zero_r_squared"])
+         "the square of the mean radius 1e-170 m underflows to 0")],
+        ids=["overflow", "zero_r_squared"])
     @pytest.mark.parametrize("argv", [
         ["direct", "--p-g", "1e11"],
         ["pulse", "--schedule", "tests/fixtures/growth_schedule.json"],

@@ -1,5 +1,6 @@
 import inspect
 import math
+from itertools import product
 
 import pytest
 
@@ -9,12 +10,27 @@ from geopotent.anomaly import (
     crossover_radius,
     point_mass_signal,
     sensitivity_coefficients,
+    sphere_anomaly,
 )
-from geopotent.field import radius_from_velocity
-from geopotent.pulse import pulsating_potential
+from geopotent.core import AnomalySource, EarthParameters, UniformSphere
+from geopotent.field import (
+    absolute_potential,
+    equipotential_velocity,
+    first_cosmic_velocity,
+    gravity,
+    kinetic_potential,
+    potential_from_velocity,
+    radius_from_velocity,
+)
+from geopotent.pulse import (
+    buoyancy_pressure,
+    pulsating_potential,
+    surface_background,
+)
 from geopotent.solver import (
     BoundaryReference,
     compression_potential,
+    direct_problem,
     inverse_problem,
 )
 
@@ -82,3 +98,61 @@ def test_positive_checks_share_one_message(call, cls, name, value):
         call(value)
     assert type(err.value) is cls
     assert str(err.value) == f"{name} must be positive and finite, got {value!r}"
+
+
+# Floats at the edges of the range. A call of 5 or more arguments takes a
+# 6-value subset, so each grid stays below 50k calls.
+EXTREMES = (0.0, -1.0, 1e-320, 1e-170, 1.0, 1e170, 1e308, math.inf, math.nan)
+EXTREMES_6 = (-1.0, 1e-320, 1e-170, 1.0, 1e170, 1e308)
+
+
+def _on_sphere(func):
+    """`func` on a sphere built from a mass and a radius, at r, with gamma."""
+    return lambda mass, radius, r, gamma: func(
+        UniformSphere.from_mass_radius(mass, radius), r, gamma)
+
+
+# (id, arguments, call): every public scalar function and factory, with
+# the records it takes built inside the call
+SCALAR_CALLS = [
+    ("surface_background", 5, lambda radius, mass, rho, v1k, gamma:
+        surface_background(EarthParameters(radius, mass, rho, v1k), gamma)),
+    ("direct_problem", 6, lambda radius, mass, rho, v1k, phi_g, gamma:
+        direct_problem(EarthParameters(radius, mass, rho, v1k), phi_g,
+                       gamma)),
+    ("inverse_problem", 3, inverse_problem),
+    ("sensitivity_coefficients", 3, sensitivity_coefficients),
+    ("point_mass_signal", 6, lambda delta_mass, distance, u0, g0, u_inf,
+        gamma: point_mass_signal(delta_mass, distance,
+                                 BackgroundState(u0, g0, u_inf), gamma)),
+    ("sphere_anomaly", 6, lambda depth, radius, contrast, u0, g0, u_inf:
+        sphere_anomaly(AnomalySource(depth, radius, contrast),
+                       BackgroundState(u0, g0, u_inf))),
+    *((func.__name__, 4, _on_sphere(func)) for func in (
+        absolute_potential, gravity, first_cosmic_velocity,
+        equipotential_velocity, kinetic_potential)),
+    ("from_mass_radius", 2, UniformSphere.from_mass_radius),
+    ("from_density_radius", 2, UniformSphere.from_density_radius),
+    ("from_mass_density", 2, UniformSphere.from_mass_density),
+    ("potential_from_velocity", 2, potential_from_velocity),
+    ("radius_from_velocity", 2, radius_from_velocity),
+    ("buoyancy_pressure", 3, buoyancy_pressure),
+    ("pulsating_potential", 4, pulsating_potential),
+    ("compression_potential", 2, compression_potential),
+    ("crossover_radius", 1, crossover_radius),
+]
+
+
+@pytest.mark.parametrize("arity, call", [c[1:] for c in SCALAR_CALLS],
+                         ids=[c[0] for c in SCALAR_CALLS])
+def test_extreme_floats_raise_only_library_errors(arity, call):
+    values = EXTREMES if arity < 5 else EXTREMES_6
+    escaped = []
+    for args in product(values, repeat=arity):
+        try:
+            call(*args)
+        except errors.GeopotentError:
+            pass
+        except Exception as exc:  # anything else escapes the library
+            escaped.append(f"{args}: {type(exc).__name__}: {exc}")
+    assert escaped == []

@@ -184,7 +184,7 @@ class TestMassTable:
         profile = RadialProfile([1.0e5, 1.0e6, 2.0e6, 3.0e6],
                                 [9000.0, 8000.0, 5000.0, 3000.0],
                                 [3e11, 2e11, 1e11, 0.0])
-        knots, densities, mass = profile.mass_table
+        knots, densities, mass, _ = profile.mass_table
         assert list(knots) == [0.0, 1.0e5, 1.0e6, 2.0e6, 3.0e6]
         assert densities[0] == densities[1] == 9000.0
         assert mass[1] == pytest.approx(
@@ -594,6 +594,38 @@ class TestCoreEquilibriumGravity:
         expected = pressure * 4.0 * math.pi * core**2 / (total - inner)
         assert core_equilibrium_gravity(profile, core) == pytest.approx(
             expected, rel=1e-6)
+
+    @staticmethod
+    def rounded_once(profile, core):
+        """P * 4 pi core^2 over the outside mass, which is rounded once
+        from exact rationals; P is the interpolated float."""
+        exact = ExactProfile(profile)
+        outside = float(exact.mass[-1] - exact.mass_at(core))
+        _, pressure = interpolate(profile, core)
+        return pressure * (4.0 * math.pi * core**2) / (4.0 * math.pi * outside)
+
+    def test_golden_cells_round_the_outside_mass_once(self, prem_profile):
+        path = os.path.join(os.path.dirname(__file__), "golden",
+                            "profile.json")
+        with open(path, encoding="utf-8") as fh:
+            [table] = json.load(fh)["tables"]
+        assert [row["boundary"] for row in table["rows"]] == ["CMB", "ICB"]
+        for row in table["rows"]:
+            assert row["equilibrium_gravity_m_s2"] == \
+                self.rounded_once(prem_profile, row["radius_m"])
+
+    @pytest.mark.parametrize("rho_center", [13000.0, 1e14, 1e20, 1e23, 1e24,
+                                            1e100])
+    def test_dense_core_does_not_cancel_the_outside_mass(self, rho_center):
+        # the mass outside 3.48e6 m does not depend on the center density;
+        # M_total - M(core) drifted from it at 1e14 and rounded to 0 at 1e24
+        profile = RadialProfile([0.0, 7e5, 4e6, 6.371e6],
+                                [rho_center, 13000.0, 5000.0, 3000.0],
+                                [3.6e11, 3.5e11, 1e11, 0.0])
+        value = core_equilibrium_gravity(profile, 3.48e6)
+        assert value == 5.8100532043035145
+        exact = self.rounded_once(profile, 3.48e6)
+        assert abs(value - exact) <= math.ulp(exact)
 
     def test_core_at_surface_rejected(self, prem_profile):
         with pytest.raises(OutOfDomainError):
