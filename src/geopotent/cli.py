@@ -516,6 +516,10 @@ def cmd_pulse(cfg: RunConfig, args):
                 f"--num-samples must be <= {PULSE_MAX_SAMPLES}, got {n}")
         t_start, t_end = schedule.t_start, schedule.t_end
         span = t_end - t_start
+        if not math.isfinite(span * (n - 1)):
+            raise InputError(
+                f"--num-samples {n} over the schedule span [{t_start}, "
+                f"{t_end}] overflows the float range; pass --times instead")
         times = [t_start + span * i / (n - 1) for i in range(n)]
         # the grid never decreases, but its tail can round one ulp past
         # t_end

@@ -24,9 +24,6 @@ from .errors import (
     TooFewSamplesError,
 )
 
-# Relative tolerance for the mass/density/radius consistency of a sphere.
-SPHERE_CONSISTENCY_TOL = 1e-9
-
 # Tolerated relative pressure rise between adjacent samples. Real tabulated
 # pressure curves are monotone; the slack absorbs interpolation artifacts.
 PRESSURE_SLACK = 0.005
@@ -169,47 +166,45 @@ DEFAULT_CONSTANTS = PhysicalConstants()
 class UniformSphere(Record):
     """Homogeneous mass source: the generator of all closed-form fields.
 
-    Any two of (mass, radius, density) determine the third; the
-    constructor rejects triples whose relative mismatch exceeds
-    ``SPHERE_CONSISTENCY_TOL``. Use the ``from_*`` factories to build a
-    sphere from two quantities.
+    Holds its mass and radius; the density is derived from them. The
+    ``from_*`` factories build a sphere from any two of (mass, radius,
+    density).
     """
 
-    __slots__ = _fields = ("mass", "radius", "density")
+    __slots__ = _fields = ("mass", "radius")
 
-    def __init__(self, mass, radius, density):
+    def __init__(self, mass, radius):
         _require_positive("mass", mass)
         _require_positive("radius", radius)
-        _require_positive("density", density)
-        implied = (4.0 / 3.0) * math.pi * density * _cube("radius", radius)
-        if abs(mass - implied) / mass > SPHERE_CONSISTENCY_TOL:
+        if not self._volume(radius):
             raise NonPhysicalValueError(
-                f"inconsistent sphere: mass {mass!r} vs "
-                f"(4/3)*pi*density*radius^3 = {implied!r}"
-            )
-        self._set(mass, radius, density)
+                f"the volume of a body of radius {radius!r} m underflows to 0")
+        self._set(mass, radius)
+        _require_positive("density", self.density)
+
+    @staticmethod
+    def _volume(radius):
+        return (4.0 / 3.0) * math.pi * _cube("radius", radius)
+
+    @property
+    def density(self):
+        return self.mass / self._volume(self.radius)
 
     @classmethod
     def from_mass_radius(cls, mass, radius):
-        _require_positive("mass", mass)
-        _require_positive("radius", radius)
-        volume = (4.0 / 3.0) * math.pi * _cube("radius", radius)
-        if not volume:
-            raise NonPhysicalValueError(
-                f"the volume of a body of radius {radius!r} m underflows to 0")
-        return cls(mass, radius, mass / volume)
+        return cls(mass, radius)
 
     @classmethod
     def from_density_radius(cls, density, radius):
         return cls((4.0 / 3.0) * math.pi * density * _cube("radius", radius),
-                   radius, density)
+                   radius)
 
     @classmethod
     def from_mass_density(cls, mass, density):
         _require_positive("mass", mass)
         _require_positive("density", density)
         radius = (3.0 * mass / (4.0 * math.pi * density)) ** (1.0 / 3.0)
-        return cls(mass, radius, density)
+        return cls(mass, radius)
 
 
 class EarthParameters(Record):
@@ -453,8 +448,8 @@ class ScheduleSegment(Record):
     params hold the radii named by ``SEGMENT_PARAMS[kind]``;
     coalesce_step is two cavities merged into one of equal total volume
     for the whole segment. Times and radii are stored as floats; the
-    constructor raises ScheduleError unless t_end > t_start, both finite,
-    and the kind's radii are positive and finite.
+    constructor raises ScheduleError unless t_end > t_start, both finite
+    and a finite float apart, and the kind's radii are positive and finite.
     """
 
     __slots__ = _fields = ("t_start", "t_end", "kind", "params")
@@ -469,6 +464,9 @@ class ScheduleSegment(Record):
                 f"{t_end!r} and {params!r}") from None
         if not (math.isfinite(start) and math.isfinite(end) and end > start):
             raise ScheduleError("t_end must exceed t_start")
+        if not math.isfinite(end - start):
+            raise ScheduleError(f"span [{start}, {end}] is too long: t_end - "
+                                f"t_start overflows the float range")
         names = segment_params(kind)
         if len(radii) != len(names):
             raise ScheduleError(f"kind {kind!r} takes {len(names)} "
@@ -532,6 +530,10 @@ class CavitySchedule(Record):
                     index=i)
         self._set(segments, source_mass, observer_radius,
                   host_density_contrast)
+        if not math.isfinite(self.t_end - self.t_start):
+            raise ScheduleError(
+                f"schedule span [{self.t_start}, {self.t_end}] is too long: "
+                f"t_end - t_start overflows the float range")
         # Boundary times between consecutive segments, for radii_cubed.
         object.__setattr__(self, "_ends",
                            tuple(seg.t_end for seg in segments[:-1]))

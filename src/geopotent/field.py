@@ -219,7 +219,8 @@ def sample_field(sphere: UniformSphere, radii, gamma=_DEFAULT_GAMMA):
     FieldSample field, with FieldSample rows on indexing and iteration.
     The radii are copied once, so the table does not change when the
     caller's array does. Raises NonPhysicalInputError naming the index of
-    the first negative or non-finite radius.
+    the first negative or non-finite radius, and OutOfDomainError naming
+    the first radius where g*r is negative, as a negative gamma makes it.
     """
     np = _numpy()
     r = np.array(radii if isinstance(radii, np.ndarray) else list(radii),
@@ -229,12 +230,18 @@ def sample_field(sphere: UniformSphere, radii, gamma=_DEFAULT_GAMMA):
         i = int(bad[0])
         raise NonPhysicalInputError(f"radii[{i}] must be >= 0, got {r[i]!r}")
     radius, rho, gm = sphere.radius, sphere.density, gamma * sphere.mass
-    # Both branches run on every radius. Only cells np.where discards can
-    # divide by zero; a kept r*r overflows to inf, as Python floats do.
-    with np.errstate(over="ignore", divide="ignore"):
+    # Both branches run on every radius, so a cell np.where discards can
+    # divide by zero or make 0/0. A kept cell overflows to inf or turns
+    # nan as Python floats do, silently.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u = np.where(r <= radius, kernels.uniform_sphere_potential(gamma, rho, r),
                      kernels.exterior_potential(gamma, rho, gm, radius, r))
         g = np.where(r <= radius, kernels.interior_gravity(gamma, rho, r),
                      kernels.exterior_gravity(gm, r))
-    return FieldTable(r, u, g, np.sqrt(g * r),
-                      u_infinity_homogeneous(sphere, gamma) - u)
+        gr = g * r
+        kinetic = u_infinity_homogeneous(sphere, gamma) - u
+    negative = np.flatnonzero(gr < 0.0)
+    if negative.size:  # _root raises for the first one, as the scalars do
+        i = int(negative[0])
+        _root(f"g*r at radii[{i}]", float(gr[i]))
+    return FieldTable(r, u, g, np.sqrt(gr), kinetic)

@@ -870,6 +870,51 @@ class TestPulseCommand:
         assert times[0] == t_start and times[-1] == t_end
         assert times == sorted(times)
 
+    @pytest.mark.parametrize("spans, flags, message", [
+        ([(-1e308, 1e308)], ["--times=-1e308,0,5e307"], "segment 0: span"),
+        ([(-1e308, 1e308)], [], "segment 0: span"),
+        ([(-1e308, 1e308)], ["--times", "0,1e308"], "segment 0: span"),
+        ([(-1e308, 0.0), (0.0, 1e308)], [], "schedule span"),
+    ], ids=["times", "num_samples", "times_at_end", "two_segments"])
+    def test_span_past_the_float_range_rejected(self, spans, flags, message,
+                                                tmp_path, capsys):
+        # t_end - t_start is inf: a linear segment would read its radius
+        # at (t - t_start) / inf, and the uniform grid would hold nan
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(self.linear_schedule(spans)))
+        assert main(["pulse", "--schedule", str(path), *flags]) == 2
+        assert capsys.readouterr() == ("", (
+            f"geopotent: error: {path}: {message} [-1e+308, 1e+308] is too "
+            f"long: t_end - t_start overflows the float range\n"))
+
+    def test_num_samples_grid_past_the_float_range_rejected(self, tmp_path,
+                                                            capsys):
+        # span * 999 overflows, and most of the grid would clamp to t_end;
+        # 100 samples still fit
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(self.linear_schedule([(0.0, 1e306)])))
+        argv = ["pulse", "--schedule", str(path), "--format", "json"]
+        assert main(argv + ["--num-samples", "1000"]) == 2
+        assert capsys.readouterr() == ("", (
+            "geopotent: error: --num-samples 1000 over the schedule span "
+            "[0.0, 1e+306] overflows the float range; pass --times "
+            "instead\n"))
+        assert main(argv + ["--num-samples", "100"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        times = [row["t_s"] for row in rows]
+        assert len(set(times)) == 100 and times[-1] == 1e306
+        assert rows[-1]["source_radius_m"] == pytest.approx(200.0)
+
+    @staticmethod
+    def linear_schedule(spans):
+        """A schedule of linear 100 -> 200 m segments over `spans`."""
+        return {"source_mass": 1e12, "observer_radius": 5000.0,
+                "host_density_contrast": -2700.0,
+                "segments": [{"t_start": a, "t_end": b, "kind": "linear",
+                              "params": {"radius_start": 100.0,
+                                         "radius_end": 200.0}}
+                             for a, b in spans]}
+
     @pytest.mark.parametrize("segment, key", [
         (None, "observer_radius"), (0, "params"), (1, "radius_end")])
     def test_schedule_missing_key_named(self, segment, key, tmp_path,

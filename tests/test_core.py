@@ -74,9 +74,14 @@ class TestUniformSphere:
                 UniformSphere.from_mass_radius(s.mass, radius).density
                 - density) / density <= 1e-9
 
-    def test_rejects_inconsistent_triple(self):
-        with pytest.raises(NonPhysicalValueError):
-            UniformSphere(mass=1e24, radius=6.371e6, density=5515.0)
+    def test_holds_mass_and_radius_and_derives_density(self):
+        sphere = UniformSphere(5.9737e24, 6.371e6)
+        assert UniformSphere._fields == ("mass", "radius")
+        assert sphere == UniformSphere.from_mass_radius(5.9737e24, 6.371e6)
+        assert sphere.density == 5.9737e24 / ((4.0 / 3.0) * math.pi
+                                              * 6.371e6 ** 3)
+        with pytest.raises(AttributeError):
+            sphere.density = 5515.0
 
     def test_rejects_non_positive(self):
         with pytest.raises(NonPhysicalValueError):
@@ -93,14 +98,19 @@ class TestUniformSphere:
          "density must be positive and finite, got 0.0"),
         (lambda: UniformSphere.from_mass_density(math.nan, 1.0),
          "mass must be positive and finite, got nan"),
-    ], ids=["zero_radius", "volume_underflows", "zero_density", "nan_mass"])
+        (lambda: UniformSphere.from_mass_radius(1e-320, 1e10),
+         "density must be positive and finite, got 0.0"),
+        (lambda: UniformSphere.from_mass_radius(1e308, 1e-100),
+         "density must be positive and finite, got inf"),
+    ], ids=["zero_radius", "volume_underflows", "zero_density", "nan_mass",
+            "density_underflows", "density_overflows"])
     def test_factories_validate_before_they_divide(self, build, message):
         with pytest.raises(NonPhysicalValueError) as err:
             build()
         assert str(err.value) == message
 
     @pytest.mark.parametrize("build", [
-        lambda: UniformSphere(1e300, 1e103, 1.0),
+        lambda: UniformSphere(1e300, 1e103),
         lambda: UniformSphere.from_mass_radius(1e300, 1e103),
         lambda: UniformSphere.from_density_radius(1.0, 1e103),
     ], ids=["init", "from_mass_radius", "from_density_radius"])
@@ -355,6 +365,18 @@ class TestCavitySchedule:
                 source_mass=1e12, observer_radius=5000.0,
                 host_density_contrast=-2700.0)
 
+    def test_span_must_be_a_finite_float(self):
+        # each segment spans 1e308, the whole schedule twice that
+        with pytest.raises(ScheduleError) as err:
+            CavitySchedule(
+                segments=(_segment(-1e308, 0, "constant", (500.0,)),
+                          _segment(0, 1e308, "constant", (500.0,))),
+                source_mass=1e12, observer_radius=5000.0,
+                host_density_contrast=-2700.0)
+        assert str(err.value) == ("schedule span [-1e+308, 1e+308] is too "
+                                  "long: t_end - t_start overflows the "
+                                  "float range")
+
     def test_time_outside_span(self):
         sched = CavitySchedule(
             segments=(_segment(0, 100, "constant", (500.0,)),),
@@ -397,6 +419,8 @@ class TestScheduleSegment:
                                          "its cube overflows the float range"),
         (0, 100, "coalesce_step", (1e110, 1e110), "radius_1 1e+110 is too "
          "large: its cube overflows the float range"),
+        (-1e308, 1e308, "constant", (500.0,), "span [-1e+308, 1e+308] is "
+         "too long: t_end - t_start overflows the float range"),
     ])
     def test_invalid_segment_raises_at_construction(self, t0, t1, kind,
                                                     params, message):

@@ -1,5 +1,7 @@
 import inspect
 import math
+import struct
+import warnings
 from itertools import product
 
 import pytest
@@ -21,6 +23,7 @@ from geopotent.field import (
     kinetic_potential,
     potential_from_velocity,
     radius_from_velocity,
+    sample_field,
 )
 from geopotent.pulse import (
     buoyancy_pressure,
@@ -131,6 +134,7 @@ SCALAR_CALLS = [
     *((func.__name__, 4, _on_sphere(func)) for func in (
         absolute_potential, gravity, first_cosmic_velocity,
         equipotential_velocity, kinetic_potential)),
+    ("UniformSphere", 2, UniformSphere),
     ("from_mass_radius", 2, UniformSphere.from_mass_radius),
     ("from_density_radius", 2, UniformSphere.from_density_radius),
     ("from_mass_density", 2, UniformSphere.from_mass_density),
@@ -156,3 +160,32 @@ def test_extreme_floats_raise_only_library_errors(arity, call):
         except Exception as exc:  # anything else escapes the library
             escaped.append(f"{args}: {type(exc).__name__}: {exc}")
     assert escaped == []
+
+
+def test_array_and_scalar_field_paths_agree():
+    # at one radius, sample_field gives the value bits of the four scalar
+    # functions, or raises the library error the first of them raises,
+    # and never warns: a cell np.where discards must stay silent
+    scalars = (absolute_potential, gravity, equipotential_velocity,
+               kinetic_potential)
+
+    def outcome(cells):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return struct.pack("4d", *cells())
+        except (errors.GeopotentError, RuntimeWarning) as exc:
+            return type(exc)
+
+    disagree = []
+    for mass, radius, r, gamma in product(EXTREMES, repeat=4):
+        try:
+            sphere = UniformSphere(mass, radius)
+        except errors.GeopotentError:
+            continue
+        scalar = outcome(lambda: [f(sphere, r, gamma) for f in scalars])
+        array = outcome(lambda: [column[0] for column in sample_field(
+            sphere, [r], gamma).columns()[1:]])
+        if scalar != array:
+            disagree.append(f"{(mass, radius, r, gamma)}: {scalar} {array}")
+    assert disagree == []

@@ -40,18 +40,13 @@ from geopotent.config import DEFAULT_BOUNDARIES, RunConfig
 from geopotent.errors import NonPhysicalValueError
 
 SEGMENT = ScheduleSegment(0.0, 10.0, "constant", (500.0,))
-SPHERE = UniformSphere.from_mass_radius(1e12, 500.0)
-OTHER_SPHERE = UniformSphere.from_mass_radius(2e12, 500.0)
 EARTH = (6.371e6, 5.9737e24, 5515.0, 7910.0)
 
 # class: (field names, defaults by name, values, values that differ)
 RECORDS = {
     PhysicalConstants: (
         ("gamma",), {"gamma": 6.6743e-11}, (6.6743e-11,), (6.7e-11,)),
-    UniformSphere: (
-        ("mass", "radius", "density"), {},
-        (SPHERE.mass, SPHERE.radius, SPHERE.density),
-        (OTHER_SPHERE.mass, OTHER_SPHERE.radius, OTHER_SPHERE.density)),
+    UniformSphere: (("mass", "radius"), {}, (1e12, 500.0), (2e12, 500.0)),
     EarthParameters: (
         ("mean_radius", "mass", "mean_density",
          "surface_first_cosmic_velocity"),
