@@ -13,7 +13,6 @@ from .anomaly import (
     BackgroundState,
     DetectabilityRow,
     SensitivityPair,
-    crossover_radius,
     detectability_report,
     point_mass_signal,
     sensitivity_coefficients,
@@ -37,11 +36,8 @@ from .field import (
     FieldTable,
     absolute_potential,
     equipotential_velocity,
-    first_cosmic_velocity,
     gravity,
     kinetic_potential,
-    potential_from_velocity,
-    radius_from_velocity,
     sample_field,
     u_infinity_homogeneous,
 )
@@ -57,8 +53,6 @@ from .profiles import (
 from .pulse import (
     PulseSample,
     PulseTable,
-    buoyancy_pressure,
-    cavity_mass_deficit,
     evaluate_schedule,
     pulsating_potential,
     surface_background,
@@ -98,17 +92,13 @@ __all__ = [
     "SensitivityPair",
     "UniformSphere",
     "absolute_potential",
-    "buoyancy_pressure",
-    "cavity_mass_deficit",
     "compression_potential",
     "core_equilibrium_gravity",
-    "crossover_radius",
     "detectability_report",
     "direct_problem",
     "enclosed_mass",
     "equipotential_velocity",
     "evaluate_schedule",
-    "first_cosmic_velocity",
     "gravity",
     "homogeneity_bound",
     "interpolate",
@@ -117,10 +107,8 @@ __all__ = [
     "locate_boundary",
     "mean_density",
     "point_mass_signal",
-    "potential_from_velocity",
     "pressure_gradient_max",
     "pulsating_potential",
-    "radius_from_velocity",
     "sample_field",
     "sensitivity_coefficients",
     "sphere_anomaly",

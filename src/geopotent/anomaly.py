@@ -21,30 +21,12 @@ from collections import namedtuple
 from .core import (
     DEFAULT_CONSTANTS,
     AnomalySource,
-    CheckedTuple,
+    BackgroundState,
     _require_positive,
 )
 from .errors import NonPhysicalInputError, OutOfDomainError
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
-
-
-class BackgroundState(CheckedTuple,
-                      namedtuple("BackgroundState", "u0 g0 u_infinity")):
-    """Unperturbed field at the observer: potential, gravity, at-infinity value.
-
-    A tuple, so ``BackgroundState(*t)`` accepts any 3-sequence; every
-    field must be positive and finite. The ordering u0 < u_infinity is
-    checked where a signal is evaluated.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, u0, g0, u_infinity):
-        for name, value in (("u0", u0), ("g0", g0),
-                            ("u_infinity", u_infinity)):
-            _require_positive(name, value)
-        return super().__new__(cls, u0, g0, u_infinity)
 
 
 class SensitivityPair(namedtuple("SensitivityPair", "k1 k2 ratio")):
@@ -85,12 +67,6 @@ def sensitivity_coefficients(r, r0, gamma=_DEFAULT_GAMMA) -> SensitivityPair:
             f"k2 underflows to 0 at r / r0 = {x!r}; the ratio k1 / k2 is "
             "undefined")
     return SensitivityPair(k1=k1, k2=k2, ratio=k1 / k2)
-
-
-def crossover_radius(r0):
-    """Observation distance beyond which the potential channel dominates: 2*r0."""
-    _require_positive("r0", r0, NonPhysicalInputError)
-    return 2.0 * r0
 
 
 def speed_changes(delta_u, base, speed):

@@ -12,6 +12,10 @@ rejected so typos fail loudly; every number must be finite):
                    name is a string with no comma and no line break
                    (any character where str.splitlines() breaks)
 
+``RunConfig`` checks its own values, so a config built in code meets
+the same checks as a file; the reader checks the keys and the JSON
+numbers, and prefixes every message with the file's name.
+
 The default boundary set ships the core-mantle boundary at 3.48e6 m and
 the inner-core boundary at 1.2215e6 m (standard reference Earth values);
 override via config when working with another body.
@@ -23,15 +27,20 @@ import json
 import math
 import os
 
-from .core import DEFAULT_CONSTANTS, EarthParameters, PhysicalConstants, Record
+from .core import (
+    DEFAULT_CONSTANTS,
+    BoundaryReference,
+    EarthParameters,
+    PhysicalConstants,
+    Record,
+    surface_background,
+)
 from .errors import (
     ConfigError,
     InputError,
     NonPhysicalValueError,
     OutOfDomainError,
 )
-from .pulse import surface_background
-from .solver import BoundaryReference
 
 ENV_CONFIG = "GEOPOTENT_CONFIG"
 
@@ -42,10 +51,32 @@ DEFAULT_BOUNDARIES = (
 
 
 class RunConfig(Record):
+    """The body, constants and reference boundaries of one run.
+
+    The body's surface background under ``constants.gamma`` must exist,
+    ``p_g_override`` is None or a positive finite pressure in Pa, and
+    every boundary is a ``BoundaryReference``; ``boundaries`` is stored
+    as a tuple. A failure raises ``NonPhysicalValueError`` whose message
+    starts with the field's name, so a config reader can prefix its file.
+    """
+
     __slots__ = _fields = ("constants", "earth", "p_g_override", "boundaries")
 
     def __init__(self, constants=DEFAULT_CONSTANTS, earth=EarthParameters(),
                  p_g_override=None, boundaries=DEFAULT_BOUNDARIES):
+        try:  # the surface terms under this gamma; g0 divides by R^2
+            surface_background(earth, constants.gamma)
+        except (NonPhysicalValueError, OutOfDomainError) as exc:
+            raise NonPhysicalValueError(f"earth: {exc}") from exc
+        if p_g_override is not None and not (math.isfinite(p_g_override)
+                                             and p_g_override > 0.0):
+            raise NonPhysicalValueError("p_g_override must be positive")
+        boundaries = tuple(boundaries)
+        for i, boundary in enumerate(boundaries):
+            if not isinstance(boundary, BoundaryReference):
+                raise NonPhysicalValueError(
+                    f"boundaries[{i}] must be a BoundaryReference, got "
+                    f"{boundary!r}")
         self._set(constants, earth, p_g_override, boundaries)
 
 
@@ -117,16 +148,12 @@ def parse_config(data, source="config") -> RunConfig:
         earth_fields = {k: _number(block, k, f"{source}.earth") for k in block}
     try:
         earth = EarthParameters(**earth_fields)
-        # its surface terms must be finite too; g0 divides by R^2
-        surface_background(earth, constants.gamma)
-    except (NonPhysicalValueError, OutOfDomainError) as exc:
+    except NonPhysicalValueError as exc:
         raise ConfigError(f"{source}.earth: {exc}") from exc
 
     p_g_override = None
     if data.get("p_g_override") is not None:
         p_g_override = _number(data, "p_g_override", source)
-        if p_g_override <= 0.0:
-            raise ConfigError(f"{source}.p_g_override must be positive")
 
     boundaries = DEFAULT_BOUNDARIES
     if "boundaries" in data:
@@ -146,8 +173,11 @@ def parse_config(data, source="config") -> RunConfig:
                 raise ConfigError(f"{where}: {exc}") from exc
         boundaries = tuple(parsed)
 
-    return RunConfig(constants=constants, earth=earth,
-                     p_g_override=p_g_override, boundaries=boundaries)
+    try:  # the constructor checks the values; the file goes in front
+        return RunConfig(constants=constants, earth=earth,
+                         p_g_override=p_g_override, boundaries=boundaries)
+    except NonPhysicalValueError as exc:
+        raise ConfigError(f"{source}.{exc}") from exc
 
 
 def load_config(path) -> RunConfig:

@@ -1,4 +1,4 @@
-"""Domain types, physical constants, and profile validation.
+"""Domain types, profile validation, and the direct problem's surface terms.
 
 Everything is SI: metres, kilograms, seconds, pascals, J/kg for specific
 energies. All types are immutable after construction and safe to share
@@ -18,11 +18,14 @@ from itertools import groupby, repeat
 
 from .errors import (
     NonMonotonicRadiusError,
+    NonPhysicalInputError,
     NonPhysicalValueError,
+    OutOfDomainError,
     PressureIncreaseError,
     ScheduleError,
     TooFewSamplesError,
 )
+from .kernels import exterior_gravity, uniform_sphere_potential
 
 # Tolerated relative pressure rise between adjacent samples. Real tabulated
 # pressure curves are monotone; the slack absorbs interpolation artifacts.
@@ -377,6 +380,71 @@ class PotentialBreakdown(CheckedTuple, namedtuple(
                 + self.compression_potential)
 
 
+class BackgroundState(CheckedTuple,
+                      namedtuple("BackgroundState", "u0 g0 u_infinity")):
+    """Unperturbed field at the observer: potential, gravity, at-infinity value.
+
+    A tuple, so ``BackgroundState(*t)`` accepts any 3-sequence; every
+    field must be positive and finite. The ordering u0 < u_infinity is
+    checked where a signal is evaluated.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, u0, g0, u_infinity):
+        for name, value in (("u0", u0), ("g0", g0),
+                            ("u_infinity", u_infinity)):
+            _require_positive(name, value)
+        return super().__new__(cls, u0, g0, u_infinity)
+
+
+def direct_problem(earth: EarthParameters, phi_g,
+                   gamma=DEFAULT_CONSTANTS.gamma) -> PotentialBreakdown:
+    """Maximum (at-infinity) potential from surface data.
+
+    Parameters
+    ----------
+    earth : EarthParameters
+        Measured bulk values of the body.
+    phi_g : float
+        Compression potential, J/kg; zero selects the homogeneous model.
+    gamma : float, optional
+        Gravitational constant.
+
+    Returns
+    -------
+    PotentialBreakdown
+        u_surface = (2/3)*gamma*rho*pi*R^2, equipotential_surface =
+        v1k^2/2 and compression_potential = phi_g; u_infinity is their sum.
+    """
+    if not (math.isfinite(phi_g) and phi_g >= 0.0):
+        raise NonPhysicalInputError(f"phi_g must be >= 0, got {phi_g!r}")
+    v1k = earth.surface_first_cosmic_velocity
+    return PotentialBreakdown(
+        uniform_sphere_potential(gamma, earth.mean_density, earth.mean_radius),
+        0.5 * v1k * v1k, phi_g)
+
+
+def surface_background(earth: EarthParameters = EarthParameters(),
+                       gamma=DEFAULT_CONSTANTS.gamma) -> BackgroundState:
+    """Compression-free surface background for the precursor view.
+
+    The direct problem of the homogeneous model (phi_G = 0): u0 is its
+    uniform-equivalent surface potential and u_infinity its at-infinity
+    value, so the baseline equipotential velocity is exactly the surface
+    first cosmic velocity; g0 is gamma*M/R^2. An R^2 that underflows to
+    0 raises ``OutOfDomainError``.
+    """
+    breakdown = direct_problem(earth, 0.0, gamma)
+    radius = earth.mean_radius
+    if not radius * radius:
+        raise OutOfDomainError(
+            f"the square of the mean radius {radius!r} m underflows to 0")
+    g0 = exterior_gravity(gamma * earth.mass, radius)
+    return BackgroundState(u0=breakdown.u_surface, g0=g0,
+                           u_infinity=breakdown.u_infinity)
+
+
 class DensityTrend(str, Enum):
     """Radial density trend implied by the characteristic radius."""
 
@@ -398,6 +466,30 @@ class InversionResult(CheckedTuple,
     def __new__(cls, r0, depth, trend):
         _require_positive("r0", r0)
         return super().__new__(cls, r0, depth, trend)
+
+
+class BoundaryReference(Record):
+    """Named reference radius with a tolerance band (a layer half-thickness).
+
+    The name is a report cell: a string with no comma and no line break
+    (no character of ``LINE_BREAKS``, where str.splitlines() breaks).
+    """
+
+    __slots__ = _fields = ("name", "radius", "layer_half_thickness")
+
+    def __init__(self, name, radius, layer_half_thickness):
+        if (not isinstance(name, str) or "," in name
+                or not LINE_BREAKS.isdisjoint(name)):
+            raise NonPhysicalValueError(
+                f"boundary name must be a string without a comma or line "
+                f"break, got {name!r}")
+        _require_positive("boundary radius", radius)
+        if not (math.isfinite(layer_half_thickness)
+                and layer_half_thickness >= 0.0):
+            raise NonPhysicalValueError(
+                f"layer_half_thickness must be >= 0, got "
+                f"{layer_half_thickness!r}")
+        self._set(name, radius, layer_half_thickness)
 
 
 class AnomalySource(Record):

@@ -10,10 +10,6 @@ infinity, so potential + kinetic is the at-infinity value everywhere.
 
 The closed forms of both branches live once, in :mod:`geopotent.kernels`,
 so every cell of a FieldTable is bitwise the scalar function's value.
-
-Velocity conversions (`potential_from_velocity`, `radius_from_velocity`)
-are the measurement side: they recover potential or radius from an
-observed velocity and local gravity.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ from .core import (
     DEFAULT_CONSTANTS,
     ColumnTable,
     UniformSphere,
-    _require_positive,
 )
 from .errors import (
     NonPhysicalInputError,
@@ -142,19 +137,6 @@ def gravity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
     return kernels.exterior_gravity(gamma * sphere.mass, r)
 
 
-def first_cosmic_velocity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
-    """Circular orbital speed sqrt(gamma*M/r), defined for r >= R only.
-
-    A negative or non-finite r is an input error, as in gravity.
-    """
-    _require_radius(r)
-    if r < sphere.radius:
-        raise OutOfDomainError(
-            f"first cosmic velocity is defined on and outside the boundary "
-            f"(r >= {sphere.radius}), got r = {r!r}")
-    return _root("gamma*M/r", gamma * sphere.mass / r)
-
-
 def equipotential_velocity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
     """Circular-orbit speed sqrt(g(r)*r) of the equipotential surface at r.
 
@@ -163,41 +145,6 @@ def equipotential_velocity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
     """
     _require_radius(r)
     return _root("g*r", gravity(sphere, r, gamma) * r)
-
-
-def potential_from_velocity(u_infinity, v_s):
-    """Recover the absolute potential from an observed equipotential velocity.
-
-    Returns u_infinity - v_s**2 / 2; raises OutOfDomainError when the
-    velocity term exceeds the at-infinity potential (which would imply a
-    negative absolute potential), and NonPhysicalInputError on a
-    non-finite input.
-    """
-    for name, value in (("u_infinity", u_infinity), ("v_s", v_s)):
-        if not math.isfinite(value):
-            raise NonPhysicalInputError(f"{name} must be finite, got {value!r}")
-    half = 0.5 * v_s * v_s
-    if half > u_infinity:
-        raise OutOfDomainError(
-            f"v_s^2/2 = {half!r} exceeds u_infinity = {u_infinity!r}")
-    return u_infinity - half
-
-
-def radius_from_velocity(v_s, g_local):
-    """Radius of the equipotential surface from velocity and local gravity.
-
-    v_s**2 / g inverts the circular-orbit relation; both inputs must be
-    positive. A radius that overflows to inf or underflows to 0 raises
-    OutOfDomainError.
-    """
-    _require_positive("v_s", v_s, NonPhysicalInputError)
-    _require_positive("g_local", g_local, NonPhysicalInputError)
-    radius = v_s * v_s / g_local
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise OutOfDomainError(
-            f"radius v_s**2/g_local is out of float range for v_s = {v_s!r}, "
-            f"g_local = {g_local!r}: got {radius!r}")
-    return radius
 
 
 def kinetic_potential(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):

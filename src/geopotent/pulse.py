@@ -21,20 +21,19 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .anomaly import BackgroundState, point_mass_signal, speed_changes
+from .anomaly import point_mass_signal, speed_changes
 from .core import (
     DEFAULT_CONSTANTS,
+    BackgroundState,
     CavitySchedule,
     ColumnTable,
-    EarthParameters,
     _require_positive,
+    surface_background,
 )
 from .errors import (
     NonPhysicalInputError,
     OutOfDomainError,
 )
-from .kernels import exterior_gravity
-from .solver import direct_problem
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
@@ -80,36 +79,6 @@ def pulsating_potential(mass, radius_t, observer_r, gamma=_DEFAULT_GAMMA):
             f"(radius {radius_t!r})")
     gm = gamma * mass
     return -gm / observer_r + 1.5 * gm / radius_t
-
-
-def surface_background(earth: EarthParameters = EarthParameters(),
-                       gamma=_DEFAULT_GAMMA) -> BackgroundState:
-    """Compression-free surface background for the precursor view.
-
-    The direct problem of the homogeneous model (phi_G = 0): u0 is its
-    uniform-equivalent surface potential and u_infinity its at-infinity
-    value, so the baseline equipotential velocity is exactly the surface
-    first cosmic velocity; g0 is gamma*M/R^2. An R^2 that underflows to
-    0 raises ``OutOfDomainError``.
-    """
-    breakdown = direct_problem(earth, 0.0, gamma)
-    radius = earth.mean_radius
-    if not radius * radius:
-        raise OutOfDomainError(
-            f"the square of the mean radius {radius!r} m underflows to 0")
-    g0 = exterior_gravity(gamma * earth.mass, radius)
-    return BackgroundState(u0=breakdown.u_surface, g0=g0,
-                           u_infinity=breakdown.u_infinity)
-
-
-def cavity_mass_deficit(schedule: CavitySchedule, t):
-    """Signed anomalous mass (4/3)*pi*R(t)^3 * host_density_contrast.
-
-    Coalescence segments use the exact conserved volume R1^3 + R2^3, so
-    merging two cavities doubles the deficit of two equal ones exactly.
-    """
-    return ((4.0 / 3.0) * math.pi * schedule.radii_cubed([t])[0]
-            * schedule.host_density_contrast)
 
 
 def evaluate_schedule(schedule: CavitySchedule, sample_times,
@@ -172,17 +141,3 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
         delta_g=[gamma * dm / (observer * observer) for dm in delta_masses],
         delta_v_s=speed_changes(delta_u, base, speed),
     )
-
-
-def buoyancy_pressure(density_contrast, g_local, vertical_extent):
-    """Order-of-magnitude buoyancy pressure |drho| * g * L of a light body."""
-    for name, value in (("density_contrast", density_contrast),
-                        ("g_local", g_local),
-                        ("vertical_extent", vertical_extent)):
-        if not (math.isfinite(value) and abs(value) > 0.0):
-            raise NonPhysicalInputError(
-                f"{name} must have positive magnitude, got {value!r}")
-    if g_local < 0.0 or vertical_extent < 0.0:
-        raise NonPhysicalInputError(
-            "g_local and vertical_extent must be positive")
-    return abs(density_contrast) * g_local * vertical_extent

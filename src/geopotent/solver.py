@@ -9,6 +9,9 @@ source or a configured override; the two routes are kept separate so a
 run stays reproducible either way). The inverse problem divides gm by
 that at-infinity value, classifies the implied radial density trend, and
 localizes the resulting radius against reference boundaries.
+
+``direct_problem`` and ``BoundaryReference`` live in :mod:`geopotent.core`,
+beside the surface background a run config checks, and are imported here.
 """
 
 from __future__ import annotations
@@ -18,21 +21,14 @@ from collections import namedtuple
 
 from . import profiles
 from .core import (
-    DEFAULT_CONSTANTS,
-    LINE_BREAKS,
+    BoundaryReference,
     DensityTrend,
-    EarthParameters,
     InversionResult,
-    PotentialBreakdown,
     RadialProfile,
-    Record,
     _require_positive,
+    direct_problem,
 )
-from .errors import (
-    NonPhysicalInputError,
-    NonPhysicalValueError,
-    OutOfDomainError,
-)
+from .errors import NonPhysicalInputError, OutOfDomainError
 from .kernels import uniform_sphere_potential
 
 # Relative band around equality for the `uniform` trend; exact float
@@ -42,30 +38,6 @@ UNIFORM_TREND_TOL = 1e-6
 # Relative margin treated as equality when deciding whether the bound
 # holds, so the exact-equality case is not flipped by roundoff.
 _BOUND_EQUALITY_MARGIN = 1e-9
-
-
-class BoundaryReference(Record):
-    """Named reference radius with a tolerance band (a layer half-thickness).
-
-    The name is a report cell: a string with no comma and no line break
-    (no character of ``core.LINE_BREAKS``, where str.splitlines() breaks).
-    """
-
-    __slots__ = _fields = ("name", "radius", "layer_half_thickness")
-
-    def __init__(self, name, radius, layer_half_thickness):
-        if (not isinstance(name, str) or "," in name
-                or not LINE_BREAKS.isdisjoint(name)):
-            raise NonPhysicalValueError(
-                f"boundary name must be a string without a comma or line "
-                f"break, got {name!r}")
-        _require_positive("boundary radius", radius)
-        if not (math.isfinite(layer_half_thickness)
-                and layer_half_thickness >= 0.0):
-            raise NonPhysicalValueError(
-                f"layer_half_thickness must be >= 0, got "
-                f"{layer_half_thickness!r}")
-        self._set(name, radius, layer_half_thickness)
 
 
 class HomogeneityBoundReport(namedtuple(
@@ -86,33 +58,6 @@ def compression_potential(p_g, rho_g):
     _require_positive("p_g", p_g, NonPhysicalInputError)
     _require_positive("rho_g", rho_g, NonPhysicalInputError)
     return p_g / rho_g
-
-
-def direct_problem(earth: EarthParameters, phi_g,
-                   gamma=DEFAULT_CONSTANTS.gamma) -> PotentialBreakdown:
-    """Maximum (at-infinity) potential from surface data.
-
-    Parameters
-    ----------
-    earth : EarthParameters
-        Measured bulk values of the body.
-    phi_g : float
-        Compression potential, J/kg; zero selects the homogeneous model.
-    gamma : float, optional
-        Gravitational constant.
-
-    Returns
-    -------
-    PotentialBreakdown
-        u_surface = (2/3)*gamma*rho*pi*R^2, equipotential_surface =
-        v1k^2/2 and compression_potential = phi_g; u_infinity is their sum.
-    """
-    if not (math.isfinite(phi_g) and phi_g >= 0.0):
-        raise NonPhysicalInputError(f"phi_g must be >= 0, got {phi_g!r}")
-    v1k = earth.surface_first_cosmic_velocity
-    return PotentialBreakdown(
-        uniform_sphere_potential(gamma, earth.mean_density, earth.mean_radius),
-        0.5 * v1k * v1k, phi_g)
 
 
 def inverse_problem(gm, u_infinity, body_radius) -> InversionResult:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from geopotent import (
     AnomalySource,
     BackgroundState,
-    crossover_radius,
     detectability_report,
     point_mass_signal,
     sensitivity_coefficients,
@@ -68,22 +67,6 @@ class TestSensitivityCoefficients:
             sensitivity_coefficients(0.0, 1.0)
         with pytest.raises(NonPhysicalInputError):
             sensitivity_coefficients(1.0, -1.0)
-
-
-class TestCrossoverRadius:
-    def test_values(self):
-        assert crossover_radius(1.0) == 2.0
-        assert crossover_radius(500.0) == 1000.0
-
-    def test_consistent_with_coefficients(self):
-        rng = np.random.default_rng(71)
-        for r0 in 10.0 ** rng.uniform(-3, 6, 100):
-            pair = sensitivity_coefficients(crossover_radius(r0), r0)
-            assert pair.ratio == pytest.approx(1.0, rel=1e-12)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(NonPhysicalInputError):
-            crossover_radius(0.0)
 
 
 class TestSphereAnomaly:

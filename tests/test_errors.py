@@ -9,27 +9,24 @@ import pytest
 from geopotent import errors
 from geopotent.anomaly import (
     BackgroundState,
-    crossover_radius,
     point_mass_signal,
     sensitivity_coefficients,
     sphere_anomaly,
 )
-from geopotent.core import AnomalySource, EarthParameters, UniformSphere
+from geopotent.core import (
+    AnomalySource,
+    EarthParameters,
+    PhysicalConstants,
+    UniformSphere,
+)
 from geopotent.field import (
     absolute_potential,
     equipotential_velocity,
-    first_cosmic_velocity,
     gravity,
     kinetic_potential,
-    potential_from_velocity,
-    radius_from_velocity,
     sample_field,
 )
-from geopotent.pulse import (
-    buoyancy_pressure,
-    pulsating_potential,
-    surface_background,
-)
+from geopotent.pulse import pulsating_potential, surface_background
 from geopotent.solver import (
     BoundaryReference,
     compression_potential,
@@ -68,7 +65,6 @@ BACKGROUND = BackgroundState(6e7, 9.8, 1.1e8)
 CHECKS = [
     ("sensitivity_r", lambda v: sensitivity_coefficients(v, 1.0), ARG, "r"),
     ("sensitivity_r0", lambda v: sensitivity_coefficients(1.0, v), ARG, "r0"),
-    ("crossover_r0", crossover_radius, ARG, "r0"),
     ("point_mass_distance", lambda v: point_mass_signal(1.0, v, BACKGROUND),
      ARG, "distance"),
     ("boundary_radius", lambda v: BoundaryReference("CMB", v, 1.0),
@@ -87,9 +83,14 @@ CHECKS = [
      "radius_t"),
     ("pulsating_observer_r", lambda v: pulsating_potential(1.0, 1.0, v), ARG,
      "observer_r"),
-    ("velocity_v_s", lambda v: radius_from_velocity(v, 1.0), ARG, "v_s"),
-    ("velocity_g_local", lambda v: radius_from_velocity(1.0, v), ARG,
-     "g_local"),
+    ("constants_gamma", PhysicalConstants, errors.NonPhysicalValueError,
+     "gamma"),
+    # the records a RunConfig is built from and its surface background
+    *((f"earth_{name}", lambda v, name=name: EarthParameters(**{name: v}),
+       errors.NonPhysicalValueError, name) for name in EarthParameters._fields),
+    *((f"background_{name}",
+       lambda v, name=name: BACKGROUND._replace(**{name: v}),
+       errors.NonPhysicalValueError, name) for name in BackgroundState._fields),
 ]
 
 
@@ -132,18 +133,14 @@ SCALAR_CALLS = [
         sphere_anomaly(AnomalySource(depth, radius, contrast),
                        BackgroundState(u0, g0, u_inf))),
     *((func.__name__, 4, _on_sphere(func)) for func in (
-        absolute_potential, gravity, first_cosmic_velocity,
-        equipotential_velocity, kinetic_potential)),
+        absolute_potential, gravity, equipotential_velocity,
+        kinetic_potential)),
     ("UniformSphere", 2, UniformSphere),
     ("from_mass_radius", 2, UniformSphere.from_mass_radius),
     ("from_density_radius", 2, UniformSphere.from_density_radius),
     ("from_mass_density", 2, UniformSphere.from_mass_density),
-    ("potential_from_velocity", 2, potential_from_velocity),
-    ("radius_from_velocity", 2, radius_from_velocity),
-    ("buoyancy_pressure", 3, buoyancy_pressure),
     ("pulsating_potential", 4, pulsating_potential),
     ("compression_potential", 2, compression_potential),
-    ("crossover_radius", 1, crossover_radius),
 ]
 
 

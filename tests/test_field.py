@@ -11,19 +11,12 @@ from geopotent import (
     UniformSphere,
     absolute_potential,
     equipotential_velocity,
-    first_cosmic_velocity,
     gravity,
     kinetic_potential,
-    potential_from_velocity,
-    radius_from_velocity,
     sample_field,
     u_infinity_homogeneous,
 )
-from geopotent.errors import (
-    NonPhysicalInputError,
-    NonPhysicalValueError,
-    OutOfDomainError,
-)
+from geopotent.errors import NonPhysicalInputError, NonPhysicalValueError
 
 from conftest import GAMMA, random_sphere
 
@@ -124,36 +117,17 @@ class TestGravity:
                                                    abs=grid[1] - grid[0])
 
 
-class TestFirstCosmicVelocity:
-    def test_surface_value(self, earth_sphere):
-        v = first_cosmic_velocity(earth_sphere, earth_sphere.radius)
-        assert v == pytest.approx(7911.0, rel=1e-3)
-        # half the squared velocity is the reported surface equipotential term
-        assert 0.5 * v * v == pytest.approx(C_SURFACE_REPORTED, rel=1e-3)
-
-    def test_inverse_square_root_scaling(self, earth_sphere):
-        v_r = first_cosmic_velocity(earth_sphere, earth_sphere.radius)
-        v_4r = first_cosmic_velocity(earth_sphere, 4.0 * earth_sphere.radius)
-        assert v_4r == pytest.approx(0.5 * v_r, rel=1e-12)
-
-    def test_undefined_inside(self, earth_sphere):
-        with pytest.raises(OutOfDomainError):
-            first_cosmic_velocity(earth_sphere, 0.5 * earth_sphere.radius)
-
-    @pytest.mark.parametrize("r", [math.nan, math.inf])
-    def test_non_finite_radius_is_input_error(self, earth_sphere, r):
-        with pytest.raises(NonPhysicalInputError):
-            first_cosmic_velocity(earth_sphere, r)
-
-
 class TestEquipotentialVelocity:
     def test_zero_at_center(self, earth_sphere):
         assert equipotential_velocity(earth_sphere, 0.0) == 0.0
 
     def test_equals_first_cosmic_at_boundary(self, earth_sphere):
         v_s = equipotential_velocity(earth_sphere, earth_sphere.radius)
-        v_1k = first_cosmic_velocity(earth_sphere, earth_sphere.radius)
+        v_1k = math.sqrt(GAMMA * earth_sphere.mass / earth_sphere.radius)
         assert v_s == pytest.approx(v_1k, rel=1e-9)
+        assert v_s == pytest.approx(7911.0, rel=1e-3)
+        # half the squared velocity is the reported surface equipotential term
+        assert 0.5 * v_s * v_s == pytest.approx(C_SURFACE_REPORTED, rel=1e-3)
 
     def test_linear_inside(self, earth_sphere):
         radius = earth_sphere.radius
@@ -167,69 +141,6 @@ class TestEquipotentialVelocity:
     def test_rejects_negative_radius(self, earth_sphere):
         with pytest.raises(NonPhysicalInputError):
             equipotential_velocity(earth_sphere, -1.0)
-
-
-class TestVelocityConversions:
-    def test_potential_from_velocity_at_rest(self):
-        assert potential_from_velocity(11.1652e7, 0.0) == 11.1652e7
-
-    def test_potential_from_velocity_surface(self):
-        # 11.1652e7 - 7910^2/2, the reported surface potential of the
-        # compressed body
-        value = potential_from_velocity(11.1652e7, 7910.0)
-        assert value == 11.1652e7 - 0.5 * 7910.0**2
-        assert value == pytest.approx(8.0368e7, rel=1e-5)
-
-    def test_potential_from_velocity_domain(self):
-        with pytest.raises(OutOfDomainError):
-            potential_from_velocity(1.0, 2.0)
-
-    @pytest.mark.parametrize("u_inf, v_s", [
-        (1e8, math.nan), (math.nan, 10.0), (math.inf, 10.0),
-        (1e8, math.inf), (-math.inf, 0.0)])
-    def test_potential_from_velocity_rejects_non_finite(self, u_inf, v_s):
-        with pytest.raises(NonPhysicalInputError, match="must be finite"):
-            potential_from_velocity(u_inf, v_s)
-
-    def test_radius_from_velocity_unit(self):
-        assert radius_from_velocity(1.0, 1.0) == 1.0
-
-    def test_radius_from_velocity_earth_surface(self):
-        assert radius_from_velocity(7911.0, 9.823) == pytest.approx(6.371e6,
-                                                                    rel=1e-3)
-
-    def test_radius_from_velocity_rejects_non_positive(self):
-        with pytest.raises(NonPhysicalInputError):
-            radius_from_velocity(0.0, 9.8)
-        with pytest.raises(NonPhysicalInputError):
-            radius_from_velocity(7910.0, 0.0)
-
-    @pytest.mark.parametrize("v_s, g_local", [(1e200, 1e-200),
-                                              (1e-200, 1.0)])
-    def test_radius_from_velocity_out_of_float_range(self, v_s, g_local):
-        with pytest.raises(OutOfDomainError):
-            radius_from_velocity(v_s, g_local)
-
-    def test_round_trip_identity(self):
-        rng = np.random.default_rng(13)
-        for _ in range(1000):
-            sphere = random_sphere(rng)
-            r = sphere.radius * rng.uniform(1.0, 100.0)
-            v_s = equipotential_velocity(sphere, r)
-            g = gravity(sphere, r)
-            assert radius_from_velocity(v_s, g) == pytest.approx(r, rel=1e-12)
-
-    def test_recovers_potential_from_fall_velocity(self):
-        # inverting u_infinity - v^2/2 with the fall-from-infinity speed
-        # sqrt(2 K) returns the absolute potential
-        rng = np.random.default_rng(15)
-        for _ in range(200):
-            sphere = random_sphere(rng)
-            r = sphere.radius * rng.uniform(0.0, 5.0)
-            u_inf = u_infinity_homogeneous(sphere)
-            v_fall = math.sqrt(2.0 * kinetic_potential(sphere, r))
-            assert potential_from_velocity(u_inf, v_fall) == pytest.approx(
-                absolute_potential(sphere, r), rel=1e-12, abs=1e-12 * u_inf)
 
 
 class TestKineticPotential:
@@ -279,7 +190,7 @@ class TestSampleField:
 
     def test_boundary_velocity_matches_first_cosmic(self, earth_sphere):
         (sample,) = sample_field(earth_sphere, [earth_sphere.radius])
-        v_1k = first_cosmic_velocity(earth_sphere, earth_sphere.radius)
+        v_1k = math.sqrt(GAMMA * earth_sphere.mass / earth_sphere.radius)
         assert sample.equipotential_velocity == pytest.approx(v_1k, rel=1e-9)
 
     def test_monotone_potential(self, earth_sphere):

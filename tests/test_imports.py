@@ -7,6 +7,8 @@ Each test starts a new interpreter, because numpy, once imported by any
 earlier test, stays in this process's ``sys.modules``.
 """
 
+import ast
+import importlib
 import json
 import os
 import pkgutil
@@ -123,6 +125,38 @@ def test_cli_import_loads_every_module():
     run = fresh("import sys, geopotent.cli\n"
                 f"result = [n for n in {names!r} if n not in sys.modules]")
     assert run["result"] == []
+
+
+def test_config_imports_only_core_errors_and_the_stdlib():
+    # the surface checks of a run config are reached through core, not
+    # pulse or solver; the source is read, as the package __init__ still
+    # loads every module
+    with open(os.path.join(ROOT, "src", "geopotent", "config.py"),
+              encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            named.add("." * node.level + (node.module or ""))
+    local = {name for name in named if name.startswith(".")}
+    assert local == {".core", ".errors"}
+    assert [name for name in named - local
+            if name.partition(".")[0] not in sys.stdlib_module_names] == []
+
+
+@pytest.mark.parametrize("module, name", [
+    ("solver", "BoundaryReference"), ("solver", "direct_problem"),
+    ("anomaly", "BackgroundState"), ("pulse", "surface_background")])
+def test_moved_names_resolve_at_their_old_paths(module, name):
+    # the surface arithmetic lives in core; each old module imports it
+    # back, so its public path, and the package's, is the same object
+    moved = getattr(importlib.import_module("geopotent.core"), name)
+    assert getattr(importlib.import_module(f"geopotent.{module}"),
+                   name) is moved
+    assert getattr(geopotent, name) is moved
+    assert moved.__module__ == "geopotent.core"
 
 
 @pytest.mark.parametrize("statements", [

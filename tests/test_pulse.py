@@ -15,8 +15,6 @@ from geopotent import (
     PulseTable,
     ScheduleSegment,
     UniformSphere,
-    buoyancy_pressure,
-    cavity_mass_deficit,
     evaluate_schedule,
     point_mass_signal,
     pulsating_potential,
@@ -129,16 +127,14 @@ class TestEvaluateSchedule:
 
     def test_anomalous_mass_grows_eightfold(self):
         # R doubles over the run, so the raw cavity deficit scales by 8
-        start = cavity_mass_deficit(GROWTH, 0.0)
-        end = cavity_mass_deficit(GROWTH, 86400.0)
+        start, end = GROWTH.radii_cubed([0.0, 86400.0])
         assert end == pytest.approx(8.0 * start, rel=1e-12)
 
     def test_coalescence_exact_doubling(self):
         merged = make_schedule(
             [ScheduleSegment(0.0, 10.0, "constant", (500.0,)),
              ScheduleSegment(10.0, 20.0, "coalesce_step", (500.0, 500.0))])
-        before = cavity_mass_deficit(merged, 5.0)
-        after = cavity_mass_deficit(merged, 15.0)
+        before, after = merged.radii_cubed([5.0, 15.0])
         assert after == 2.0 * before
         samples = evaluate_schedule(merged, [0.0, 9.99, 10.0, 20.0])
         assert samples[1].delta_u == 0.0
@@ -434,30 +430,3 @@ class TestPulseTable:
     def test_exported(self):
         assert geopotent.PulseTable is PulseTable
         assert "PulseTable" in geopotent.__all__
-
-
-class TestBuoyancyPressure:
-    def test_kilometre_cavity_order_of_magnitude(self):
-        # a >= 1e7 Pa lift for kilometre-scale light bodies
-        value = buoyancy_pressure(2700.0, 9.8, 1000.0)
-        assert value == pytest.approx(2.646e7, rel=1e-12)
-        assert value > 1e7
-
-    def test_unit_case(self):
-        assert buoyancy_pressure(1.0, 1.0, 1.0) == 1.0
-
-    def test_negative_contrast_uses_magnitude(self):
-        assert buoyancy_pressure(-2700.0, 9.8, 1000.0) \
-            == buoyancy_pressure(2700.0, 9.8, 1000.0)
-
-    def test_doubling_any_argument_doubles_result(self):
-        base = buoyancy_pressure(2700.0, 9.8, 1000.0)
-        assert buoyancy_pressure(5400.0, 9.8, 1000.0) == 2.0 * base
-        assert buoyancy_pressure(2700.0, 19.6, 1000.0) == 2.0 * base
-        assert buoyancy_pressure(2700.0, 9.8, 2000.0) == 2.0 * base
-
-    def test_rejects_zero_inputs(self):
-        with pytest.raises(NonPhysicalInputError):
-            buoyancy_pressure(0.0, 9.8, 1000.0)
-        with pytest.raises(NonPhysicalInputError):
-            buoyancy_pressure(2700.0, -9.8, 1000.0)

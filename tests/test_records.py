@@ -36,8 +36,8 @@ from geopotent import (
     SensitivityPair,
     UniformSphere,
 )
-from geopotent.config import DEFAULT_BOUNDARIES, RunConfig
-from geopotent.errors import NonPhysicalValueError
+from geopotent.config import DEFAULT_BOUNDARIES, RunConfig, parse_config
+from geopotent.errors import ConfigError, NonPhysicalValueError
 
 SEGMENT = ScheduleSegment(0.0, 10.0, "constant", (500.0,))
 EARTH = (6.371e6, 5.9737e24, 5515.0, 7910.0)
@@ -191,3 +191,58 @@ def test_validating_named_tuples_check_replace_too():
     result = InversionResult(3.5e6, 2.8e6, DensityTrend.UNIFORM)
     with pytest.raises(NonPhysicalValueError):
         result._replace(r0=-math.inf)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"earth": EarthParameters(mean_radius=1e-170)},
+     "earth: u_surface must be positive and finite, got 0.0"),
+    ({"constants": PhysicalConstants(1e300),
+      "earth": EarthParameters(mass=1e30)},
+     "earth: u_surface must be positive and finite, got inf"),
+    # the OutOfDomainError of the surface background, as an input error
+    ({"earth": EarthParameters(mean_radius=1e-170, mean_density=1e300)},
+     "earth: the square of the mean radius 1e-170 m underflows to 0"),
+    ({"p_g_override": -5.0}, "p_g_override must be positive"),
+    ({"p_g_override": math.nan}, "p_g_override must be positive"),
+    ({"p_g_override": 0.0}, "p_g_override must be positive"),
+    ({"p_g_override": math.inf}, "p_g_override must be positive"),
+    ({"boundaries": ("CMB",)},
+     "boundaries[0] must be a BoundaryReference, got 'CMB'")],
+    ids=["tiny_radius", "huge_gamma_mass", "zero_r_squared", "negative_p_g",
+         "nan_p_g", "zero_p_g", "inf_p_g", "boundary_name"])
+def test_run_config_checks_itself(fields, message):
+    # a config built in code meets the checks a config file gets
+    with pytest.raises(NonPhysicalValueError) as err:
+        RunConfig(**fields)
+    assert type(err.value) is NonPhysicalValueError
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("data", [
+    {"earth": {"mean_radius": 1e-170}},
+    {"constants": {"gamma": 1e300}, "earth": {"mass": 1e30}},
+    {"earth": {"mean_radius": 1e-170, "mean_density": 1e300}},
+    {"p_g_override": -5.0},
+    {"p_g_override": 0.0}],
+    ids=["tiny_radius", "huge_gamma_mass", "zero_r_squared", "negative_p_g",
+         "zero_p_g"])
+def test_config_file_gets_the_constructor_message(data):
+    # a file that holds the same values fails with the constructor's
+    # message, prefixed with the file's name
+    fields = {"p_g_override": data.get("p_g_override")}
+    if "constants" in data:
+        fields["constants"] = PhysicalConstants(**data["constants"])
+    if "earth" in data:
+        fields["earth"] = EarthParameters(**data["earth"])
+    with pytest.raises(NonPhysicalValueError) as built:
+        RunConfig(**fields)
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(data, source="cfg.json")
+    assert str(parsed.value) == f"cfg.json.{built.value}"
+
+
+def test_run_config_stores_boundaries_as_a_tuple():
+    cmb = BoundaryReference("CMB", 3.48e6, 1.5e5)
+    config = RunConfig(boundaries=[cmb])
+    assert config.boundaries == (cmb,)
+    assert hash(config) == hash(RunConfig(boundaries=(cmb,)))
