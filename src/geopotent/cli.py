@@ -36,25 +36,19 @@ from .anomaly import (
 from .config import (
     ENV_CONFIG,
     RunConfig,
-    _check_keys,
-    _number,
-    read_json,
+    read_schedule_json,
     read_text,
     resolve_config,
 )
 from .core import (
     LINE_BREAKS,
     AnomalySource,
-    CavitySchedule,
     RadialProfile,
-    ScheduleSegment,
-    segment_params,
 )
 from .errors import (
     DomainError,
     InputError,
     MissingPressureSourceError,
-    ScheduleError,
 )
 from .profiles import (
     core_equilibrium_gravity,
@@ -152,42 +146,6 @@ def _quoted_path(path, flag):
         raise InputError(f"{flag} path must not hold a line break, "
                          f"got {path!r}")
     return path
-
-
-def read_schedule_json(path):
-    """Parse a cavity schedule JSON; errors name the offending segment."""
-    data = read_json(path)
-    keys = ("source_mass", "observer_radius", "host_density_contrast",
-            "segments")
-    seg_keys = ("t_start", "t_end", "kind", "params")
-    try:
-        _check_keys(data, keys, "schedule", required=keys)
-        if not isinstance(data["segments"], list):
-            raise InputError("segments must be an array")
-        segments = []
-        for i, seg in enumerate(data["segments"]):
-            where = f"segment {i}"
-            _check_keys(seg, seg_keys, where, required=seg_keys)
-            kind, params = seg["kind"], seg["params"]
-            try:
-                param_keys = segment_params(kind)  # names the params to read
-                _check_keys(params, param_keys, f"{where}.params",
-                            required=param_keys)
-                segments.append(ScheduleSegment(
-                    t_start=_number(seg, "t_start", where),
-                    t_end=_number(seg, "t_end", where), kind=kind,
-                    params=tuple(_number(params, k, f"{where}.params")
-                                 for k in param_keys)))
-            except ScheduleError as exc:
-                raise ScheduleError(f"{where}: {exc}", index=i) from exc
-        return CavitySchedule(
-            segments=tuple(segments),
-            source_mass=_number(data, "source_mass", "schedule"),
-            observer_radius=_number(data, "observer_radius", "schedule"),
-            host_density_contrast=_number(data, "host_density_contrast",
-                                          "schedule"))
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from exc
 
 
 # -- report rendering --------------------------------------------------------

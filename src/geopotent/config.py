@@ -1,7 +1,9 @@
-"""Run configuration: defaults, JSON loading, strict validation.
+"""The two JSON files a run reads: the run config and the cavity schedule.
 
-Config files are JSON with the following optional keys (unknown keys are
-rejected so typos fail loudly; every number must be finite):
+Both readers reject unknown keys, so typos fail loudly, and take every
+number as a finite JSON number; each record's constructor checks the
+values, and every message names the file. A config holds these optional
+keys:
 
     constants      {"gamma": float}
     earth          {"mean_radius", "mass", "mean_density",
@@ -12,9 +14,9 @@ rejected so typos fail loudly; every number must be finite):
                    name is a string with no comma and no line break
                    (any character where str.splitlines() breaks)
 
-``RunConfig`` checks its own values, so a config built in code meets
-the same checks as a file; the reader checks the keys and the JSON
-numbers, and prefixes every message with the file's name.
+A schedule holds every field of a ``CavitySchedule``, and each of its
+``segments`` every field of a ``ScheduleSegment``, with ``params`` an
+object keyed by the names in ``SEGMENT_PARAMS[kind]``.
 
 The default boundary set ships the core-mantle boundary at 3.48e6 m and
 the inner-core boundary at 1.2215e6 m (standard reference Earth values);
@@ -30,9 +32,13 @@ import os
 from .core import (
     DEFAULT_CONSTANTS,
     BoundaryReference,
+    CavitySchedule,
     EarthParameters,
     PhysicalConstants,
     Record,
+    ScheduleSegment,
+    _finite,
+    segment_params,
     surface_background,
 )
 from .errors import (
@@ -40,6 +46,7 @@ from .errors import (
     InputError,
     NonPhysicalValueError,
     OutOfDomainError,
+    ScheduleError,
 )
 
 ENV_CONFIG = "GEOPOTENT_CONFIG"
@@ -53,24 +60,35 @@ DEFAULT_BOUNDARIES = (
 class RunConfig(Record):
     """The body, constants and reference boundaries of one run.
 
-    The body's surface background under ``constants.gamma`` must exist,
-    ``p_g_override`` is None or a positive finite pressure in Pa, and
-    every boundary is a ``BoundaryReference``; ``boundaries`` is stored
-    as a tuple. A failure raises ``NonPhysicalValueError`` whose message
-    starts with the field's name, so a config reader can prefix its file.
+    ``constants`` is a ``PhysicalConstants``, ``earth`` an
+    ``EarthParameters`` whose surface background under
+    ``constants.gamma`` exists, ``p_g_override`` None or a positive finite
+    pressure in Pa, and ``boundaries`` an iterable of
+    ``BoundaryReference``, stored as a tuple. A failure raises
+    ``NonPhysicalValueError`` whose message starts with the field's name,
+    so a config reader can prefix its file.
     """
 
     __slots__ = _fields = ("constants", "earth", "p_g_override", "boundaries")
 
     def __init__(self, constants=DEFAULT_CONSTANTS, earth=EarthParameters(),
                  p_g_override=None, boundaries=DEFAULT_BOUNDARIES):
+        if not isinstance(constants, PhysicalConstants):
+            raise NonPhysicalValueError(
+                f"constants must be a PhysicalConstants, got {constants!r}")
+        if not isinstance(earth, EarthParameters):
+            raise NonPhysicalValueError(
+                f"earth must be an EarthParameters, got {earth!r}")
         try:  # the surface terms under this gamma; g0 divides by R^2
             surface_background(earth, constants.gamma)
         except (NonPhysicalValueError, OutOfDomainError) as exc:
             raise NonPhysicalValueError(f"earth: {exc}") from exc
-        if p_g_override is not None and not (math.isfinite(p_g_override)
+        if p_g_override is not None and not (_finite(p_g_override)
                                              and p_g_override > 0.0):
             raise NonPhysicalValueError("p_g_override must be positive")
+        if not hasattr(boundaries, "__iter__"):
+            raise NonPhysicalValueError(
+                f"boundaries must be iterable, got {boundaries!r}")
         boundaries = tuple(boundaries)
         for i, boundary in enumerate(boundaries):
             if not isinstance(boundary, BoundaryReference):
@@ -126,58 +144,75 @@ def _number(obj, key, where):
     return number
 
 
+def _array(value, where):
+    """`value`, which must be a JSON array."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where} must be an array")
+    return value
+
+
+def _record(cls, obj, where, required=(), text=()):
+    """A `cls` built from the JSON object `obj`, keyed by its fields, every
+    value a finite number but those in `text`; errors are named `where`."""
+    _check_keys(obj, cls._fields, where, required)
+    values = {key: obj[key] if key in text else _number(obj, key, where)
+              for key in cls._fields if key in obj}
+    try:
+        return cls(**values)
+    except InputError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def parse_config(data, source="config") -> RunConfig:
     """Build a RunConfig from a parsed JSON object."""
     _check_keys(data, RunConfig._fields, source)
-
-    constants = DEFAULT_CONSTANTS
-    if "constants" in data:
-        block = data["constants"]
-        _check_keys(block, ("gamma",), f"{source}.constants")
-        if "gamma" in block:
-            try:
-                constants = PhysicalConstants(
-                    _number(block, "gamma", f"{source}.constants"))
-            except NonPhysicalValueError as exc:
-                raise ConfigError(f"{source}.constants: {exc}") from exc
-
-    earth_fields = {}
-    if "earth" in data:
-        block = data["earth"]
-        _check_keys(block, EarthParameters._fields, f"{source}.earth")
-        earth_fields = {k: _number(block, k, f"{source}.earth") for k in block}
-    try:
-        earth = EarthParameters(**earth_fields)
-    except NonPhysicalValueError as exc:
-        raise ConfigError(f"{source}.earth: {exc}") from exc
-
-    p_g_override = None
-    if data.get("p_g_override") is not None:
+    constants = _record(PhysicalConstants, data.get("constants", {}),
+                        f"{source}.constants")
+    earth = _record(EarthParameters, data.get("earth", {}), f"{source}.earth")
+    p_g_override = data.get("p_g_override")
+    if p_g_override is not None:
         p_g_override = _number(data, "p_g_override", source)
-
     boundaries = DEFAULT_BOUNDARIES
     if "boundaries" in data:
-        block = data["boundaries"]
-        if not isinstance(block, list):
-            raise ConfigError(f"{source}.boundaries must be an array")
-        parsed = []
-        for i, item in enumerate(block):
-            where = f"{source}.boundaries[{i}]"
-            keys = ("name", "radius", "layer_half_thickness")
-            _check_keys(item, keys, where, required=keys)
-            try:
-                parsed.append(BoundaryReference(
-                    item["name"], _number(item, "radius", where),
-                    _number(item, "layer_half_thickness", where)))
-            except NonPhysicalValueError as exc:
-                raise ConfigError(f"{where}: {exc}") from exc
-        boundaries = tuple(parsed)
-
+        boundaries = [
+            _record(BoundaryReference, item, f"{source}.boundaries[{i}]",
+                    required=BoundaryReference._fields, text=("name",))
+            for i, item in enumerate(
+                _array(data["boundaries"], f"{source}.boundaries"))]
     try:  # the constructor checks the values; the file goes in front
         return RunConfig(constants=constants, earth=earth,
                          p_g_override=p_g_override, boundaries=boundaries)
     except NonPhysicalValueError as exc:
         raise ConfigError(f"{source}.{exc}") from exc
+
+
+def read_schedule_json(path) -> CavitySchedule:
+    """Parse a cavity schedule JSON; errors name the offending segment."""
+    data = read_json(path)
+    try:
+        fields = CavitySchedule._fields  # segments, then the numbers
+        _check_keys(data, fields, "schedule", required=fields)
+        segments = []
+        for i, seg in enumerate(_array(data["segments"], "segments")):
+            where = f"segment {i}"
+            _check_keys(seg, ScheduleSegment._fields, where,
+                        required=ScheduleSegment._fields)
+            kind, params = seg["kind"], seg["params"]
+            try:
+                param_keys = segment_params(kind)  # names the params to read
+                _check_keys(params, param_keys, f"{where}.params",
+                            required=param_keys)
+                segments.append(ScheduleSegment(
+                    _number(seg, "t_start", where),
+                    _number(seg, "t_end", where), kind,
+                    tuple(_number(params, k, f"{where}.params")
+                          for k in param_keys)))
+            except ScheduleError as exc:
+                raise ScheduleError(f"{where}: {exc}") from exc
+        return CavitySchedule(segments, *(  # the numbers, in field order
+            _number(data, key, "schedule") for key in fields[1:]))
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_config(path) -> RunConfig:

@@ -36,10 +36,24 @@ PRESSURE_SLACK = 0.005
 LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 
+def _finite(value):
+    """``math.isfinite(value)``, False for a value that is not a number."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 def _require_positive(name, value, error=NonPhysicalValueError):
     """Raise `error` unless `value` is positive and finite."""
-    if not (math.isfinite(value) and value > 0.0):
+    if not (_finite(value) and value > 0.0):
         raise error(f"{name} must be positive and finite, got {value!r}")
+
+
+def _require_non_negative(name, value, error=NonPhysicalValueError):
+    """Raise `error` unless `value` is non-negative and finite."""
+    if not (_finite(value) and value >= 0.0):
+        raise error(f"{name} must be >= 0, got {value!r}")
 
 
 def _cube(name, value, error=NonPhysicalValueError):
@@ -365,11 +379,7 @@ class PotentialBreakdown(CheckedTuple, namedtuple(
     def __new__(cls, u_surface, equipotential_surface, compression_potential):
         _require_positive("u_surface", u_surface)
         _require_positive("equipotential_surface", equipotential_surface)
-        if not (math.isfinite(compression_potential)
-                and compression_potential >= 0.0):
-            raise NonPhysicalValueError(
-                f"compression_potential must be >= 0, got "
-                f"{compression_potential!r}")
+        _require_non_negative("compression_potential", compression_potential)
         return super().__new__(cls, u_surface, equipotential_surface,
                                compression_potential)
 
@@ -417,8 +427,7 @@ def direct_problem(earth: EarthParameters, phi_g,
         u_surface = (2/3)*gamma*rho*pi*R^2, equipotential_surface =
         v1k^2/2 and compression_potential = phi_g; u_infinity is their sum.
     """
-    if not (math.isfinite(phi_g) and phi_g >= 0.0):
-        raise NonPhysicalInputError(f"phi_g must be >= 0, got {phi_g!r}")
+    _require_non_negative("phi_g", phi_g, NonPhysicalInputError)
     v1k = earth.surface_first_cosmic_velocity
     return PotentialBreakdown(
         uniform_sphere_potential(gamma, earth.mean_density, earth.mean_radius),
@@ -484,11 +493,7 @@ class BoundaryReference(Record):
                 f"boundary name must be a string without a comma or line "
                 f"break, got {name!r}")
         _require_positive("boundary radius", radius)
-        if not (math.isfinite(layer_half_thickness)
-                and layer_half_thickness >= 0.0):
-            raise NonPhysicalValueError(
-                f"layer_half_thickness must be >= 0, got "
-                f"{layer_half_thickness!r}")
+        _require_non_negative("layer_half_thickness", layer_half_thickness)
         self._set(name, radius, layer_half_thickness)
 
 
@@ -505,11 +510,11 @@ class AnomalySource(Record):
     def __init__(self, depth, radius, density_contrast):
         _require_positive("radius", radius)
         _cube("radius", radius)
-        if not (math.isfinite(depth) and depth > radius):
+        if not (_finite(depth) and depth > radius):
             raise NonPhysicalValueError(
                 f"source must be fully buried: depth {depth!r} must "
                 f"exceed radius {radius!r}")
-        if not math.isfinite(density_contrast) or density_contrast == 0.0:
+        if not _finite(density_contrast) or density_contrast == 0.0:
             raise NonPhysicalValueError(
                 f"density_contrast must be non-zero, got {density_contrast!r}")
         self._set(depth, radius, density_contrast)
@@ -607,7 +612,7 @@ class CavitySchedule(Record):
             raise ScheduleError("schedule has no segments")
         _require_positive("source_mass", source_mass)
         _require_positive("observer_radius", observer_radius)
-        if not math.isfinite(host_density_contrast):
+        if not _finite(host_density_contrast):
             raise NonPhysicalValueError("host_density_contrast must be finite")
         for i, seg in enumerate(segments):
             if i and seg.t_start != segments[i - 1].t_end:

@@ -70,4 +70,4 @@ class ScheduleError(InputError):
 
 
 class ConfigError(InputError):
-    """Run configuration file is malformed or contains unknown keys."""
+    """A config or schedule file holds a bad key, number or value."""

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from geopotent import (
     AnomalySource,
     BackgroundState,
+    BoundaryReference,
     EarthParameters,
     PulseTable,
     detectability_report,
@@ -1121,6 +1122,124 @@ class TestConfigHandling:
         assert capsys.readouterr() == (
             "", f"geopotent: error: unknown key(s) in {cfg}: {key}; allowed: "
                 "boundaries, constants, earth, p_g_override\n")
+
+
+# Single faults in the schedule and config fixtures: (file, key path to the
+# faulty value, the JSON literal put there or None to delete the key, the
+# error line with {path} for the file's path).
+NUMBER_FIELDS = [
+    ("schedule", ("source_mass",), "{path}: schedule.source_mass"),
+    ("schedule", ("observer_radius",), "{path}: schedule.observer_radius"),
+    ("schedule", ("host_density_contrast",),
+     "{path}: schedule.host_density_contrast"),
+    ("schedule", ("segments", 0, "t_start"), "{path}: segment 0.t_start"),
+    ("schedule", ("segments", 0, "t_end"), "{path}: segment 0.t_end"),
+    ("schedule", ("segments", 0, "params", "radius"),
+     "{path}: segment 0.params.radius"),
+    ("schedule", ("segments", 1, "params", "radius_end"),
+     "{path}: segment 1.params.radius_end"),
+    ("config", ("constants", "gamma"), "{path}.constants.gamma"),
+    *(("config", ("earth", key), f"{{path}}.earth.{key}")
+      for key in EarthParameters._fields),
+    ("config", ("p_g_override",), "{path}.p_g_override"),
+    ("config", ("boundaries", 0, "radius"), "{path}.boundaries[0].radius"),
+    ("config", ("boundaries", 0, "layer_half_thickness"),
+     "{path}.boundaries[0].layer_half_thickness"),
+]
+SCHEDULE_KEYS = "allowed: host_density_contrast, observer_radius, segments, " \
+                "source_mass"
+READER_FAULTS = [
+    *(("schedule", (key,), None,
+       f"{{path}}: missing key(s) in schedule: {key}")
+      for key in ("source_mass", "observer_radius", "host_density_contrast",
+                  "segments")),
+    *(("schedule", ("segments", 0, key), None,
+       f"{{path}}: missing key(s) in segment 0: {key}")
+      for key in ("t_start", "t_end", "kind", "params")),
+    ("schedule", ("segments", 0, "params", "radius"), None,
+     "{path}: missing key(s) in segment 0.params: radius"),
+    ("schedule", ("segments", 1, "params", "radius_end"), None,
+     "{path}: missing key(s) in segment 1.params: radius_end"),
+    ("schedule", ("typo",), "1",
+     f"{{path}}: unknown key(s) in schedule: typo; {SCHEDULE_KEYS}"),
+    ("schedule", ("segments", 0, "typo"), "1",
+     "{path}: unknown key(s) in segment 0: typo; allowed: kind, params, "
+     "t_end, t_start"),
+    ("schedule", ("segments", 0, "params", "typo"), "1",
+     "{path}: unknown key(s) in segment 0.params: typo; allowed: radius"),
+    ("schedule", ("segments", 0, "kind"), '"wobble"',
+     "{path}: segment 0: unknown kind 'wobble', expected one of "
+     "('constant', 'linear', 'coalesce_step')"),
+    ("schedule", ("segments",), "{}", "{path}: segments must be an array"),
+    ("schedule", ("segments", 0), "[]", "{path}: segment 0 must be an object"),
+    ("schedule", ("segments", 0, "params"), "[]",
+     "{path}: segment 0.params must be an object"),
+    ("schedule", ("source_mass",), "-1",
+     "{path}: source_mass must be positive and finite, got -1.0"),
+    ("schedule", ("segments", 0, "t_end"), "-1",
+     "{path}: segment 0: t_end must exceed t_start"),
+    *(("config", ("boundaries", 0, key), None,
+       f"missing key(s) in {{path}}.boundaries[0]: {key}")
+      for key in BoundaryReference._fields),
+    ("config", ("typo",), "1",
+     "unknown key(s) in {path}: typo; allowed: boundaries, constants, "
+     "earth, p_g_override"),
+    ("config", ("constants", "typo"), "1",
+     "unknown key(s) in {path}.constants: typo; allowed: gamma"),
+    ("config", ("earth", "typo"), "1",
+     "unknown key(s) in {path}.earth: typo; allowed: mass, mean_density, "
+     "mean_radius, surface_first_cosmic_velocity"),
+    ("config", ("boundaries", 0, "typo"), "1",
+     "unknown key(s) in {path}.boundaries[0]: typo; allowed: "
+     "layer_half_thickness, name, radius"),
+    ("config", ("boundaries",), "{}", "{path}.boundaries must be an array"),
+    ("config", ("constants",), "[]", "{path}.constants must be an object"),
+    ("config", ("earth",), "[]", "{path}.earth must be an object"),
+    ("config", ("boundaries", 0), "[]",
+     "{path}.boundaries[0] must be an object"),
+    ("config", ("constants", "gamma"), "0",
+     "{path}.constants: gamma must be positive and finite, got 0.0"),
+    ("config", ("earth", "mass"), "-1",
+     "{path}.earth: mass must be positive and finite, got -1.0"),
+    ("config", ("boundaries", 0, "layer_half_thickness"), "-1",
+     "{path}.boundaries[0]: layer_half_thickness must be >= 0, got -1.0"),
+    ("config", ("boundaries", 0, "name"), "5",
+     "{path}.boundaries[0]: boundary name must be a string without a comma "
+     "or line break, got 5"),
+    ("config", ("p_g_override",), "-1", "{path}.p_g_override must be positive"),
+    *((file, keys, literal, f"{where} must be a number, got {shown}")
+      for file, keys, where in NUMBER_FIELDS
+      for literal, shown in (('"1"', "'1'"), ("true", "True"),
+                             ("1e400", "inf"))),
+]
+
+
+class TestReaderMessages:
+    @pytest.mark.parametrize(
+        "file, keys, literal, message", READER_FAULTS,
+        ids=[f"{f[0]}-{'.'.join(map(str, f[1]))}-{f[2]}"
+             for f in READER_FAULTS])
+    def test_single_fault_message(self, file, keys, literal, message,
+                                  tmp_path, capsys):
+        fixture = {"schedule": "growth_schedule.json",
+                   "config": "earth_config.json"}[file]
+        with open(os.path.join(ROOT, "tests", "fixtures", fixture)) as fh:
+            data = json.load(fh)
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        if literal is None:
+            del node[keys[-1]]
+        else:
+            node[keys[-1]] = "@"
+        path = tmp_path / f"{file}.json"
+        path.write_text(json.dumps(data).replace('"@"', literal or ""))
+        flag = "--schedule" if file == "schedule" else "--config"
+        argv = ["pulse"] if file == "schedule" else ["inverse", "--u-inf",
+                                                      "111652000"]
+        assert main(argv + [flag, str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"geopotent: error: {message.replace('{path}', str(path))}\n")
 
 
 class TestUnreadableFiles:

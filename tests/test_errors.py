@@ -15,8 +15,11 @@ from geopotent.anomaly import (
 )
 from geopotent.core import (
     AnomalySource,
+    CavitySchedule,
     EarthParameters,
     PhysicalConstants,
+    PotentialBreakdown,
+    ScheduleSegment,
     UniformSphere,
 )
 from geopotent.field import (
@@ -94,7 +97,8 @@ CHECKS = [
 ]
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf,
+                                   "1", None])
 @pytest.mark.parametrize("call, cls, name", [c[1:] for c in CHECKS],
                          ids=[c[0] for c in CHECKS])
 def test_positive_checks_share_one_message(call, cls, name, value):
@@ -102,6 +106,30 @@ def test_positive_checks_share_one_message(call, cls, name, value):
         call(value)
     assert type(err.value) is cls
     assert str(err.value) == f"{name} must be positive and finite, got {value!r}"
+
+
+# The checks other than positive-and-finite: a value that is not a number
+# fails them as one that is out of range does.
+SEGMENTS = (ScheduleSegment(0.0, 10.0, "constant", (1.0,)),)
+TYPED_CHECKS = [
+    ("sphere_mass", lambda v: UniformSphere(v, 1.0)),
+    ("boundary_half_thickness", lambda v: BoundaryReference("a", 1.0, v)),
+    ("source_depth", lambda v: AnomalySource(v, 1.0, 1.0)),
+    ("source_radius", lambda v: AnomalySource(5.0, v, 1.0)),
+    ("source_contrast", lambda v: AnomalySource(5.0, 1.0, v)),
+    ("schedule_mass", lambda v: CavitySchedule(SEGMENTS, v, 10.0, -1.0)),
+    ("schedule_contrast", lambda v: CavitySchedule(SEGMENTS, 1.0, 10.0, v)),
+    ("breakdown_phi_g", lambda v: PotentialBreakdown(1.0, 1.0, v)),
+    ("direct_phi_g", lambda v: direct_problem(EarthParameters(), v)),
+]
+
+
+@pytest.mark.parametrize("value", ["1", None])
+@pytest.mark.parametrize("call", [c[1] for c in TYPED_CHECKS],
+                         ids=[c[0] for c in TYPED_CHECKS])
+def test_values_that_are_not_numbers_are_input_errors(call, value):
+    with pytest.raises(errors.InputError):
+        call(value)
 
 
 # Floats at the edges of the range. A call of 5 or more arguments takes a

@@ -207,9 +207,14 @@ def test_validating_named_tuples_check_replace_too():
     ({"p_g_override": 0.0}, "p_g_override must be positive"),
     ({"p_g_override": math.inf}, "p_g_override must be positive"),
     ({"boundaries": ("CMB",)},
-     "boundaries[0] must be a BoundaryReference, got 'CMB'")],
+     "boundaries[0] must be a BoundaryReference, got 'CMB'"),
+    ({"p_g_override": "1e11"}, "p_g_override must be positive"),
+    ({"constants": None}, "constants must be a PhysicalConstants, got None"),
+    ({"earth": None}, "earth must be an EarthParameters, got None"),
+    ({"boundaries": None}, "boundaries must be iterable, got None")],
     ids=["tiny_radius", "huge_gamma_mass", "zero_r_squared", "negative_p_g",
-         "nan_p_g", "zero_p_g", "inf_p_g", "boundary_name"])
+         "nan_p_g", "zero_p_g", "inf_p_g", "boundary_name", "string_p_g",
+         "no_constants", "no_earth", "no_boundaries"])
 def test_run_config_checks_itself(fields, message):
     # a config built in code meets the checks a config file gets
     with pytest.raises(NonPhysicalValueError) as err:
