@@ -86,18 +86,13 @@ def speed_changes(delta_u, base, speed):
             for du in delta_u]
 
 
-def speed_change(delta_u, base, speed):
-    """The one value of :func:`speed_changes` for a single delta_u."""
-    return speed_changes((delta_u,), base, speed)[0]
-
-
 def point_mass_signal(delta_mass, distance, background: BackgroundState,
                       gamma=_DEFAULT_GAMMA) -> AnomalySignal:
     """Signal of a point mass anomaly `delta_mass` at `distance` from the observer.
 
     delta_u = gamma*dM/d, delta_g = gamma*dM/d^2; delta_v_s is the change
     of sqrt(2*(u_infinity - u)) when u0 is perturbed by delta_u
-    (:func:`speed_change`). A distance whose square underflows to 0
+    (:func:`speed_changes`). A distance whose square underflows to 0
     raises ``OutOfDomainError``.
     """
     _require_positive("distance", distance, NonPhysicalInputError)
@@ -116,9 +111,9 @@ def point_mass_signal(delta_mass, distance, background: BackgroundState,
     if perturbed < 0.0:
         raise OutOfDomainError(
             f"perturbed potential exceeds u_infinity (delta_u = {delta_u!r})")
-    return AnomalySignal(
-        delta_u, delta_g, speed_change(delta_u, base, math.sqrt(2.0 * base)),
-        delta_u / background.u0, delta_g / background.g0)
+    delta_v_s, = speed_changes((delta_u,), base, math.sqrt(2.0 * base))
+    return AnomalySignal(delta_u, delta_g, delta_v_s,
+                         delta_u / background.u0, delta_g / background.g0)
 
 
 def anomalous_mass(source: AnomalySource):

@@ -508,7 +508,8 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, handler):
+        p.set_defaults(handler=handler)
         p.add_argument("--config", help=f"JSON config path (default: "
                                         f"${ENV_CONFIG} if set)")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -517,24 +518,24 @@ def build_parser():
                        help='output path (default: stdout, as is "-")')
 
     p = sub.add_parser("direct", help="surface balance -> at-infinity potential")
-    common(p)
+    common(p, cmd_direct)
     p.add_argument("--p-g", type=float, default=None, dest="p_g",
                    help="characteristic pressure, Pa")
     p.add_argument("--profile", help="profile CSV supplying the pressure curve")
 
     p = sub.add_parser("inverse", help="at-infinity potential -> "
                                        "characteristic radius")
-    common(p)
+    common(p, cmd_inverse)
     p.add_argument("--u-inf", type=float, required=True, dest="u_inf",
                    help="at-infinity potential, J/kg")
 
     p = sub.add_parser("profile", help="profile CSV -> mass, mean density, "
                                        "grad-P, diagnostics")
-    common(p)
+    common(p, cmd_profile)
     p.add_argument("--profile", required=True, help="profile CSV path")
 
     p = sub.add_parser("anomaly", help="buried sphere -> detectability table")
-    common(p)
+    common(p, cmd_anomaly)
     p.add_argument("--depth", type=float, required=True,
                    help="source center depth, m")
     p.add_argument("--radius", type=float, required=True,
@@ -552,7 +553,7 @@ def build_parser():
                    help="background at-infinity potential, J/kg")
 
     p = sub.add_parser("pulse", help="cavity schedule -> precursor time series")
-    common(p)
+    common(p, cmd_pulse)
     p.add_argument("--schedule", required=True, help="schedule JSON path")
     p.add_argument("--times", default=None,
                    help="comma-separated sample times, s")
@@ -563,15 +564,6 @@ def build_parser():
     return parser
 
 
-_COMMANDS = {
-    "direct": cmd_direct,
-    "inverse": cmd_inverse,
-    "profile": cmd_profile,
-    "anomaly": cmd_anomaly,
-    "pulse": cmd_pulse,
-}
-
-
 def main(argv=None):
     parser = build_parser()
     try:
@@ -580,7 +572,7 @@ def main(argv=None):
         return int(exc.code) if exc.code else EXIT_OK
     try:
         cfg = resolve_config(args.config)
-        report = _COMMANDS[args.command](cfg, args)
+        report = args.handler(cfg, args)
         emit(report, args.format, args.out)
         return EXIT_OK
     except InputError as exc:

@@ -37,10 +37,11 @@ LINE_BREAKS = frozenset("\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def _finite(value):
-    """``math.isfinite(value)``, False for a value that is not a number."""
+    """``math.isfinite(value)``, False for a value that is not a number or
+    is an int past the float range."""
     try:
         return math.isfinite(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         return False
 
 
@@ -113,14 +114,14 @@ class Record:
 class ColumnTable(Record):
     """Columns that read like the list of rows they stand for.
 
-    A subclass sets three hooks: ``_row``, the row class, a named tuple
+    A subclass sets two hooks: ``_row``, the row class, a named tuple
     whose fields name the columns; ``_column``, which the constructor
-    applies to each column to store it; ``_floats``, which gives a stored
-    column as Python floats. The constructor takes the columns as the
-    row class takes its values, by position or by name, and checks that
-    they have equal length. ``len``, iteration and integer indexing give
-    rows, slicing gives a table, and a table equals a list holding the
-    same rows.
+    applies to each column to store it. A stored column is read as
+    Python floats by ``_floats``. The constructor takes the columns as
+    the row class takes its values, by position or by name, and checks
+    that they have equal length. ``len``, iteration and integer indexing
+    give rows, slicing gives a table, and a table equals a list holding
+    the same rows.
     """
 
     # no __slots__: a subclass's columns are named by its row class, which
@@ -148,12 +149,12 @@ class ColumnTable(Record):
         return self._row(*(float(col[i]) for col in self.columns()))
 
     def __iter__(self):
-        return map(self._row, *map(self._floats, self.columns()))
+        return map(self._row, *map(_floats, self.columns()))
 
     def __eq__(self, other):
         if isinstance(other, type(self)):
-            return (list(map(self._floats, self.columns()))
-                    == list(map(other._floats, other.columns())))
+            return (list(map(_floats, self.columns()))
+                    == list(map(_floats, other.columns())))
         if isinstance(other, list):
             return list(self) == other
         return NotImplemented
@@ -282,10 +283,16 @@ class RadialProfile(Record):
         return len(self.radii)
 
 
+def _floats(values):
+    """`values` as Python floats: ``values.tolist()`` where it has one,
+    which reads an array without importing numpy, else `values` itself."""
+    tolist = getattr(values, "tolist", None)
+    return tolist() if tolist is not None else values
+
+
 def _float_column(name, values):
     """A tuple of floats from a column of numbers or numeric strings."""
-    tolist = getattr(values, "tolist", None)  # reads an array without numpy
-    cells = tolist() if tolist is not None else values
+    cells = _floats(values)
     if _is_sequence(cells):
         cells = tuple(cells)
         try:
@@ -527,15 +534,14 @@ SEGMENT_PARAMS = {
     "linear": ("radius_start", "radius_end"),
     "coalesce_step": ("radius_1", "radius_2"),
 }
-SEGMENT_KINDS = tuple(SEGMENT_PARAMS)
 
 
 def segment_params(kind):
     """The parameter names of segment `kind`; ScheduleError if unknown."""
     # a tuple test, so an unhashable kind read from JSON is unknown too
-    if kind not in SEGMENT_KINDS:
-        raise ScheduleError(
-            f"unknown kind {kind!r}, expected one of {SEGMENT_KINDS}")
+    kinds = tuple(SEGMENT_PARAMS)
+    if kind not in kinds:
+        raise ScheduleError(f"unknown kind {kind!r}, expected one of {kinds}")
     return SEGMENT_PARAMS[kind]
 
 
@@ -601,9 +607,8 @@ class CavitySchedule(Record):
     cavity has a negative value.
     """
 
-    _fields = ("segments", "source_mass", "observer_radius",
-               "host_density_contrast")
-    __slots__ = _fields + ("_ends",)
+    __slots__ = _fields = ("segments", "source_mass", "observer_radius",
+                           "host_density_contrast")
 
     def __init__(self, segments, source_mass, observer_radius,
                  host_density_contrast):
@@ -631,9 +636,6 @@ class CavitySchedule(Record):
             raise ScheduleError(
                 f"schedule span [{self.t_start}, {self.t_end}] is too long: "
                 f"t_end - t_start overflows the float range")
-        # Boundary times between consecutive segments, for radii_cubed.
-        object.__setattr__(self, "_ends",
-                           tuple(seg.t_end for seg in segments[:-1]))
 
     @property
     def t_start(self):
@@ -650,6 +652,7 @@ class CavitySchedule(Record):
             if not (t_start <= t <= t_end):
                 raise ScheduleError(
                     f"time {t} outside schedule span [{t_start}, {t_end}]")
-        runs = groupby(times, partial(bisect_right, self._ends))
+        ends = [seg.t_end for seg in self.segments[:-1]]
+        runs = groupby(times, partial(bisect_right, ends))
         return [cubed for i, run in runs
                 for cubed in self.segments[i].radii_cubed(list(run))]

@@ -15,7 +15,6 @@ so every cell of a FieldTable is bitwise the scalar function's value.
 from __future__ import annotations
 
 import math
-import operator
 from collections import namedtuple
 
 from . import kernels
@@ -23,6 +22,7 @@ from .core import (
     DEFAULT_CONSTANTS,
     ColumnTable,
     UniformSphere,
+    _require_non_negative,
 )
 from .errors import (
     NonPhysicalInputError,
@@ -77,12 +77,6 @@ class FieldTable(ColumnTable):
 
     _row = FieldSample
     _column = staticmethod(_read_only_column)
-    _floats = operator.methodcaller("tolist")
-
-
-def _require_radius(r):
-    if not (math.isfinite(r) and r >= 0.0):
-        raise NonPhysicalInputError(f"radius must be >= 0, got {r!r}")
 
 
 def _root(name, value):
@@ -118,7 +112,7 @@ def absolute_potential(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
         (2/3)*gamma*rho*pi*R^2 - gamma*M/r + gamma*M/R. Continuous at
         r = R, where the curve has its inflection.
     """
-    _require_radius(r)
+    _require_non_negative("radius", r, NonPhysicalInputError)
     if r <= sphere.radius:
         return kernels.uniform_sphere_potential(gamma, sphere.density, r)
     return kernels.exterior_potential(gamma, sphere.density,
@@ -131,7 +125,7 @@ def gravity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
     (4/3)*gamma*pi*rho*r inside, gamma*M/r^2 outside; equals dU/dr
     everywhere and peaks at the boundary r = R.
     """
-    _require_radius(r)
+    _require_non_negative("radius", r, NonPhysicalInputError)
     if r <= sphere.radius:
         return kernels.interior_gravity(gamma, sphere.density, r)
     return kernels.exterior_gravity(gamma * sphere.mass, r)
@@ -143,7 +137,7 @@ def equipotential_velocity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
     Coincides with the first cosmic velocity for r >= R; falls linearly
     to zero toward the center (g is linear in r inside).
     """
-    _require_radius(r)
+    _require_non_negative("radius", r, NonPhysicalInputError)
     return _root("g*r", gravity(sphere, r, gamma) * r)
 
 
@@ -154,7 +148,7 @@ def kinetic_potential(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
     the center, where it equals the full at-infinity potential; decays to
     zero far from the body.
     """
-    _require_radius(r)
+    _require_non_negative("radius", r, NonPhysicalInputError)
     return (u_infinity_homogeneous(sphere, gamma)
             - absolute_potential(sphere, r, gamma))
 

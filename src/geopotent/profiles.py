@@ -205,7 +205,7 @@ def core_equilibrium_gravity(profile: RadialProfile, core_radius):
             f"core_radius = {core_radius!r} must lie strictly inside "
             f"(0, {profile.body_radius})")
     density, pressure = interpolate(profile, core_radius)
-    area = 4.0 * math.pi * core_radius**2
+    area = FOUR_PI * core_radius**2
     knots, rho, _, shells = profile.mass_table
     i = bisect_right(knots, core_radius)  # the first knot above the core
     # the shell from the core out to that knot, written in the offset from

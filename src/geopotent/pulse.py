@@ -60,7 +60,6 @@ class PulseTable(ColumnTable):
 
     _row = PulseSample
     _column = tuple
-    _floats = tuple
 
 
 def pulsating_potential(mass, radius_t, observer_r, gamma=_DEFAULT_GAMMA):

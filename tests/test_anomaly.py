@@ -14,7 +14,7 @@ from geopotent import (
     sensitivity_coefficients,
     sphere_anomaly,
 )
-from geopotent.anomaly import speed_change
+from geopotent.anomaly import speed_changes
 from geopotent.errors import (
     NonPhysicalInputError,
     NonPhysicalValueError,
@@ -148,30 +148,30 @@ class TestSpeedChange:
         # no cancellation: a few ulp of the Decimal value, even when
         # delta_u is 1e-15 of the base
         delta_u = sign * base * fraction * 10.0**exponent
-        value = speed_change(delta_u, base, math.sqrt(2.0 * base))
+        value, = speed_changes((delta_u,), base, math.sqrt(2.0 * base))
         exact = decimal_speed_change(delta_u, base)
         assert abs(value - exact) <= 4.0 * math.ulp(exact)
 
     def test_signal_uses_it(self):
         sig = sphere_anomaly(GAS_CAVITY, BACKGROUND)
         base = BACKGROUND.u_infinity - BACKGROUND.u0
-        assert sig.delta_v_s == speed_change(sig.delta_u, base,
-                                             math.sqrt(2.0 * base))
+        assert [sig.delta_v_s] == speed_changes((sig.delta_u,), base,
+                                                math.sqrt(2.0 * base))
         exact = decimal_speed_change(sig.delta_u, base)
         assert abs(sig.delta_v_s - exact) <= math.ulp(exact)
 
     @pytest.mark.parametrize("base", [0.0, 5e-324, 4.9e7])
     def test_no_change_is_positive_zero(self, base):
         for delta_u in (0.0, -0.0):
-            value = speed_change(delta_u, base, math.sqrt(2.0 * base))
+            value, = speed_changes((delta_u,), base, math.sqrt(2.0 * base))
             assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_a_speed_past_the_float_range_is_nan(self):
         # the difference of the two speeds was nan or inf here; the
         # quotient would read 0 or -0
         for base, delta_u in ((1.7e308, 0.02), (8e307, -2e307)):
-            assert math.isnan(speed_change(delta_u, base,
-                                           math.sqrt(2.0 * base)))
+            value, = speed_changes((delta_u,), base, math.sqrt(2.0 * base))
+            assert math.isnan(value)
         huge = BackgroundState(u0=1.0, g0=9.8, u_infinity=1.7e308)
         assert math.isnan(sphere_anomaly(GAS_CAVITY, huge).delta_v_s)
 

@@ -98,7 +98,8 @@ CHECKS = [
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf,
-                                   "1", None])
+                                   "1", None,
+                                   pytest.param(10**400, id="int_past_float")])
 @pytest.mark.parametrize("call, cls, name", [c[1:] for c in CHECKS],
                          ids=[c[0] for c in CHECKS])
 def test_positive_checks_share_one_message(call, cls, name, value):
@@ -111,6 +112,7 @@ def test_positive_checks_share_one_message(call, cls, name, value):
 # The checks other than positive-and-finite: a value that is not a number
 # fails them as one that is out of range does.
 SEGMENTS = (ScheduleSegment(0.0, 10.0, "constant", (1.0,)),)
+SPHERE = UniformSphere(1e20, 1e3)
 TYPED_CHECKS = [
     ("sphere_mass", lambda v: UniformSphere(v, 1.0)),
     ("boundary_half_thickness", lambda v: BoundaryReference("a", 1.0, v)),
@@ -121,10 +123,14 @@ TYPED_CHECKS = [
     ("schedule_contrast", lambda v: CavitySchedule(SEGMENTS, 1.0, 10.0, v)),
     ("breakdown_phi_g", lambda v: PotentialBreakdown(1.0, 1.0, v)),
     ("direct_phi_g", lambda v: direct_problem(EarthParameters(), v)),
+    *((f"field_{func.__name__}", lambda v, func=func: func(SPHERE, v))
+      for func in (absolute_potential, gravity, equipotential_velocity,
+                   kinetic_potential)),
 ]
 
 
-@pytest.mark.parametrize("value", ["1", None])
+@pytest.mark.parametrize("value", ["1", None,
+                                   pytest.param(10**400, id="int_past_float")])
 @pytest.mark.parametrize("call", [c[1] for c in TYPED_CHECKS],
                          ids=[c[0] for c in TYPED_CHECKS])
 def test_values_that_are_not_numbers_are_input_errors(call, value):

@@ -627,6 +627,15 @@ class TestCoreEquilibriumGravity:
         exact = self.rounded_once(profile, 3.48e6)
         assert abs(value - exact) <= math.ulp(exact)
 
+    def test_outside_mass_that_rounds_to_0_is_a_domain_error(self):
+        # the shells above the core hold densities of 5e-324 kg/m^3
+        profile = RadialProfile([0.0, 1e-5, 2e-5, 3e-5],
+                                [1e4, 1e4, 5e-324, 5e-324],
+                                [3.0, 2.0, 1.0, 0.0])
+        with pytest.raises(OutOfDomainError) as err:
+            core_equilibrium_gravity(profile, 2.5e-5)
+        assert str(err.value) == "the mass outside r = 2.5e-05 m rounds to 0"
+
     def test_core_at_surface_rejected(self, prem_profile):
         with pytest.raises(OutOfDomainError):
             core_equilibrium_gravity(prem_profile, prem_profile.body_radius)

@@ -230,6 +230,14 @@ class TestHomogeneityBound:
         assert report.holds
         assert report.relative_gap < 0.0
 
+    def test_uniform_side_that_underflows_is_a_domain_error(self):
+        profile = RadialProfile([0.0, 1.0, 2.0, 3.0], [1e-320] * 4,
+                                [3.0, 2.0, 1.0, 0.0])
+        with pytest.raises(OutOfDomainError) as err:
+            homogeneity_bound(profile, 6.6743e-11)
+        assert str(err.value) == ("the uniform-sphere potential of a body of "
+                                  "radius 3.0 m underflows to 0")
+
     def test_fixture_violates_direction(self, prem_profile):
         report = homogeneity_bound(prem_profile, GAMMA)
         assert not report.holds
