@@ -25,6 +25,7 @@ from .core import (
     _require_positive,
 )
 from .errors import NonPhysicalInputError, OutOfDomainError
+from .kernels import ball_volume, exterior_gravity
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
@@ -96,12 +97,11 @@ def point_mass_signal(delta_mass, distance, background: BackgroundState,
     raises ``OutOfDomainError``.
     """
     _require_positive("distance", distance, NonPhysicalInputError)
-    squared = distance * distance
-    if not squared:
+    if not distance * distance:
         raise OutOfDomainError(
             f"the square of the distance {distance!r} m underflows to 0")
     delta_u = gamma * delta_mass / distance
-    delta_g = gamma * delta_mass / squared
+    delta_g = exterior_gravity(gamma * delta_mass, distance)
     base = background.u_infinity - background.u0
     if base < 0.0:
         raise OutOfDomainError(
@@ -118,7 +118,7 @@ def point_mass_signal(delta_mass, distance, background: BackgroundState,
 
 def anomalous_mass(source: AnomalySource):
     """Signed mass surplus (4/3)*pi*r0^3*density_contrast of the source."""
-    return (4.0 / 3.0) * math.pi * source.radius**3 * source.density_contrast
+    return ball_volume(source.radius**3) * source.density_contrast
 
 
 def sphere_anomaly(source: AnomalySource, background: BackgroundState,

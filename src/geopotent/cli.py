@@ -68,7 +68,6 @@ from .solver import (
 PROFILE_HEADER = "radius_m,density_kg_m3,pressure_pa"
 PULSE_COLUMNS = ("t_s", "source_radius_m", "potential_j_kg", "delta_u_j_kg",
                  "delta_g_m_s2", "delta_v_s_m_s")
-PULSE_HEADER = ",".join(PULSE_COLUMNS)
 
 # Largest --num-samples accepted. Every sample is held as a row of the
 # series' columns and as rendered text until the report is written; a

@@ -215,14 +215,9 @@ def read_schedule_json(path) -> CavitySchedule:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def load_config(path) -> RunConfig:
-    """Load and validate a JSON config file."""
-    return parse_config(read_json(path, ConfigError), source=path)
-
-
 def resolve_config(path_flag) -> RunConfig:
     """Config from the --config flag, the environment, or defaults (in that order)."""
     path = path_flag or os.environ.get(ENV_CONFIG)
     if path:
-        return load_config(path)
+        return parse_config(read_json(path, ConfigError), source=path)
     return RunConfig()

@@ -25,7 +25,7 @@ from .errors import (
     ScheduleError,
     TooFewSamplesError,
 )
-from .kernels import exterior_gravity, uniform_sphere_potential
+from .kernels import ball_volume, exterior_gravity, uniform_sphere_potential
 
 # Tolerated relative pressure rise between adjacent samples. Real tabulated
 # pressure curves are monotone; the slack absorbs interpolation artifacts.
@@ -194,19 +194,15 @@ class UniformSphere(Record):
     def __init__(self, mass, radius):
         _require_positive("mass", mass)
         _require_positive("radius", radius)
-        if not self._volume(radius):
+        if not ball_volume(_cube("radius", radius)):
             raise NonPhysicalValueError(
                 f"the volume of a body of radius {radius!r} m underflows to 0")
         self._set(mass, radius)
         _require_positive("density", self.density)
 
-    @staticmethod
-    def _volume(radius):
-        return (4.0 / 3.0) * math.pi * _cube("radius", radius)
-
     @property
     def density(self):
-        return self.mass / self._volume(self.radius)
+        return self.mass / ball_volume(self.radius ** 3)
 
     @classmethod
     def from_mass_radius(cls, mass, radius):
@@ -214,8 +210,7 @@ class UniformSphere(Record):
 
     @classmethod
     def from_density_radius(cls, density, radius):
-        return cls((4.0 / 3.0) * math.pi * density * _cube("radius", radius),
-                   radius)
+        return cls(ball_volume(_cube("radius", radius)) * density, radius)
 
     @classmethod
     def from_mass_density(cls, mass, density):

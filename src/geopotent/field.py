@@ -90,7 +90,7 @@ def _root(name, value):
 
 def u_infinity_homogeneous(sphere: UniformSphere, gamma=_DEFAULT_GAMMA):
     """At-infinity potential (3/2)*gamma*M/R of a homogeneous sphere."""
-    return 1.5 * (gamma * sphere.mass) / sphere.radius
+    return kernels.u_infinity(gamma * sphere.mass, sphere.radius)
 
 
 def absolute_potential(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):

@@ -9,6 +9,11 @@ one with ``np.where``.
 import math
 
 
+def ball_volume(r_cubed):
+    """(4/3)*pi*r^3, from the cube r^3: the volume of a ball."""
+    return (4.0 / 3.0) * math.pi * r_cubed
+
+
 def uniform_sphere_potential(gamma, rho, r):
     """(2/3)*gamma*rho*pi*r^2: the potential inside, centre gauge."""
     return (2.0 / 3.0) * (gamma * rho * math.pi) * r * r
@@ -27,3 +32,8 @@ def exterior_potential(gamma, rho, gm, radius, r):
 def exterior_gravity(gm, r):
     """gm/r^2: the gravity outside."""
     return gm / (r * r)
+
+
+def u_infinity(gm, radius):
+    """(3/2)*gm/R: the potential at infinity, centre gauge."""
+    return 1.5 * gm / radius

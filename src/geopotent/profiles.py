@@ -24,6 +24,7 @@ from operator import sub, truediv
 
 from .core import RadialProfile
 from .errors import DegenerateProfileError, OutOfDomainError
+from .kernels import ball_volume
 
 FOUR_PI = 4.0 * math.pi
 
@@ -129,7 +130,8 @@ def surface_potential_integral(profile: RadialProfile, gamma):
 
     The center-to-surface potential of the tabulated body. The integrand
     is finite at s -> 0 for bounded density (M ~ s^3), so a profile
-    starting at zero radius poses no difficulty.
+    starting at zero radius poses no difficulty. A term past the float
+    range raises OutOfDomainError naming its inner knot.
     """
     knots, rho, mass, _ = profile.mass_table
     # skip the interval below the first sampled radius, if the table has one
@@ -144,13 +146,12 @@ def surface_potential_integral(profile: RadialProfile, gamma):
         inner = mass0 * t / (r0 * r1) if mass0 else 0.0
         shell = FOUR_PI * t * t / (12.0 * r1) * (
             2.0 * rho0 * (3.0 * r0 + t) + (rho1 - rho0) * (r0 + r1))
-        terms.append(inner + shell)
-    # exactly rounded, so the same bits on every Python version. A total
-    # past the float range is what sum gives: inf.
-    try:
-        return gamma * math.fsum(terms)
-    except OverflowError:
-        return gamma * sum(terms)
+        if not math.isfinite(term := inner + shell):
+            raise OutOfDomainError(f"the surface potential term from r = "
+                                   f"{r0!r} m is not finite: {term!r}")
+        terms.append(term)
+    # exactly rounded, so the same bits on every Python version
+    return gamma * math.fsum(terms)
 
 
 def pressure_gradient_max(profile: RadialProfile):
@@ -183,7 +184,7 @@ def pressure_gradient_max(profile: RadialProfile):
 def mean_density(profile: RadialProfile):
     """Total tabulated mass divided by the body volume, kg/m^3."""
     total = profile.mass_table.mass[-1]
-    volume = (4.0 / 3.0) * math.pi * profile.body_radius**3
+    volume = ball_volume(profile.body_radius**3)
     if not volume:
         raise OutOfDomainError(
             f"the volume of a body of radius {profile.body_radius!r} m "
@@ -198,7 +199,7 @@ def core_equilibrium_gravity(profile: RadialProfile, core_radius):
     the core boundary divided by the mass outside it. The outside mass
     is summed from the shells above the core, never as that difference,
     which a dense core cancels away. An outside mass that rounds to 0
-    raises OutOfDomainError.
+    raises OutOfDomainError, as does a quotient past the float range.
     """
     if not (0.0 < core_radius < profile.body_radius):
         raise OutOfDomainError(
@@ -216,4 +217,7 @@ def core_equilibrium_gravity(profile: RadialProfile, core_radius):
     if not outside:
         raise OutOfDomainError(
             f"the mass outside r = {core_radius!r} m rounds to 0")
-    return pressure * area / outside
+    if not math.isfinite(gravity := pressure * area / outside):
+        raise OutOfDomainError(f"the equilibrium gravity at r = "
+                               f"{core_radius!r} m is not finite: {gravity!r}")
+    return gravity

@@ -34,6 +34,7 @@ from .errors import (
     NonPhysicalInputError,
     OutOfDomainError,
 )
+from .kernels import ball_volume, exterior_gravity, u_infinity
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
@@ -77,7 +78,7 @@ def pulsating_potential(mass, radius_t, observer_r, gamma=_DEFAULT_GAMMA):
             f"observer at {observer_r!r} is not outside the source "
             f"(radius {radius_t!r})")
     gm = gamma * mass
-    return -gm / observer_r + 1.5 * gm / radius_t
+    return -gm / observer_r + u_infinity(gm, radius_t)
 
 
 def evaluate_schedule(schedule: CavitySchedule, sample_times,
@@ -112,7 +113,7 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
                   else BackgroundState(*background))
     # radii_cubed rejects a time outside the span before any sample is built
     cubes = schedule.radii_cubed(times)
-    deficits = [(4.0 / 3.0) * math.pi * cubed * schedule.host_density_contrast
+    deficits = [ball_volume(cubed) * schedule.host_density_contrast
                 for cubed in cubes]
     delta_masses = [deficit - deficits[0] for deficit in deficits]
     radii = [cubed ** (1.0 / 3.0) for cubed in cubes]
@@ -123,20 +124,20 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
     # messages. Sample 0 runs the checks that do not depend on the sample;
     # the first later sample whose radius or perturbed potential fails
     # then raises from the same calls, in the same order, as a loop would.
-    pulsating_potential(mass, radii[0], observer, gamma)
-    point_mass_signal(delta_masses[0], observer, background, gamma)
     bad = next((i for i, (radius, du) in enumerate(zip(radii, delta_u))
-                if not 0.0 < radius < observer or base - du < 0.0), None)
-    if bad is not None:
-        pulsating_potential(mass, radii[bad], observer, gamma)
-        point_mass_signal(delta_masses[bad], observer, background, gamma)
+                if not 0.0 < radius < observer or base - du < 0.0), 0)
+    for i in (0, bad):
+        pulsating_potential(mass, radii[i], observer, gamma)
+        point_mass_signal(delta_masses[i], observer, background, gamma)
     gm = gamma * mass
+    outside = -gm / observer
     speed = math.sqrt(2.0 * base)
     return PulseTable(
         t=times,
         source_radius=radii,
-        potential=[-gm / observer + 1.5 * gm / radius for radius in radii],
+        potential=[outside + u_infinity(gm, radius) for radius in radii],
         delta_u=delta_u,
-        delta_g=[gamma * dm / (observer * observer) for dm in delta_masses],
+        delta_g=[exterior_gravity(gamma * dm, observer)
+                 for dm in delta_masses],
         delta_v_s=speed_changes(delta_u, base, speed),
     )

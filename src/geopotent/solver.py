@@ -54,10 +54,14 @@ class HomogeneityBoundReport(namedtuple(
 
 
 def compression_potential(p_g, rho_g):
-    """Aggregate compression potential: characteristic pressure over mean density."""
+    """Aggregate compression potential: characteristic pressure over mean
+    density. A quotient past the float range raises OutOfDomainError."""
     _require_positive("p_g", p_g, NonPhysicalInputError)
     _require_positive("rho_g", rho_g, NonPhysicalInputError)
-    return p_g / rho_g
+    if (phi_g := p_g / rho_g) == math.inf:
+        raise OutOfDomainError(
+            f"phi_g = {p_g!r} / {rho_g!r} overflows the float range")
+    return phi_g
 
 
 def inverse_problem(gm, u_infinity, body_radius) -> InversionResult:

@@ -22,7 +22,6 @@ from geopotent import (
 from geopotent.cli import (
     PROFILE_HEADER,
     PULSE_COLUMNS,
-    PULSE_HEADER,
     PULSE_MAX_SAMPLES,
     Table,
     _fmt,
@@ -32,7 +31,7 @@ from geopotent.cli import (
     render_csv,
     render_json,
 )
-from geopotent.config import load_config
+from geopotent.config import resolve_config
 from geopotent.errors import ConfigError, DomainError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -169,9 +168,9 @@ class TestFormatConsistency:
         report = json.loads(json_bytes)
         lines = [l for l in csv_bytes.decode().splitlines()
                  if not l.startswith("#")]
-        assert lines[0] == PULSE_HEADER
+        assert lines[0] == ",".join(PULSE_COLUMNS)
         for line, row in zip(lines[1:], report["rows"]):
-            for cell, key in zip(line.split(","), PULSE_HEADER.split(",")):
+            for cell, key in zip(line.split(","), PULSE_COLUMNS):
                 assert float(cell) == float(f"{row[key]:.10g}")
 
 
@@ -397,6 +396,17 @@ class TestDirect:
         err = capsys.readouterr().err
         assert "p_g must be positive" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_phi_g_is_domain_error(self, fmt, tmp_path, capsys):
+        # p_g and rho_g are positive and finite; p_g / rho_g is not
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"earth": {"mean_density": 1e-10}}))
+        assert main(["direct", "--p-g", "1e300", "--config", str(cfg),
+                     "--format", fmt]) == 3
+        assert capsys.readouterr() == ("", "geopotent: domain error: phi_g = "
+                                       "1e+300 / 1e-10 overflows the float "
+                                       "range\n")
+
     def test_flag_beats_config_override(self, capsys, monkeypatch):
         monkeypatch.chdir(ROOT)
         assert main(["direct", "--config", "tests/fixtures/earth_config.json",
@@ -457,6 +467,8 @@ EXTREME_PROFILES = {
     # the uniform side of the homogeneity bound underflows to 0
     "tiny_density": ["0,1e-316,3", "1e6,1e-316,2", "2e6,1e-316,1",
                      "6.371e6,1e-316,0"],
+    # M(1.5) * 998.5 in a homogeneity term overflows
+    "huge_inner_term": ["0,3e307,3", "0.5,3e307,2", "1.5,1,1", "1000,1,0"],
 }
 
 # the one stderr line of `profile` on each: a failing profile numeric
@@ -464,7 +476,8 @@ EXTREME_PROFILES = {
 EXTREME_ERRORS = {
     "huge_values":
         "{path}: enclosed mass at r = 1000000.0 m is not finite: nan",
-    "tiny_gaps": "report cell result.grad_p_gradient_pa_m is not finite: inf",
+    "tiny_gaps": "{path}: "
+        "the equilibrium gravity at r = 3480000.0 m is not finite: inf",
     "inf_minus_inf": "{path}: "
         "enclosed mass at r = 0.807207630616892 m is not finite: -inf",
     "tiny_body":
@@ -473,6 +486,8 @@ EXTREME_ERRORS = {
         "{path}: pressure is constant; the gradient has no maximum",
     "tiny_density": "{path}: the uniform-sphere potential of a body of "
         "radius 6371000.0 m underflows to 0",
+    "huge_inner_term": "{path}: "
+        "the surface potential term from r = 1.5 m is not finite: inf",
 }
 
 
@@ -506,6 +521,23 @@ class TestProfileCommand:
         proc = run_module(["profile", "--format", "json"], tmp_path, kind)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             3, "", extreme_error(tmp_path, kind) + "\n")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_core_gravity_names_the_file(self, fmt, tmp_path,
+                                                      capsys):
+        # a subnormal mass outside the core boundary at 2.5 m
+        path = tmp_path / "subnormal_shell.csv"
+        path.write_text("\n".join([
+            PROFILE_HEADER, "0,1e4,3", "1,1e4,2", "2,1e-320,1",
+            "3,1e-320,0"]) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"boundaries": [
+            {"name": "core", "radius": 2.5, "layer_half_thickness": 0.1}]}))
+        assert main(["profile", "--profile", str(path), "--config", str(cfg),
+                     "--format", fmt]) == 3
+        assert capsys.readouterr() == ("", (
+            f"geopotent: domain error: {path}: the equilibrium gravity at "
+            "r = 2.5 m is not finite: inf\n"))
 
     def test_dense_core_keeps_the_mass_outside_the_cmb(self, tmp_path,
                                                         capsys):
@@ -690,7 +722,7 @@ class TestPulseCommand:
                      "--num-samples", "5"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines()
                  if not l.startswith("#")]
-        assert lines[0] == PULSE_HEADER
+        assert lines[0] == ",".join(PULSE_COLUMNS)
         assert len(lines) == 6
 
     def test_schedule_error_names_segment(self, tmp_path, capsys):
@@ -1271,7 +1303,7 @@ class TestUnreadableFiles:
     def test_config_reader_raises_config_error(self, path, monkeypatch):
         monkeypatch.chdir(ROOT)
         with pytest.raises(ConfigError, match=path):
-            load_config(path)
+            resolve_config(path)
 
 
 class TestQuotedPaths:

@@ -347,12 +347,21 @@ class TestSurfacePotentialIntegral:
             result = json.load(fh)["result"]
         assert result["homogeneity_integral_j_kg"] == exact
 
-    def test_non_finite_total_is_what_sum_gives(self):
-        # a finite mass table whose terms sum past the float range
-        profile = RadialProfile([0.0, 0.5, 1.0, 1e6], [5e307, 5e307, 1.0, 1.0],
-                                [0.0] * 4)
+    @pytest.mark.parametrize("profile, knot", [
+        # the shell part of the term above 0.5 m overflows
+        (RadialProfile([0.0, 0.5, 1.0, 1e6], [5e307, 5e307, 1.0, 1.0],
+                       [0.0] * 4), 0.5),
+        # M(1.5) * 998.5 overflows in the term's inner product
+        (RadialProfile([0.0, 0.5, 1.5, 1000.0], [3e307, 3e307, 1.0, 1.0],
+                       [3.0, 2.0, 1.0, 0.0]), 1.5),
+    ], ids=["shell_part", "inner_part"])
+    def test_non_finite_term_is_a_domain_error(self, profile, knot):
+        # a finite mass table, one of whose terms passes the float range
         assert all(map(math.isfinite, profile.mass_table.mass))
-        assert math.isinf(surface_potential_integral(profile, GAMMA))
+        with pytest.raises(OutOfDomainError) as err:
+            surface_potential_integral(profile, GAMMA)
+        assert str(err.value) == (f"the surface potential term from r = "
+                                  f"{knot!r} m is not finite: inf")
 
     def test_knots_too_close_to_the_centre(self):
         # 1e-300 * 2e-300 underflows to 0, where no mass is enclosed
@@ -635,6 +644,16 @@ class TestCoreEquilibriumGravity:
         with pytest.raises(OutOfDomainError) as err:
             core_equilibrium_gravity(profile, 2.5e-5)
         assert str(err.value) == "the mass outside r = 2.5e-05 m rounds to 0"
+
+    def test_gravity_past_the_float_range_is_a_domain_error(self):
+        # a subnormal mass outside the core: the quotient overflows
+        profile = RadialProfile([0.0, 1.0, 2.0, 3.0],
+                                [1e4, 1e4, 1e-320, 1e-320],
+                                [3.0, 2.0, 1.0, 0.0])
+        with pytest.raises(OutOfDomainError) as err:
+            core_equilibrium_gravity(profile, 2.5)
+        assert str(err.value) == (
+            "the equilibrium gravity at r = 2.5 m is not finite: inf")
 
     def test_core_at_surface_rejected(self, prem_profile):
         with pytest.raises(OutOfDomainError):

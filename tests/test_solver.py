@@ -65,6 +65,13 @@ class TestCompressionPotential:
         with pytest.raises(NonPhysicalInputError):
             compression_potential(1e11, 0.0)
 
+    def test_overflow_is_a_domain_error(self):
+        # both inputs are positive and finite; their quotient is not
+        with pytest.raises(OutOfDomainError) as err:
+            compression_potential(1.0, 1e-320)
+        assert str(err.value) == \
+            "phi_g = 1.0 / 1e-320 overflows the float range"
+
 
 class TestDirectProblem:
     def test_reported_phi_injection(self):
