@@ -16,7 +16,6 @@ from .anomaly import (
     detectability_report,
     point_mass_signal,
     sensitivity_coefficients,
-    sphere_anomaly,
 )
 from .core import (
     DEFAULT_CONSTANTS,
@@ -111,7 +110,6 @@ __all__ = [
     "pulsating_potential",
     "sample_field",
     "sensitivity_coefficients",
-    "sphere_anomaly",
     "surface_background",
     "surface_potential_integral",
     "u_infinity_homogeneous",

@@ -22,9 +22,11 @@ from .core import (
     DEFAULT_CONSTANTS,
     AnomalySource,
     BackgroundState,
+    _finite,
+    _first_not_float,
     _require_positive,
 )
-from .errors import NonPhysicalInputError, OutOfDomainError
+from .errors import NonPhysicalValueError, OutOfDomainError
 from .kernels import ball_volume, exterior_gravity
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
@@ -58,8 +60,8 @@ def sensitivity_coefficients(r, r0, gamma=_DEFAULT_GAMMA) -> SensitivityPair:
     A k2 that underflows to 0 leaves the ratio undefined and raises
     ``OutOfDomainError``.
     """
-    _require_positive("r", r, NonPhysicalInputError)
-    _require_positive("r0", r0, NonPhysicalInputError)
+    _require_positive("r", r)
+    _require_positive("r0", r0)
     x = r / r0
     k1 = (2.0 / 3.0) * math.pi * gamma * (x * x)
     k2 = (4.0 / 3.0) * math.pi * gamma * x
@@ -96,7 +98,7 @@ def point_mass_signal(delta_mass, distance, background: BackgroundState,
     (:func:`speed_changes`). A distance whose square underflows to 0
     raises ``OutOfDomainError``.
     """
-    _require_positive("distance", distance, NonPhysicalInputError)
+    _require_positive("distance", distance)
     if not distance * distance:
         raise OutOfDomainError(
             f"the square of the distance {distance!r} m underflows to 0")
@@ -114,19 +116,6 @@ def point_mass_signal(delta_mass, distance, background: BackgroundState,
     delta_v_s, = speed_changes((delta_u,), base, math.sqrt(2.0 * base))
     return AnomalySignal(delta_u, delta_g, delta_v_s,
                          delta_u / background.u0, delta_g / background.g0)
-
-
-def anomalous_mass(source: AnomalySource):
-    """Signed mass surplus (4/3)*pi*r0^3*density_contrast of the source."""
-    return ball_volume(source.radius**3) * source.density_contrast
-
-
-def sphere_anomaly(source: AnomalySource, background: BackgroundState,
-                   gamma=_DEFAULT_GAMMA) -> AnomalySignal:
-    """Signal of a buried sphere at its own burial depth."""
-    background = BackgroundState(*background)
-    return point_mass_signal(anomalous_mass(source), source.depth,
-                             background, gamma)
 
 
 class DetectabilityRow(namedtuple(
@@ -152,13 +141,16 @@ def detectability_report(source: AnomalySource, observer_offsets,
     undefined and raises ``OutOfDomainError``.
     """
     background = BackgroundState(*background)
-    offsets = [float(offset) for offset in observer_offsets]
+    try:
+        offsets = [float(offset) for offset in observer_offsets]
+    except (TypeError, ValueError, OverflowError):
+        offsets = [_first_not_float(observer_offsets)]  # fails the check
     for offset in offsets:
-        if not (math.isfinite(offset) and offset >= source.depth):
-            raise NonPhysicalInputError(
+        if not (_finite(offset) and offset >= source.depth):
+            raise NonPhysicalValueError(
                 f"offset {offset!r} must be finite and at least the source "
                 f"depth {source.depth!r}")
-    delta_mass = anomalous_mass(source)
+    delta_mass = ball_volume(source.radius**3) * source.density_contrast
     rows = []
     for offset in offsets:
         sig = point_mass_signal(delta_mass, offset, background, gamma)

@@ -397,8 +397,8 @@ def _profile_report(cfg, path, profile):
         "homogeneity_holds": bound.holds,
         "homogeneity_relative_gap": bound.relative_gap,
     }
-    inside = [ref for ref in cfg.boundaries
-              if 0.0 < ref.radius < profile.body_radius]
+    inside = [ref for ref in cfg.boundaries  # where the pressure is known
+              if profile.radii[0] <= ref.radius < profile.body_radius]
     report["tables"] = [_table("core_equilibrium", {
         "boundary": [ref.name for ref in inside],
         "radius_m": [ref.radius for ref in inside],

@@ -18,7 +18,6 @@ from itertools import groupby, repeat
 
 from .errors import (
     NonMonotonicRadiusError,
-    NonPhysicalInputError,
     NonPhysicalValueError,
     OutOfDomainError,
     PressureIncreaseError,
@@ -45,16 +44,26 @@ def _finite(value):
         return False
 
 
-def _require_positive(name, value, error=NonPhysicalValueError):
-    """Raise `error` unless `value` is positive and finite."""
+def _first_not_float(values):
+    """The first of `values` that float() rejects; None if there is none."""
+    for value in values:
+        try:
+            float(value)
+        except (TypeError, ValueError, OverflowError):
+            return value
+
+
+def _require_positive(name, value):
+    """Raise NonPhysicalValueError unless `value` is positive and finite."""
     if not (_finite(value) and value > 0.0):
-        raise error(f"{name} must be positive and finite, got {value!r}")
+        raise NonPhysicalValueError(
+            f"{name} must be positive and finite, got {value!r}")
 
 
-def _require_non_negative(name, value, error=NonPhysicalValueError):
-    """Raise `error` unless `value` is non-negative and finite."""
+def _require_non_negative(name, value):
+    """Raise NonPhysicalValueError unless `value` is >= 0 and finite."""
     if not (_finite(value) and value >= 0.0):
-        raise error(f"{name} must be >= 0, got {value!r}")
+        raise NonPhysicalValueError(f"{name} must be >= 0, got {value!r}")
 
 
 def _cube(name, value, error=NonPhysicalValueError):
@@ -429,7 +438,7 @@ def direct_problem(earth: EarthParameters, phi_g,
         u_surface = (2/3)*gamma*rho*pi*R^2, equipotential_surface =
         v1k^2/2 and compression_potential = phi_g; u_infinity is their sum.
     """
-    _require_non_negative("phi_g", phi_g, NonPhysicalInputError)
+    _require_non_negative("phi_g", phi_g)
     v1k = earth.surface_first_cosmic_velocity
     return PotentialBreakdown(
         uniform_sphere_potential(gamma, earth.mean_density, earth.mean_radius),
@@ -644,9 +653,13 @@ class CavitySchedule(Record):
         """R(t)^3 at each of `times`; end times belong to the next segment."""
         t_start, t_end = self.t_start, self.t_end
         for t in times:
-            if not (t_start <= t <= t_end):
-                raise ScheduleError(
-                    f"time {t} outside schedule span [{t_start}, {t_end}]")
+            try:
+                if t_start <= t <= t_end:
+                    continue
+            except TypeError:  # not a number, so not in the span
+                pass
+            raise ScheduleError(
+                f"time {t} outside schedule span [{t_start}, {t_end}]")
         ends = [seg.t_end for seg in self.segments[:-1]]
         runs = groupby(times, partial(bisect_right, ends))
         return [cubed for i, run in runs

@@ -4,8 +4,8 @@ Every concrete error derives from exactly one of two bases, and the CLI
 sets its exit code from that base alone:
 
     InputError    exit 2  the caller supplied something invalid: a bad
-                          table, schedule, config, flag or argument,
-                          including a non-positive or non-finite number
+                          table, schedule, config, flag or argument, or
+                          a non-physical number (NonPhysicalValueError)
     DomainError   exit 3  valid input took an operation outside its
                           mathematical domain
 """
@@ -33,11 +33,7 @@ class DomainError(GeopotentError):
 
 
 class NonPhysicalValueError(InputError):
-    """A constructed quantity violates a physical constraint."""
-
-
-class NonPhysicalInputError(InputError):
-    """An operation received a non-physical argument (negative radius, ...)."""
+    """A supplied number is not physical (negative, zero or not finite)."""
 
 
 class NonMonotonicRadiusError(InputError):

@@ -24,11 +24,7 @@ from .core import (
     UniformSphere,
     _require_non_negative,
 )
-from .errors import (
-    NonPhysicalInputError,
-    NonPhysicalValueError,
-    OutOfDomainError,
-)
+from .errors import NonPhysicalValueError, OutOfDomainError
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
 
@@ -112,7 +108,7 @@ def absolute_potential(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
         (2/3)*gamma*rho*pi*R^2 - gamma*M/r + gamma*M/R. Continuous at
         r = R, where the curve has its inflection.
     """
-    _require_non_negative("radius", r, NonPhysicalInputError)
+    _require_non_negative("radius", r)
     if r <= sphere.radius:
         return kernels.uniform_sphere_potential(gamma, sphere.density, r)
     return kernels.exterior_potential(gamma, sphere.density,
@@ -125,7 +121,7 @@ def gravity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
     (4/3)*gamma*pi*rho*r inside, gamma*M/r^2 outside; equals dU/dr
     everywhere and peaks at the boundary r = R.
     """
-    _require_non_negative("radius", r, NonPhysicalInputError)
+    _require_non_negative("radius", r)
     if r <= sphere.radius:
         return kernels.interior_gravity(gamma, sphere.density, r)
     return kernels.exterior_gravity(gamma * sphere.mass, r)
@@ -137,7 +133,6 @@ def equipotential_velocity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
     Coincides with the first cosmic velocity for r >= R; falls linearly
     to zero toward the center (g is linear in r inside).
     """
-    _require_non_negative("radius", r, NonPhysicalInputError)
     return _root("g*r", gravity(sphere, r, gamma) * r)
 
 
@@ -148,7 +143,6 @@ def kinetic_potential(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
     the center, where it equals the full at-infinity potential; decays to
     zero far from the body.
     """
-    _require_non_negative("radius", r, NonPhysicalInputError)
     return (u_infinity_homogeneous(sphere, gamma)
             - absolute_potential(sphere, r, gamma))
 
@@ -159,7 +153,7 @@ def sample_field(sphere: UniformSphere, radii, gamma=_DEFAULT_GAMMA):
     Returns a FieldTable in input order: one read-only column per
     FieldSample field, with FieldSample rows on indexing and iteration.
     The radii are copied once, so the table does not change when the
-    caller's array does. Raises NonPhysicalInputError naming the index of
+    caller's array does. Raises NonPhysicalValueError naming the index of
     the first negative or non-finite radius, and OutOfDomainError naming
     the first radius where g*r is negative, as a negative gamma makes it.
     """
@@ -169,7 +163,7 @@ def sample_field(sphere: UniformSphere, radii, gamma=_DEFAULT_GAMMA):
     bad = np.flatnonzero(~(np.isfinite(r) & (r >= 0.0)))
     if bad.size:
         i = int(bad[0])
-        raise NonPhysicalInputError(f"radii[{i}] must be >= 0, got {r[i]!r}")
+        raise NonPhysicalValueError(f"radii[{i}] must be >= 0, got {r[i]!r}")
     radius, rho, gm = sphere.radius, sphere.density, gamma * sphere.mass
     # Both branches run on every radius, so a cell np.where discards can
     # divide by zero or make 0/0. A kept cell overflows to inf or turns

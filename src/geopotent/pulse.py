@@ -27,13 +27,11 @@ from .core import (
     BackgroundState,
     CavitySchedule,
     ColumnTable,
+    _first_not_float,
     _require_positive,
     surface_background,
 )
-from .errors import (
-    NonPhysicalInputError,
-    OutOfDomainError,
-)
+from .errors import OutOfDomainError
 from .kernels import ball_volume, exterior_gravity, u_infinity
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
@@ -72,7 +70,7 @@ def pulsating_potential(mass, radius_t, observer_r, gamma=_DEFAULT_GAMMA):
     """
     for name, value in (("mass", mass), ("radius_t", radius_t),
                         ("observer_r", observer_r)):
-        _require_positive(name, value, NonPhysicalInputError)
+        _require_positive(name, value)
     if observer_r <= radius_t:
         raise OutOfDomainError(
             f"observer at {observer_r!r} is not outside the source "
@@ -106,7 +104,11 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
         :func:`point_mass_signal` give for that sample. A constant
         schedule yields exactly zero deltas everywhere.
     """
-    times = [float(t) for t in sample_times]
+    try:
+        times = [float(t) for t in sample_times]
+    except (TypeError, ValueError, OverflowError):  # the span check names it
+        schedule.radii_cubed([_first_not_float(sample_times)])
+        raise
     if not times:
         return PulseTable([], [], [], [], [], [])
     background = (surface_background() if background is None

@@ -28,7 +28,7 @@ from .core import (
     _require_positive,
     direct_problem,
 )
-from .errors import NonPhysicalInputError, OutOfDomainError
+from .errors import OutOfDomainError
 from .kernels import uniform_sphere_potential
 
 # Relative band around equality for the `uniform` trend; exact float
@@ -56,8 +56,8 @@ class HomogeneityBoundReport(namedtuple(
 def compression_potential(p_g, rho_g):
     """Aggregate compression potential: characteristic pressure over mean
     density. A quotient past the float range raises OutOfDomainError."""
-    _require_positive("p_g", p_g, NonPhysicalInputError)
-    _require_positive("rho_g", rho_g, NonPhysicalInputError)
+    _require_positive("p_g", p_g)
+    _require_positive("rho_g", rho_g)
     if (phi_g := p_g / rho_g) == math.inf:
         raise OutOfDomainError(
             f"phi_g = {p_g!r} / {rho_g!r} overflows the float range")
@@ -70,12 +70,12 @@ def inverse_problem(gm, u_infinity, body_radius) -> InversionResult:
     The trend is `uniform` when r0 matches the body radius within
     ``UNIFORM_TREND_TOL`` relative, `decreasing_outward` when r0 is
     interior, `increasing_outward` when exterior. Raises
-    NonPhysicalInputError unless all three inputs are positive and finite,
+    NonPhysicalValueError unless all three inputs are positive and finite,
     and OutOfDomainError when the quotient overflows or underflows to zero.
     """
     for name, value in (("gm", gm), ("u_infinity", u_infinity),
                         ("body_radius", body_radius)):
-        _require_positive(name, value, NonPhysicalInputError)
+        _require_positive(name, value)
     r0 = gm / u_infinity
     if not (math.isfinite(r0) and r0 > 0.0):
         raise OutOfDomainError(

@@ -12,14 +12,9 @@ from geopotent import (
     detectability_report,
     point_mass_signal,
     sensitivity_coefficients,
-    sphere_anomaly,
 )
 from geopotent.anomaly import speed_changes
-from geopotent.errors import (
-    NonPhysicalInputError,
-    NonPhysicalValueError,
-    OutOfDomainError,
-)
+from geopotent.errors import NonPhysicalValueError, OutOfDomainError
 
 from conftest import GAMMA
 
@@ -29,6 +24,11 @@ BACKGROUND = BackgroundState(u0=6.258e7, g0=9.823, u_infinity=11.1652e7)
 
 GAS_CAVITY = AnomalySource(depth=5000.0, radius=500.0,
                            density_contrast=-2700.0)
+
+
+def at_depth(source, background):
+    """The signal of a buried sphere seen from its own burial depth."""
+    return detectability_report(source, [source.depth], background)[0]
 
 
 class TestSensitivityCoefficients:
@@ -63,16 +63,16 @@ class TestSensitivityCoefficients:
         assert (pair.k1 > pair.k2) == (x > 2.0)
 
     def test_rejects_non_positive(self):
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             sensitivity_coefficients(0.0, 1.0)
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             sensitivity_coefficients(1.0, -1.0)
 
 
-class TestSphereAnomaly:
+class TestSignalAtDepth:
     def test_gas_cavity_worked_example(self):
         # oracle values recomputed by hand: dM = (4/3) pi 500^3 (-2700)
-        sig = sphere_anomaly(GAS_CAVITY, BACKGROUND)
+        sig = at_depth(GAS_CAVITY, BACKGROUND)
         delta_m = (4.0 / 3.0) * math.pi * 500.0**3 * (-2700.0)
         assert delta_m == pytest.approx(-1.4137e12, rel=1e-4)
         assert sig.delta_u == pytest.approx(GAMMA * delta_m / 5000.0, rel=1e-12)
@@ -84,7 +84,7 @@ class TestSphereAnomaly:
         assert sig.delta_v_s == pytest.approx(1.905e-6, rel=1e-3)
 
     def test_gas_cavity_sign_pattern(self):
-        sig = sphere_anomaly(GAS_CAVITY, BACKGROUND)
+        sig = at_depth(GAS_CAVITY, BACKGROUND)
         assert sig.delta_u < 0.0
         assert sig.delta_g < 0.0
         assert sig.delta_v_s > 0.0
@@ -92,7 +92,7 @@ class TestSphereAnomaly:
 
     def test_dense_body_sign_pattern(self):
         ore = AnomalySource(depth=5000.0, radius=500.0, density_contrast=1500.0)
-        sig = sphere_anomaly(ore, BACKGROUND)
+        sig = at_depth(ore, BACKGROUND)
         assert sig.delta_u > 0.0
         assert sig.delta_g > 0.0
         assert sig.delta_v_s < 0.0
@@ -106,8 +106,8 @@ class TestSphereAnomaly:
     def test_linear_in_contrast(self):
         doubled = AnomalySource(depth=5000.0, radius=500.0,
                                 density_contrast=-5400.0)
-        one = sphere_anomaly(GAS_CAVITY, BACKGROUND)
-        two = sphere_anomaly(doubled, BACKGROUND)
+        one = at_depth(GAS_CAVITY, BACKGROUND)
+        two = at_depth(doubled, BACKGROUND)
         assert two.delta_u == pytest.approx(2.0 * one.delta_u, rel=1e-12)
         assert two.delta_g == pytest.approx(2.0 * one.delta_g, rel=1e-12)
         # the velocity response is nonlinear; only sign and growth are
@@ -117,8 +117,8 @@ class TestSphereAnomaly:
     def test_antisymmetry_exact(self):
         flipped = AnomalySource(depth=5000.0, radius=500.0,
                                 density_contrast=2700.0)
-        neg = sphere_anomaly(GAS_CAVITY, BACKGROUND)
-        pos = sphere_anomaly(flipped, BACKGROUND)
+        neg = at_depth(GAS_CAVITY, BACKGROUND)
+        pos = at_depth(flipped, BACKGROUND)
         assert pos.delta_u == -neg.delta_u
         assert pos.delta_g == -neg.delta_g
 
@@ -153,7 +153,7 @@ class TestSpeedChange:
         assert abs(value - exact) <= 4.0 * math.ulp(exact)
 
     def test_signal_uses_it(self):
-        sig = sphere_anomaly(GAS_CAVITY, BACKGROUND)
+        sig = at_depth(GAS_CAVITY, BACKGROUND)
         base = BACKGROUND.u_infinity - BACKGROUND.u0
         assert [sig.delta_v_s] == speed_changes((sig.delta_u,), base,
                                                 math.sqrt(2.0 * base))
@@ -173,7 +173,7 @@ class TestSpeedChange:
             value, = speed_changes((delta_u,), base, math.sqrt(2.0 * base))
             assert math.isnan(value)
         huge = BackgroundState(u0=1.0, g0=9.8, u_infinity=1.7e308)
-        assert math.isnan(sphere_anomaly(GAS_CAVITY, huge).delta_v_s)
+        assert math.isnan(at_depth(GAS_CAVITY, huge).delta_v_s)
 
 
 class TestBackgroundState:
@@ -192,8 +192,8 @@ class TestBackgroundState:
         plain = (6.258e7, 9.823, 11.1652e7)
         assert BackgroundState(*plain) == BACKGROUND
         assert isinstance(BACKGROUND, tuple)
-        assert sphere_anomaly(GAS_CAVITY, plain) == \
-            sphere_anomaly(GAS_CAVITY, BACKGROUND)
+        assert at_depth(GAS_CAVITY, plain) == \
+            at_depth(GAS_CAVITY, BACKGROUND)
 
 
 class TestDetectabilityReport:
@@ -219,12 +219,12 @@ class TestDetectabilityReport:
         assert detectability_report(GAS_CAVITY, [], BACKGROUND) == []
 
     def test_offset_closer_than_depth_rejected(self):
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             detectability_report(GAS_CAVITY, [1000.0], BACKGROUND)
 
     @pytest.mark.parametrize("offset", [math.nan, math.inf, -math.inf])
     def test_non_finite_offset_rejected(self, offset):
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             detectability_report(GAS_CAVITY, [offset], BACKGROUND)
 
     def test_offsets_checked_before_any_signal(self):
@@ -234,7 +234,7 @@ class TestDetectabilityReport:
                               density_contrast=1e12)
         with pytest.raises(OutOfDomainError):
             detectability_report(dense, [1000.0], BACKGROUND)
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             detectability_report(dense, [1000.0, 500.0], BACKGROUND)
 
     def test_rows_carry_the_signal(self):

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pathlib
 import random
 import subprocess
 import sys
@@ -562,6 +563,31 @@ class TestProfileCommand:
                           "tiny_gaps")
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["inputs"]["p_g"] == 1.7e308
+
+    @pytest.mark.parametrize("k", range(17))
+    def test_boundaries_below_the_first_knot_are_left_out(self, k, tmp_path,
+                                                          capsys):
+        # PREM-20 without its first k rows: the pressure below the first
+        # knot is unknown, so the table lists the default boundaries at or
+        # above it (none from k = 8, which starts above the CMB)
+        header, *rows = (pathlib.Path(ROOT) / "tests" / "fixtures"
+                         / "prem20.csv").read_text().splitlines()
+        path = tmp_path / f"trim{k}.csv"
+        path.write_text("\n".join([header, *rows[k:]]) + "\n")
+        first = float(rows[k].split(",")[0])
+        expected = [name for name, radius in (("CMB", 3.48e6),
+                                              ("ICB", 1.2215e6))
+                    if radius >= first]
+        assert main(["profile", "--profile", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        _, _, tables = parse_csv_report(out)
+        assert [row[0] for row in tables[0]["rows"]] == expected
+        assert main(["profile", "--profile", str(path), "--format",
+                     "json"]) == 0
+        [table] = json.loads(capsys.readouterr().out)["tables"]
+        assert table["name"] == "core_equilibrium"
+        assert [row["boundary"] for row in table["rows"]] == expected
 
     def test_fixture_report(self, capsys, monkeypatch):
         monkeypatch.chdir(ROOT)

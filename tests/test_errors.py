@@ -9,9 +9,9 @@ import pytest
 from geopotent import errors
 from geopotent.anomaly import (
     BackgroundState,
+    detectability_report,
     point_mass_signal,
     sensitivity_coefficients,
-    sphere_anomaly,
 )
 from geopotent.core import (
     AnomalySource,
@@ -29,7 +29,11 @@ from geopotent.field import (
     kinetic_potential,
     sample_field,
 )
-from geopotent.pulse import pulsating_potential, surface_background
+from geopotent.pulse import (
+    evaluate_schedule,
+    pulsating_potential,
+    surface_background,
+)
 from geopotent.solver import (
     BoundaryReference,
     compression_potential,
@@ -41,7 +45,6 @@ INPUT = {
     errors.ConfigError,
     errors.MissingPressureSourceError,
     errors.NonMonotonicRadiusError,
-    errors.NonPhysicalInputError,
     errors.NonPhysicalValueError,
     errors.PressureIncreaseError,
     errors.ScheduleError,
@@ -61,51 +64,48 @@ def test_every_concrete_error_has_exactly_one_family():
     assert {c for c in concrete if issubclass(c, errors.InputError)} == INPUT
 
 
-# Each positive-and-finite check that moved to core._require_positive:
-# (id, call with the value under test, expected class, name in the message)
-ARG = errors.NonPhysicalInputError
+# Each positive-and-finite check that moved to core._require_positive,
+# which always raises NonPhysicalValueError:
+# (id, call with the value under test, name in the message)
 BACKGROUND = BackgroundState(6e7, 9.8, 1.1e8)
 CHECKS = [
-    ("sensitivity_r", lambda v: sensitivity_coefficients(v, 1.0), ARG, "r"),
-    ("sensitivity_r0", lambda v: sensitivity_coefficients(1.0, v), ARG, "r0"),
+    ("sensitivity_r", lambda v: sensitivity_coefficients(v, 1.0), "r"),
+    ("sensitivity_r0", lambda v: sensitivity_coefficients(1.0, v), "r0"),
     ("point_mass_distance", lambda v: point_mass_signal(1.0, v, BACKGROUND),
-     ARG, "distance"),
+     "distance"),
     ("boundary_radius", lambda v: BoundaryReference("CMB", v, 1.0),
-     errors.NonPhysicalValueError, "boundary radius"),
-    ("compression_p_g", lambda v: compression_potential(v, 1.0), ARG, "p_g"),
-    ("compression_rho_g", lambda v: compression_potential(1.0, v), ARG,
-     "rho_g"),
-    ("inverse_gm", lambda v: inverse_problem(v, 1.0, 1.0), ARG, "gm"),
-    ("inverse_u_infinity", lambda v: inverse_problem(1.0, v, 1.0), ARG,
+     "boundary radius"),
+    ("compression_p_g", lambda v: compression_potential(v, 1.0), "p_g"),
+    ("compression_rho_g", lambda v: compression_potential(1.0, v), "rho_g"),
+    ("inverse_gm", lambda v: inverse_problem(v, 1.0, 1.0), "gm"),
+    ("inverse_u_infinity", lambda v: inverse_problem(1.0, v, 1.0),
      "u_infinity"),
-    ("inverse_body_radius", lambda v: inverse_problem(1.0, 1.0, v), ARG,
+    ("inverse_body_radius", lambda v: inverse_problem(1.0, 1.0, v),
      "body_radius"),
-    ("pulsating_mass", lambda v: pulsating_potential(v, 1.0, 2.0), ARG,
-     "mass"),
-    ("pulsating_radius_t", lambda v: pulsating_potential(1.0, v, 2.0), ARG,
+    ("pulsating_mass", lambda v: pulsating_potential(v, 1.0, 2.0), "mass"),
+    ("pulsating_radius_t", lambda v: pulsating_potential(1.0, v, 2.0),
      "radius_t"),
-    ("pulsating_observer_r", lambda v: pulsating_potential(1.0, 1.0, v), ARG,
+    ("pulsating_observer_r", lambda v: pulsating_potential(1.0, 1.0, v),
      "observer_r"),
-    ("constants_gamma", PhysicalConstants, errors.NonPhysicalValueError,
-     "gamma"),
+    ("constants_gamma", PhysicalConstants, "gamma"),
     # the records a RunConfig is built from and its surface background
     *((f"earth_{name}", lambda v, name=name: EarthParameters(**{name: v}),
-       errors.NonPhysicalValueError, name) for name in EarthParameters._fields),
+       name) for name in EarthParameters._fields),
     *((f"background_{name}",
-       lambda v, name=name: BACKGROUND._replace(**{name: v}),
-       errors.NonPhysicalValueError, name) for name in BackgroundState._fields),
+       lambda v, name=name: BACKGROUND._replace(**{name: v}), name)
+      for name in BackgroundState._fields),
 ]
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf,
                                    "1", None,
                                    pytest.param(10**400, id="int_past_float")])
-@pytest.mark.parametrize("call, cls, name", [c[1:] for c in CHECKS],
+@pytest.mark.parametrize("call, name", [c[1:] for c in CHECKS],
                          ids=[c[0] for c in CHECKS])
-def test_positive_checks_share_one_message(call, cls, name, value):
+def test_positive_checks_share_one_message(call, name, value):
     with pytest.raises(errors.InputError) as err:
         call(value)
-    assert type(err.value) is cls
+    assert type(err.value) is errors.NonPhysicalValueError
     assert str(err.value) == f"{name} must be positive and finite, got {value!r}"
 
 
@@ -138,6 +138,37 @@ def test_values_that_are_not_numbers_are_input_errors(call, value):
         call(value)
 
 
+# A sample float() cannot read: a time is a ScheduleError named as the
+# span check names nan, an offset fails the offsets check. A huge int
+# already failed radii_cubed's span check, so it is not listed there.
+SCHEDULE = CavitySchedule(SEGMENTS, 1.0, 10.0, -1.0)
+NOT_FLOATS = {"None": None, "text": "x", "int_past_float": 10**400}
+
+
+@pytest.mark.parametrize("call, value", [
+    *(pytest.param(lambda v: SCHEDULE.radii_cubed([v]), NOT_FLOATS[name],
+                   id=f"radii_cubed-{name}") for name in ("None", "text")),
+    *(pytest.param(lambda v: evaluate_schedule(SCHEDULE, [5.0, v]),
+                   NOT_FLOATS[name], id=f"evaluate_schedule-{name}")
+      for name in NOT_FLOATS),
+])
+def test_a_time_that_is_not_a_float_is_a_schedule_error(call, value):
+    with pytest.raises(errors.InputError) as err:
+        call(value)
+    assert type(err.value) is errors.ScheduleError
+    assert str(err.value) == f"time {value} outside schedule span [0.0, 10.0]"
+
+
+@pytest.mark.parametrize("value", NOT_FLOATS.values(), ids=NOT_FLOATS)
+def test_an_offset_that_is_not_a_float_fails_the_offsets_check(value):
+    with pytest.raises(errors.InputError) as err:
+        detectability_report(AnomalySource(5.0, 1.0, 1.0), [6.0, value],
+                             BACKGROUND)
+    assert type(err.value) is errors.NonPhysicalValueError
+    assert str(err.value) == (f"offset {value!r} must be finite and at "
+                              "least the source depth 5.0")
+
+
 # Floats at the edges of the range. A call of 5 or more arguments takes a
 # 6-value subset, so each grid stays below 50k calls.
 EXTREMES = (0.0, -1.0, 1e-320, 1e-170, 1.0, 1e170, 1e308, math.inf, math.nan)
@@ -163,9 +194,6 @@ SCALAR_CALLS = [
     ("point_mass_signal", 6, lambda delta_mass, distance, u0, g0, u_inf,
         gamma: point_mass_signal(delta_mass, distance,
                                  BackgroundState(u0, g0, u_inf), gamma)),
-    ("sphere_anomaly", 6, lambda depth, radius, contrast, u0, g0, u_inf:
-        sphere_anomaly(AnomalySource(depth, radius, contrast),
-                       BackgroundState(u0, g0, u_inf))),
     *((func.__name__, 4, _on_sphere(func)) for func in (
         absolute_potential, gravity, equipotential_velocity,
         kinetic_potential)),

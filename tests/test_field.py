@@ -16,7 +16,7 @@ from geopotent import (
     sample_field,
     u_infinity_homogeneous,
 )
-from geopotent.errors import NonPhysicalInputError, NonPhysicalValueError
+from geopotent.errors import NonPhysicalValueError
 
 from conftest import GAMMA, random_sphere
 
@@ -82,7 +82,7 @@ class TestAbsolutePotential:
         assert second[inside - 1] > 0.0 > second[outside - 1]
 
     def test_rejects_negative_radius(self, earth_sphere):
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             absolute_potential(earth_sphere, -1.0)
 
 
@@ -139,7 +139,7 @@ class TestEquipotentialVelocity:
                 == pytest.approx(frac * v_r, rel=1e-12)
 
     def test_rejects_negative_radius(self, earth_sphere):
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             equipotential_velocity(earth_sphere, -1.0)
 
 
@@ -229,7 +229,7 @@ class TestSampleField:
                 u_inf, rel=1e-12)
 
     def test_error_carries_index(self, earth_sphere):
-        with pytest.raises(NonPhysicalInputError, match=r"radii\[2\]"):
+        with pytest.raises(NonPhysicalValueError, match=r"radii\[2\]"):
             sample_field(earth_sphere, [1.0, 2.0, -3.0])
 
     def test_empty_list(self, earth_sphere):
@@ -307,6 +307,6 @@ class TestFieldTable:
     def test_error_message_unchanged(self, earth_sphere, bad):
         want = f"radii[2] must be >= 0, got {np.float64(bad)!r}"
         for radii in ([1.0, 2.0, bad], np.array([1.0, 2.0, bad])):
-            with pytest.raises(NonPhysicalInputError) as err:
+            with pytest.raises(NonPhysicalValueError) as err:
                 sample_field(earth_sphere, radii)
             assert str(err.value) == want

@@ -22,7 +22,6 @@ from geopotent import (
     surface_background,
 )
 from geopotent.errors import (
-    NonPhysicalInputError,
     NonPhysicalValueError,
     OutOfDomainError,
     ScheduleError,
@@ -70,9 +69,9 @@ class TestPulsatingPotential:
         assert value == pytest.approx(gm / (2.0 * radius), rel=1e-8)
 
     def test_rejects_non_positive(self):
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             pulsating_potential(0.0, 1.0, 10.0)
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             pulsating_potential(1e12, -1.0, 10.0)
 
 
@@ -364,7 +363,7 @@ class TestColumnarParity:
         schedule = make_schedule(
             [ScheduleSegment(0.0, 10.0, "constant", (500.0,)),
              ScheduleSegment(10.0, 20.0, "constant", (1e-110,))])
-        with pytest.raises(NonPhysicalInputError,
+        with pytest.raises(NonPhysicalValueError,
                            match="radius_t must be positive and finite, got 0.0"):
             evaluate_schedule(schedule, [0.0, 5.0, 15.0])
 

@@ -20,11 +20,7 @@ from geopotent import (
     surface_potential_integral,
 )
 from geopotent.core import LINE_BREAKS
-from geopotent.errors import (
-    NonPhysicalInputError,
-    NonPhysicalValueError,
-    OutOfDomainError,
-)
+from geopotent.errors import NonPhysicalValueError, OutOfDomainError
 
 from conftest import GAMMA, random_sphere, uniform_profile
 
@@ -60,9 +56,9 @@ class TestCompressionPotential:
         assert compression_potential(1.0, 1.0) == 1.0
 
     def test_rejects_non_positive(self):
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             compression_potential(0.0, 5515.0)
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             compression_potential(1e11, 0.0)
 
     def test_overflow_is_a_domain_error(self):
@@ -104,7 +100,7 @@ class TestDirectProblem:
                                      + result.compression_potential)
 
     def test_rejects_negative_phi(self):
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             direct_problem(EarthParameters(), -1.0)
 
 
@@ -167,9 +163,9 @@ class TestInverseProblem:
             assert result.trend is DensityTrend.INCREASING_OUTWARD
 
     def test_rejects_non_positive(self):
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             inverse_problem(-1.0, 1.0, 1.0)
-        with pytest.raises(NonPhysicalInputError):
+        with pytest.raises(NonPhysicalValueError):
             inverse_problem(1.0, 0.0, 1.0)
 
     @pytest.mark.parametrize("gm, u_inf", [(3.986e14, 1e-300),
