@@ -22,8 +22,7 @@ from .core import (
     DEFAULT_CONSTANTS,
     AnomalySource,
     BackgroundState,
-    _finite,
-    _first_not_float,
+    _float_column,
     _require_positive,
 )
 from .errors import NonPhysicalValueError, OutOfDomainError
@@ -134,19 +133,17 @@ def detectability_report(source: AnomalySource, observer_offsets,
                          background: BackgroundState, gamma=_DEFAULT_GAMMA):
     """Potential and gravity signals at each observation distance.
 
-    Offsets must be at least the burial depth (the point reduction is not
+    `observer_offsets` is a column of numbers, read once. Offsets must be
+    finite and at least the burial depth (the point reduction is not
     valid closer in); every offset is checked before any signal is
     evaluated. Returns one row per offset, input order preserved. A
     relative gravity signal that underflows to 0 leaves the advantage
     undefined and raises ``OutOfDomainError``.
     """
     background = BackgroundState(*background)
-    try:
-        offsets = [float(offset) for offset in observer_offsets]
-    except (TypeError, ValueError, OverflowError):
-        offsets = [_first_not_float(observer_offsets)]  # fails the check
+    offsets = _float_column("offset", observer_offsets)
     for offset in offsets:
-        if not (_finite(offset) and offset >= source.depth):
+        if not (math.isfinite(offset) and offset >= source.depth):
             raise NonPhysicalValueError(
                 f"offset {offset!r} must be finite and at least the source "
                 f"depth {source.depth!r}")

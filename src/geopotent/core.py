@@ -44,15 +44,6 @@ def _finite(value):
         return False
 
 
-def _first_not_float(values):
-    """The first of `values` that float() rejects; None if there is none."""
-    for value in values:
-        try:
-            float(value)
-        except (TypeError, ValueError, OverflowError):
-            return value
-
-
 def _require_positive(name, value):
     """Raise NonPhysicalValueError unless `value` is positive and finite."""
     if not (_finite(value) and value > 0.0):
@@ -295,7 +286,8 @@ def _floats(values):
 
 
 def _float_column(name, values):
-    """A tuple of floats from a column of numbers or numeric strings."""
+    """A tuple of floats from a column of numbers or numeric strings, read
+    once; NonPhysicalValueError names the first cell float() rejects."""
     cells = _floats(values)
     if _is_sequence(cells):
         cells = tuple(cells)

@@ -22,6 +22,7 @@ from .core import (
     DEFAULT_CONSTANTS,
     ColumnTable,
     UniformSphere,
+    _float_column,
     _require_non_negative,
 )
 from .errors import NonPhysicalValueError, OutOfDomainError
@@ -150,16 +151,19 @@ def kinetic_potential(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
 def sample_field(sphere: UniformSphere, radii, gamma=_DEFAULT_GAMMA):
     """Evaluate the field bundle at every radius in `radii`.
 
-    Returns a FieldTable in input order: one read-only column per
-    FieldSample field, with FieldSample rows on indexing and iteration.
-    The radii are copied once, so the table does not change when the
-    caller's array does. Raises NonPhysicalValueError naming the index of
-    the first negative or non-finite radius, and OutOfDomainError naming
-    the first radius where g*r is negative, as a negative gamma makes it.
+    `radii` is a column of numbers, read once. Returns a FieldTable in
+    input order: one read-only column per FieldSample field, with
+    FieldSample rows on indexing and iteration. The radii are copied
+    once, so the table does not change when the caller's array does.
+    Raises NonPhysicalValueError naming the index of the first radius
+    float() cannot read, or the first negative or non-finite one, and
+    OutOfDomainError naming the first radius where g*r is negative, as a
+    negative gamma makes it.
     """
     np = _numpy()
-    r = np.array(radii if isinstance(radii, np.ndarray) else list(radii),
-                 dtype=np.float64)
+    if not isinstance(radii, np.ndarray):
+        radii = _float_column("radius", radii)
+    r = np.array(radii, dtype=np.float64)
     bad = np.flatnonzero(~(np.isfinite(r) & (r >= 0.0)))
     if bad.size:
         i = int(bad[0])

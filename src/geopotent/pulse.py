@@ -27,7 +27,7 @@ from .core import (
     BackgroundState,
     CavitySchedule,
     ColumnTable,
-    _first_not_float,
+    _float_column,
     _require_positive,
     surface_background,
 )
@@ -87,10 +87,11 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
     Parameters
     ----------
     schedule : CavitySchedule
-    sample_times : sequence of float
+    sample_times : column of numbers, read once
         Times within the schedule span (``ScheduleError`` otherwise); the
         first entry is the baseline all delta fields are differenced
-        against.
+        against. A time ``float()`` cannot read, or a value that is not
+        a column, raises ``NonPhysicalValueError``.
     background : BackgroundState, optional
         Field at the observer; defaults to the compression-free surface
         background of the default body.
@@ -104,11 +105,7 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
         :func:`point_mass_signal` give for that sample. A constant
         schedule yields exactly zero deltas everywhere.
     """
-    try:
-        times = [float(t) for t in sample_times]
-    except (TypeError, ValueError, OverflowError):  # the span check names it
-        schedule.radii_cubed([_first_not_float(sample_times)])
-        raise
+    times = _float_column("time", sample_times)
     if not times:
         return PulseTable([], [], [], [], [], [])
     background = (surface_background() if background is None

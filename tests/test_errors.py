@@ -4,6 +4,7 @@ import struct
 import warnings
 from itertools import product
 
+import numpy as np
 import pytest
 
 from geopotent import errors
@@ -19,6 +20,7 @@ from geopotent.core import (
     EarthParameters,
     PhysicalConstants,
     PotentialBreakdown,
+    RadialProfile,
     ScheduleSegment,
     UniformSphere,
 )
@@ -30,6 +32,7 @@ from geopotent.field import (
     sample_field,
 )
 from geopotent.pulse import (
+    PulseTable,
     evaluate_schedule,
     pulsating_potential,
     surface_background,
@@ -138,25 +141,38 @@ def test_values_that_are_not_numbers_are_input_errors(call, value):
         call(value)
 
 
-# A sample float() cannot read: a time is a ScheduleError named as the
-# span check names nan, an offset fails the offsets check. A huge int
-# already failed radii_cubed's span check, so it is not listed there.
+# A sample float() cannot read. radii_cubed, called directly, names a
+# time as its span check names nan. evaluate_schedule and
+# detectability_report read their column through core._float_column
+# first, which names the sample's index.
 SCHEDULE = CavitySchedule(SEGMENTS, 1.0, 10.0, -1.0)
 NOT_FLOATS = {"None": None, "text": "x", "int_past_float": 10**400}
 
 
-@pytest.mark.parametrize("call, value", [
+def _not_a_float(name, value):
+    """The message core._float_column gives for `value` at sample 1."""
+    if isinstance(value, int):
+        return f"{name} at sample 1 is too large for a float"
+    return f"{name} is not a number at sample 1: {value!r}"
+
+
+@pytest.mark.parametrize("call, value, expected", [
     *(pytest.param(lambda v: SCHEDULE.radii_cubed([v]), NOT_FLOATS[name],
+                   (errors.ScheduleError,
+                    f"time {NOT_FLOATS[name]} outside schedule span "
+                    "[0.0, 10.0]"),
                    id=f"radii_cubed-{name}") for name in ("None", "text")),
     *(pytest.param(lambda v: evaluate_schedule(SCHEDULE, [5.0, v]),
-                   NOT_FLOATS[name], id=f"evaluate_schedule-{name}")
-      for name in NOT_FLOATS),
+                   NOT_FLOATS[name],
+                   (errors.NonPhysicalValueError,
+                    _not_a_float("time", NOT_FLOATS[name])),
+                   id=f"evaluate_schedule-{name}") for name in NOT_FLOATS),
 ])
-def test_a_time_that_is_not_a_float_is_a_schedule_error(call, value):
+def test_a_time_that_is_not_a_float_is_a_schedule_error(call, value,
+                                                        expected):
     with pytest.raises(errors.InputError) as err:
         call(value)
-    assert type(err.value) is errors.ScheduleError
-    assert str(err.value) == f"time {value} outside schedule span [0.0, 10.0]"
+    assert (type(err.value), str(err.value)) == expected
 
 
 @pytest.mark.parametrize("value", NOT_FLOATS.values(), ids=NOT_FLOATS)
@@ -165,8 +181,81 @@ def test_an_offset_that_is_not_a_float_fails_the_offsets_check(value):
         detectability_report(AnomalySource(5.0, 1.0, 1.0), [6.0, value],
                              BACKGROUND)
     assert type(err.value) is errors.NonPhysicalValueError
-    assert str(err.value) == (f"offset {value!r} must be finite and at "
-                              "least the source depth 5.0")
+    assert str(err.value) == _not_a_float("offset", value)
+    assert err.value.index == 1
+
+
+# Every column a caller supplies goes through core._float_column, so one
+# table of bad columns holds for all four readers. Each reader is called
+# on a column and returns its result as rows of floats; OK is a good
+# sample for each of them.
+OK = 6.0
+GOOD = [6.0, 7.0, 8.0, 9.0]
+PROFILE_TAIL = ([4.0, 3.0, 2.0, 1.0], [3.0, 2.0, 1.0, 0.0])
+SOURCE = AnomalySource(5.0, 1.0, 1.0)
+
+
+def _profile_rows(column):
+    profile = RadialProfile(column, *PROFILE_TAIL)
+    return list(zip(profile.radii, profile.densities, profile.pressures))
+
+
+COLUMN_READERS = {
+    "RadialProfile": ("radius", _profile_rows),
+    "evaluate_schedule": ("time",
+                          lambda col: list(evaluate_schedule(SCHEDULE, col))),
+    "detectability_report": ("offset", lambda col: detectability_report(
+        SOURCE, col, BACKGROUND)),
+    "sample_field": ("radius", lambda col: list(sample_field(SPHERE, col))),
+}
+NOT_A_COLUMN = "{} must be a one-dimensional column of numbers"
+# (id, a new column, message with the reader's name, index)
+BAD_COLUMNS = [
+    ("bare_float", lambda: OK, NOT_A_COLUMN, None),
+    ("None", lambda: None, NOT_A_COLUMN, None),
+    ("digits", lambda: "12", NOT_A_COLUMN, None),
+    ("nested_list", lambda: [OK, [OK]], NOT_A_COLUMN, None),
+    ("one_shot_iterator", lambda: iter([OK, "x", OK]),
+     "{} is not a number at sample 1: 'x'", 1),
+    ("int_past_float", lambda: [OK, 10**400],
+     "{} at sample 1 is too large for a float", 1),
+]
+
+
+@pytest.mark.parametrize("column, message, index",
+                         [c[1:] for c in BAD_COLUMNS],
+                         ids=[c[0] for c in BAD_COLUMNS])
+@pytest.mark.parametrize("reader", COLUMN_READERS)
+def test_a_bad_column_is_a_non_physical_value(reader, column, message,
+                                              index):
+    name, read = COLUMN_READERS[reader]
+    with pytest.raises(errors.InputError) as err:
+        read(column())
+    assert type(err.value) is errors.NonPhysicalValueError
+    assert str(err.value) == message.format(name)
+    assert err.value.index == index
+
+
+@pytest.mark.parametrize("reader", COLUMN_READERS)
+def test_any_iterable_of_good_samples_reads_as_the_list(reader):
+    _, read = COLUMN_READERS[reader]
+
+    def bits(rows):
+        return [[value.hex() for value in row] for row in rows]
+
+    expected = bits(read(GOOD))
+    assert len(expected) == len(GOOD)
+    for column in (tuple(GOOD), (v for v in GOOD), np.array(GOOD)):
+        assert bits(read(column)) == expected
+
+
+@pytest.mark.parametrize("empty", [[], (), iter([]), np.empty(0)],
+                         ids=["list", "tuple", "iterator", "array"])
+def test_an_empty_column_gives_an_empty_result(empty):
+    table = evaluate_schedule(SCHEDULE, empty)
+    assert type(table) is PulseTable and len(table) == 0
+    assert detectability_report(SOURCE, empty, BACKGROUND) == []
+    assert len(sample_field(SPHERE, empty)) == 0
 
 
 # Floats at the edges of the range. A call of 5 or more arguments takes a
