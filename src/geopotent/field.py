@@ -161,7 +161,8 @@ def sample_field(sphere: UniformSphere, radii, gamma=_DEFAULT_GAMMA):
     negative gamma makes it.
     """
     np = _numpy()
-    if not isinstance(radii, np.ndarray):
+    if not (isinstance(radii, np.ndarray) and radii.ndim == 1
+            and radii.dtype.kind in "biuf"):  # a numeric 1-D array as it is
         radii = _float_column("radius", radii)
     r = np.array(radii, dtype=np.float64)
     bad = np.flatnonzero(~(np.isfinite(r) & (r >= 0.0)))

@@ -2,8 +2,9 @@
 
 Runs ``perfbench/run.py --trace 0`` of a git checkout once per workload
 that ``BENCHMARK.json`` names, each alone in a fresh process, because
-``--workload all`` reports one peak RSS across workloads. Writes each
-workload's result line and the environment the figures depend on:
+``--workload all`` reports one peak RSS across workloads, for the run
+length ``BENCHMARK.json`` sets. Writes each workload's result line and the
+environment the figures depend on:
 
     python3 tools/bench_record.py --checkout <git checkout> --out BENCH_31.json
 
@@ -14,62 +15,52 @@ commit to record.
 import argparse
 import json
 import os
-import platform
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
 
 
-def _child(checkout, code):
-    """stdout of ``python -c code`` in `checkout`, with the harness's
-    environment: the checkout's sources on the path and nothing else."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["PYTHONPATH"] = os.path.join(checkout, "src")
-    return subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env,
-                          capture_output=True, text=True, check=True).stdout
-
-
-def environment(checkout):
-    commit = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
-                            capture_output=True, text=True, check=True)
-    return {
-        "python": platform.python_version(),
-        "numpy": _child(checkout, "import numpy; print(numpy.__version__)")
-        .strip(),
-        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
-        "site_preloads_typing": _child(
-            checkout, "import sys; print('typing' in sys.modules)")
-        .strip() == "True",
-        "cpu_count": os.cpu_count(),
-        "commit": commit.stdout.strip(),
-    }
+def _run(argv, checkout):
+    return subprocess.run(argv, cwd=checkout, capture_output=True, text=True,
+                          check=True).stdout
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", required=True)
     parser.add_argument("--out", required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
     checkout = os.path.abspath(args.checkout)
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        names = [w["name"] for w in json.load(fh)["workloads"]]
+        spec = json.load(fh)
+    flags = ["--seed", str(SEED), "--seconds", str(spec["run_seconds"]),
+             "--trace", "0"]
+    workloads = {}
+    for workload in spec["workloads"]:
+        *_, report, result = _run(
+            [sys.executable, *spec["command"][1:], "--workload",
+             workload["name"], *flags], checkout).splitlines()
+        workloads[workload["name"]] = json.loads(result)
+    # the report line holds what perfbench measured in its own children
+    measured = json.loads(report)["report"]["environment"]
     record = {
-        "command": (f"python3 perfbench/run.py --workload <name> "
-                    f"--seed {args.seed} --seconds {args.seconds:g} "
-                    "--trace 0"),
-        "environment": environment(checkout),
-        "workloads": {},
+        "command": [*spec["command"], "--workload", "<name>", *flags],
+        "environment": {
+            "python": measured["python"],
+            "numpy": measured["numpy"],
+            "PYTHONDONTWRITEBYTECODE":
+                os.environ.get("PYTHONDONTWRITEBYTECODE"),
+            "site_preloads_typing": _run(
+                [sys.executable, "-c",
+                 "import sys; print('typing' in sys.modules)"],
+                checkout).strip() == "True",
+            "cpu_count": measured["nproc"],
+            "commit": _run(["git", "rev-parse", "HEAD"], checkout).strip(),
+        },
+        "workloads": workloads,
     }
-    for name in names:
-        run = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", name,
-             "--seed", str(args.seed), "--seconds", str(args.seconds),
-             "--trace", "0"],
-            cwd=checkout, capture_output=True, text=True, check=True)
-        record["workloads"][name] = json.loads(run.stdout.splitlines()[-1])
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
