@@ -22,6 +22,7 @@ from .core import (
     DEFAULT_CONSTANTS,
     AnomalySource,
     BackgroundState,
+    _cube,
     _float_column,
     _require_positive,
 )
@@ -147,7 +148,8 @@ def detectability_report(source: AnomalySource, observer_offsets,
             raise NonPhysicalValueError(
                 f"offset {offset!r} must be finite and at least the source "
                 f"depth {source.depth!r}")
-    delta_mass = ball_volume(source.radius**3) * source.density_contrast
+    delta_mass = (ball_volume(_cube("radius", source.radius))
+                  * source.density_contrast)
     rows = []
     for offset in offsets:
         sig = point_mass_signal(delta_mass, offset, background, gamma)

@@ -58,12 +58,21 @@ def _require_non_negative(name, value):
 
 
 def _cube(name, value, error=NonPhysicalValueError):
-    """``value ** 3``; `error` naming `name` if the cube overflows a float."""
-    try:
-        return value ** 3
-    except OverflowError:
+    """``value * value * value``; `error` naming `name` if it overflows."""
+    cube = value * value * value
+    if cube == math.inf:
         raise error(f"{name} {value!r} is too large: its cube overflows the "
-                    f"float range") from None
+                    f"float range")
+    return cube
+
+
+def _cbrt(value):
+    """Cube root of `value` >= 0, exact under scaling by 2**(3k): only the
+    mantissa, scaled into [0.5, 4), goes through a power (``math.cbrt``
+    needs Python 3.11)."""
+    mantissa, exponent = math.frexp(value)
+    thirds, rest = divmod(exponent, 3)
+    return math.ldexp(math.ldexp(mantissa, rest) ** (1.0 / 3.0), thirds)
 
 
 class Record:
@@ -202,7 +211,7 @@ class UniformSphere(Record):
 
     @property
     def density(self):
-        return self.mass / ball_volume(self.radius ** 3)
+        return self.mass / ball_volume(_cube("radius", self.radius))
 
     @classmethod
     def from_mass_radius(cls, mass, radius):
@@ -216,7 +225,7 @@ class UniformSphere(Record):
     def from_mass_density(cls, mass, density):
         _require_positive("mass", mass)
         _require_positive("density", density)
-        radius = (3.0 * mass / (4.0 * math.pi * density)) ** (1.0 / 3.0)
+        radius = _cbrt(3.0 * mass / (4.0 * math.pi * density))
         return cls(mass, radius)
 
 
@@ -576,23 +585,20 @@ class ScheduleSegment(Record):
             _cube(name, radius, ScheduleError)
         self._set(start, end, kind, radii)
 
-    def radii_cubed(self, times):
-        """R(t)^3 at each time of the list `times`, all in this segment."""
+    def radii_and_cubes(self, times):
+        """Lists of R(t) and R(t)^3 at each of `times`, all in this segment."""
+        n = len(times)
         if self.kind == "constant":
-            return [self.params[0] ** 3] * len(times)
+            radius, = self.params
+            return [radius] * n, [radius * radius * radius] * n
         if self.kind == "linear":
             r_a, r_b = self.params
             t0, dr, span = self.t_start, r_b - r_a, self.t_end - self.t_start
-            return [(r_a + dr * ((t - t0) / span)) ** 3 for t in times]
+            radii = [r_a + dr * ((t - t0) / span) for t in times]
+            return radii, [radius * radius * radius for radius in radii]
         r_1, r_2 = self.params
-        return [r_1**3 + r_2**3] * len(times)
-
-    def max_radius(self):
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "linear":
-            return max(self.params)
-        return (self.params[0] ** 3 + self.params[1] ** 3) ** (1.0 / 3.0)
+        cube = r_1 * r_1 * r_1 + r_2 * r_2 * r_2
+        return [_cbrt(cube)] * n, [cube] * n
 
 
 class CavitySchedule(Record):
@@ -621,10 +627,12 @@ class CavitySchedule(Record):
                     f"segment {i}: starts at {seg.t_start}, previous segment "
                     f"ends at {segments[i - 1].t_end}; segments must be "
                     f"contiguous", index=i)
-            if seg.max_radius() >= observer_radius:
+            # R(t) is monotone within a segment: its ends bound it
+            radius = max(seg.radii_and_cubes([seg.t_start, seg.t_end])[0])
+            if radius >= observer_radius:
                 raise ScheduleError(
-                    f"segment {i}: radius reaches {seg.max_radius()}, observer "
-                    f"at {observer_radius} must stay outside the source",
+                    f"segment {i}: radius reaches {radius}, observer at "
+                    f"{observer_radius} must stay outside the source",
                     index=i)
         self._set(segments, source_mass, observer_radius,
                   host_density_contrast)
@@ -641,8 +649,9 @@ class CavitySchedule(Record):
     def t_end(self):
         return self.segments[-1].t_end
 
-    def radii_cubed(self, times):
-        """R(t)^3 at each of `times`; end times belong to the next segment."""
+    def radii_and_cubes(self, times):
+        """Lists of R(t) and R(t)^3 at `times`; an end time belongs to the
+        next segment."""
         t_start, t_end = self.t_start, self.t_end
         for t in times:
             try:
@@ -653,6 +662,7 @@ class CavitySchedule(Record):
             raise ScheduleError(
                 f"time {t} outside schedule span [{t_start}, {t_end}]")
         ends = [seg.t_end for seg in self.segments[:-1]]
-        runs = groupby(times, partial(bisect_right, ends))
-        return [cubed for i, run in runs
-                for cubed in self.segments[i].radii_cubed(list(run))]
+        runs = [self.segments[i].radii_and_cubes(list(run))
+                for i, run in groupby(times, partial(bisect_right, ends))]
+        return ([radius for radii, _ in runs for radius in radii],
+                [cube for _, cubes in runs for cube in cubes])

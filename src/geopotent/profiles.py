@@ -22,7 +22,7 @@ from collections import namedtuple
 from itertools import accumulate
 from operator import sub, truediv
 
-from .core import RadialProfile
+from .core import RadialProfile, _cube
 from .errors import DegenerateProfileError, OutOfDomainError
 from .kernels import ball_volume
 
@@ -184,7 +184,7 @@ def pressure_gradient_max(profile: RadialProfile):
 def mean_density(profile: RadialProfile):
     """Total tabulated mass divided by the body volume, kg/m^3."""
     total = profile.mass_table.mass[-1]
-    volume = ball_volume(profile.body_radius**3)
+    volume = ball_volume(_cube("radius", profile.body_radius))
     if not volume:
         raise OutOfDomainError(
             f"the volume of a body of radius {profile.body_radius!r} m "

@@ -11,9 +11,8 @@ survey time series are differenced in practice. A growing gas cavity
 (negative contrast) drives the potential and field strength down and the
 equipotential velocity up.
 
-Coalescence segments conserve cavity volume: the merged radius is
-(R1^3 + R2^3)^(1/3), and the mass-deficit pipeline works directly from
-the exact volume sum.
+The schedule gives each R(t) with the cube the deficit is taken from; a
+coalesced cavity keeps the exact volume sum R1^3 + R2^3 of the two.
 """
 
 from __future__ import annotations
@@ -100,22 +99,21 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
     Returns
     -------
     PulseTable
-        One row per time, input order preserved. Every value equals,
-        bit for bit, what :func:`pulsating_potential` and
-        :func:`point_mass_signal` give for that sample. A constant
-        schedule yields exactly zero deltas everywhere.
+        One row per time, input order preserved: the schedule's R(t),
+        then bit for bit what :func:`pulsating_potential` and
+        :func:`point_mass_signal` give for it. A constant schedule
+        yields exactly zero deltas everywhere.
     """
     times = _float_column("time", sample_times)
     if not times:
         return PulseTable([], [], [], [], [], [])
     background = (surface_background() if background is None
                   else BackgroundState(*background))
-    # radii_cubed rejects a time outside the span before any sample is built
-    cubes = schedule.radii_cubed(times)
+    # a time outside the span is rejected before any sample is built
+    radii, cubes = schedule.radii_and_cubes(times)
     deficits = [ball_volume(cubed) * schedule.host_density_contrast
                 for cubed in cubes]
     delta_masses = [deficit - deficits[0] for deficit in deficits]
-    radii = [cubed ** (1.0 / 3.0) for cubed in cubes]
     mass, observer = schedule.source_mass, schedule.observer_radius
     delta_u = [gamma * dm / observer for dm in delta_masses]
     base = background.u_infinity - background.u0

@@ -207,13 +207,13 @@ def test_criterion_7_pulsating_model():
         assert b.delta_v_s > a.delta_v_s
 
     merge = ScheduleSegment(0.0, 1.0, "coalesce_step", (500.0, 500.0))
-    assert merge.radii_cubed([0.5]) == [2.0 * 500.0**3]
+    assert merge.radii_and_cubes([0.5])[1] == [2.0 * 500.0**3]
     merged_schedule = CavitySchedule(
         segments=(ScheduleSegment(0.0, 10.0, "constant", (500.0,)),
                   ScheduleSegment(10.0, 20.0, "coalesce_step", (500.0, 500.0))),
         source_mass=1e12, observer_radius=5000.0,
         host_density_contrast=-2700.0)
-    before, after = merged_schedule.radii_cubed([5.0, 15.0])
+    _, (before, after) = merged_schedule.radii_and_cubes([5.0, 15.0])
     assert after == 2.0 * before
     _ok(7, "pulsating model: literal value, zero baseline, cubic growth, "
            "coalescence")

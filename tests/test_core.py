@@ -325,7 +325,8 @@ class TestCavitySchedule:
             source_mass=1e12, observer_radius=5000.0,
             host_density_contrast=-2700.0)
         assert sched.t_start == 0 and sched.t_end == 200
-        assert sched.radii_cubed([50, 150]) == [500.0**3, 750.0**3]
+        assert sched.radii_and_cubes([50, 150]) == ([500.0, 750.0],
+                                                    [500.0**3, 750.0**3])
 
     def test_segments_must_be_contiguous(self):
         with pytest.raises(ScheduleError) as err:
@@ -354,8 +355,9 @@ class TestCavitySchedule:
 
     def test_coalesce_conserves_volume(self):
         seg = _segment(0, 100, "coalesce_step", (500.0, 500.0))
-        assert seg.radii_cubed([0.0, 50.0]) == [2.0 * 500.0**3] * 2
-        assert seg.radii_cubed([50.0])[0] ** (1.0 / 3.0) == pytest.approx(
+        radii, cubes = seg.radii_and_cubes([0.0, 50.0])
+        assert cubes == [2.0 * 500.0**3] * 2
+        assert radii[0] == radii[1] == pytest.approx(
             500.0 * 2.0 ** (1.0 / 3.0), rel=1e-15)
 
     def test_unknown_kind(self):
@@ -383,7 +385,7 @@ class TestCavitySchedule:
             source_mass=1e12, observer_radius=5000.0,
             host_density_contrast=-2700.0)
         with pytest.raises(ScheduleError) as err:
-            sched.radii_cubed([50.0, 101.0])
+            sched.radii_and_cubes([50.0, 101.0])
         assert str(err.value) == "time 101.0 outside schedule span [0.0, 100.0]"
 
 
@@ -441,9 +443,9 @@ class TestScheduleSegment:
                 min(params) <= 0.0
             return
         # a tiny radius may cube to 0.0, never to a negative number
-        [cubed] = seg.radii_cubed([100.0 * frac])
+        [radius], [cubed] = seg.radii_and_cubes([100.0 * frac])
         assert type(cubed) is float and cubed >= 0.0
-        assert type(cubed ** (1.0 / 3.0)) is float
+        assert type(radius) is float and radius >= 0.0
 
     def test_stores_floats(self):
         seg = _segment(0, 100, "linear", [500, 1000])

@@ -140,17 +140,18 @@ def test_values_that_are_not_numbers_are_input_errors(call, value):
         call(value)
 
 
-# A time float() cannot read, passed to radii_cubed directly, is a
+# A time float() cannot read, passed to radii_and_cubes directly, is a
 # ScheduleError named as the span check names nan. evaluate_schedule
 # reads its column first; see BAD_COLUMNS below.
 SCHEDULE = CavitySchedule(SEGMENTS, 1.0, 10.0, -1.0)
 
 
 @pytest.mark.parametrize("value", [None, "x"],
-                         ids=["radii_cubed-None", "radii_cubed-text"])
+                         ids=["radii_and_cubes-None",
+                              "radii_and_cubes-text"])
 def test_a_time_that_is_not_a_float_is_a_schedule_error(value):
     with pytest.raises(errors.InputError) as err:
-        SCHEDULE.radii_cubed([value])
+        SCHEDULE.radii_and_cubes([value])
     assert type(err.value) is errors.ScheduleError
     assert str(err.value) == f"time {value} outside schedule span [0.0, 10.0]"
 

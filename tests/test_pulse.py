@@ -21,6 +21,7 @@ from geopotent import (
     sample_field,
     surface_background,
 )
+from geopotent.core import _cbrt
 from geopotent.errors import (
     NonPhysicalValueError,
     OutOfDomainError,
@@ -96,7 +97,7 @@ class TestEvaluateSchedule:
             assert s.delta_u == 0.0
             assert s.delta_g == 0.0
             assert s.delta_v_s == 0.0
-            assert s.source_radius == pytest.approx(500.0, rel=1e-15)
+            assert s.source_radius == 500.0
 
     def test_growth_cubic_mass_deficit(self):
         # oracle: delta_u(t) = gamma * (4/3) pi drho (R(t)^3 - R0^3) / d
@@ -126,14 +127,15 @@ class TestEvaluateSchedule:
 
     def test_anomalous_mass_grows_eightfold(self):
         # R doubles over the run, so the raw cavity deficit scales by 8
-        start, end = GROWTH.radii_cubed([0.0, 86400.0])
-        assert end == pytest.approx(8.0 * start, rel=1e-12)
+        radii, (start, end) = GROWTH.radii_and_cubes([0.0, 86400.0])
+        assert radii == [500.0, 1000.0]
+        assert end == 8.0 * start
 
     def test_coalescence_exact_doubling(self):
         merged = make_schedule(
             [ScheduleSegment(0.0, 10.0, "constant", (500.0,)),
              ScheduleSegment(10.0, 20.0, "coalesce_step", (500.0, 500.0))])
-        before, after = merged.radii_cubed([5.0, 15.0])
+        _, (before, after) = merged.radii_and_cubes([5.0, 15.0])
         assert after == 2.0 * before
         samples = evaluate_schedule(merged, [0.0, 9.99, 10.0, 20.0])
         assert samples[1].delta_u == 0.0
@@ -205,9 +207,9 @@ def random_schedule(rng, n_segments):
     return make_schedule(segments)
 
 
-def scan_radius_cubed(schedule, t):
-    """Reference R(t)^3: scan the segments in order (end times belong to
-    the next segment), then apply the segment kind's formula."""
+def scan_radius_and_cube(schedule, t):
+    """Reference (R(t), R(t)^3): scan the segments in order (end times
+    belong to the next segment), then apply the segment kind's formula."""
     segments = schedule.segments
     t_start, t_end = segments[0].t_start, segments[-1].t_end
     if not (t_start <= t <= t_end):
@@ -215,13 +217,16 @@ def scan_radius_cubed(schedule, t):
             f"time {t} outside schedule span [{t_start}, {t_end}]")
     seg = next((seg for seg in segments[:-1] if t < seg.t_end), segments[-1])
     if seg.kind == "constant":
-        return seg.params[0] ** 3
-    if seg.kind == "linear":
+        radius = seg.params[0]
+    elif seg.kind == "linear":
         r_a, r_b = seg.params
         frac = (t - seg.t_start) / (seg.t_end - seg.t_start)
-        return (r_a + (r_b - r_a) * frac) ** 3
-    r_1, r_2 = seg.params
-    return r_1**3 + r_2**3
+        radius = r_a + (r_b - r_a) * frac
+    else:
+        r_1, r_2 = seg.params
+        volume = r_1 * r_1 * r_1 + r_2 * r_2 * r_2
+        return _cbrt(volume), volume
+    return radius, radius * radius * radius
 
 
 def scan_evaluate_schedule(schedule, times, background=None, gamma=GAMMA):
@@ -229,13 +234,12 @@ def scan_evaluate_schedule(schedule, times, background=None, gamma=GAMMA):
     function per sample, in the order a per-sample loop makes them."""
     if background is None:
         background = surface_background()
-    base_cubed = scan_radius_cubed(schedule, times[0])
+    _, base_cubed = scan_radius_and_cube(schedule, times[0])
     base_deficit = ((4.0 / 3.0) * math.pi * base_cubed
                     * schedule.host_density_contrast)
     out = []
     for t in times:
-        cubed = scan_radius_cubed(schedule, t)
-        radius = cubed ** (1.0 / 3.0)
+        radius, cubed = scan_radius_and_cube(schedule, t)
         potential = pulsating_potential(schedule.source_mass, radius,
                                         schedule.observer_radius, gamma)
         deficit = ((4.0 / 3.0) * math.pi * cubed
@@ -261,10 +265,10 @@ def adversarial_case(rng):
     """Schedule, times, background and gamma drawn to reach each check of
     the scalar functions, late in the series too, and the overflows.
 
-    Radii near 1e-110 cube to 0; contrasts of +-1e300 overflow the
-    deficit to inf and the deltas to nan; u0 > u_infinity fails every
-    signal; gamma = 1e300 pushes the perturbed potential out of its
-    domain.
+    Radii near 1e-110 cube to 0, and a coalesced radius with them;
+    contrasts of +-1e300 overflow the deficit to inf and the deltas to
+    nan; u0 > u_infinity fails every signal; gamma = 1e300 pushes the
+    perturbed potential out of its domain.
     """
     segments, t = [], 0.0
     for _ in range(rng.randint(1, 4)):
@@ -275,7 +279,8 @@ def adversarial_case(rng):
         segments.append(ScheduleSegment(t, t + rng.uniform(1.0, 100.0),
                                         kind, params))
         t = segments[-1].t_end
-    biggest = max(max(seg.max_radius(), *seg.params) for seg in segments)
+    biggest = max(max(*seg.radii_and_cubes([seg.t_start, seg.t_end])[0],
+                      *seg.params) for seg in segments)
     schedule = make_schedule(
         segments, observer=biggest * rng.choice([1.0000001, 2.0, 1e3]),
         contrast=rng.choice([-2700.0, 2700.0, 1e13, -1e300, 1e300]),
@@ -301,21 +306,24 @@ class TestSegmentLookupParity:
     shuffled = random.Random(7).sample(times, len(times))
 
     @pytest.mark.parametrize("order", ["built", "shuffled"])
-    def test_radii_cubed_matches_scan(self, order):
+    def test_radii_and_cubes_match_scan(self, order):
         kinds = {seg.kind for seg in self.schedule.segments}
         assert kinds == {"constant", "linear", "coalesce_step"}
         times = self.times if order == "built" else self.shuffled
-        want = [scan_radius_cubed(self.schedule, t) for t in times]
-        assert hexes(self.schedule.radii_cubed(times)) == hexes(want)
+        want = zip(*(scan_radius_and_cube(self.schedule, t) for t in times))
+        assert [hexes(col) for col in self.schedule.radii_and_cubes(times)] \
+            == [hexes(col) for col in want]
 
     def test_boundary_belongs_to_next_segment(self):
         segments = self.schedule.segments
         starts = [seg.t_start for seg in segments[1:]]
-        assert hexes(self.schedule.radii_cubed(starts)) == hexes(
-            seg.radii_cubed([seg.t_start])[0] for seg in segments[1:])
+        want = [seg.radii_and_cubes([seg.t_start]) for seg in segments[1:]]
+        radii, cubes = self.schedule.radii_and_cubes(starts)
+        assert hexes(radii) == hexes(radius for [radius], _ in want)
+        assert hexes(cubes) == hexes(cube for _, [cube] in want)
         end = self.schedule.t_end
-        assert self.schedule.radii_cubed([end]) \
-            == segments[-1].radii_cubed([end])
+        assert self.schedule.radii_and_cubes([end]) \
+            == segments[-1].radii_and_cubes([end])
 
     @pytest.mark.parametrize("offset", ["before", "after", "nan", "inf"])
     def test_outside_span_raises(self, offset):
@@ -323,12 +331,12 @@ class TestSegmentLookupParity:
              "after": math.nextafter(self.schedule.t_end, math.inf),
              "nan": math.nan, "inf": math.inf}[offset]
         with pytest.raises(ScheduleError) as want:
-            scan_radius_cubed(self.schedule, t)
+            scan_radius_and_cube(self.schedule, t)
         # the first time outside the span is named, wherever it stands
         inside = self.times[:3]
         for times in ([t], inside + [t], inside + [t, -math.inf]):
             with pytest.raises(ScheduleError) as err:
-                self.schedule.radii_cubed(times)
+                self.schedule.radii_and_cubes(times)
             assert str(err.value) == str(want.value)
             assert err.value.index is None
 
@@ -355,14 +363,17 @@ class TestColumnarParity:
                 seen.add(want[1].split(" ")[0])
             elif any("nan" in cell for row in want for cell in row):
                 seen.add("nan")
-        assert seen == {"nan", "radius_t", "observer", "background",
-                        "perturbed"}
+        # no "observer": a sample radius is exact, so the schedule's check
+        # at each segment's ends keeps every sample inside the observer
+        assert seen == {"nan", "radius_t", "background", "perturbed"}
 
     def test_failure_late_in_the_series_is_reported_there(self):
-        # the radius cubes to 0 only in the second segment
+        # the merged volume, and so the radius, underflows to 0 only in
+        # the second segment
         schedule = make_schedule(
             [ScheduleSegment(0.0, 10.0, "constant", (500.0,)),
-             ScheduleSegment(10.0, 20.0, "constant", (1e-110,))])
+             ScheduleSegment(10.0, 20.0, "coalesce_step",
+                             (1e-110, 1e-110))])
         with pytest.raises(NonPhysicalValueError,
                            match="radius_t must be positive and finite, got 0.0"):
             evaluate_schedule(schedule, [0.0, 5.0, 15.0])
