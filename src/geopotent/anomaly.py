@@ -60,8 +60,8 @@ def sensitivity_coefficients(r, r0, gamma=_DEFAULT_GAMMA) -> SensitivityPair:
     A k2 that underflows to 0 leaves the ratio undefined and raises
     ``OutOfDomainError``.
     """
-    _require_positive("r", r)
-    _require_positive("r0", r0)
+    r = _require_positive("r", r)
+    r0 = _require_positive("r0", r0)
     x = r / r0
     k1 = (2.0 / 3.0) * math.pi * gamma * (x * x)
     k2 = (4.0 / 3.0) * math.pi * gamma * x
@@ -98,7 +98,7 @@ def point_mass_signal(delta_mass, distance, background: BackgroundState,
     (:func:`speed_changes`). A distance whose square underflows to 0
     raises ``OutOfDomainError``.
     """
-    _require_positive("distance", distance)
+    distance = _require_positive("distance", distance)
     if not distance * distance:
         raise OutOfDomainError(
             f"the square of the distance {distance!r} m underflows to 0")

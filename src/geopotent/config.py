@@ -83,9 +83,10 @@ class RunConfig(Record):
             surface_background(earth, constants.gamma)
         except (NonPhysicalValueError, OutOfDomainError) as exc:
             raise NonPhysicalValueError(f"earth: {exc}") from exc
-        if p_g_override is not None and not (_finite(p_g_override)
-                                             and p_g_override > 0.0):
-            raise NonPhysicalValueError("p_g_override must be positive")
+        if p_g_override is not None:
+            if not (_finite(p_g_override) and p_g_override > 0.0):
+                raise NonPhysicalValueError("p_g_override must be positive")
+            p_g_override = float(p_g_override)
         if not hasattr(boundaries, "__iter__"):
             raise NonPhysicalValueError(
                 f"boundaries must be iterable, got {boundaries!r}")

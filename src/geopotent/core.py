@@ -45,16 +45,25 @@ def _finite(value):
 
 
 def _require_positive(name, value):
-    """Raise NonPhysicalValueError unless `value` is positive and finite."""
+    """`value` as a float; NonPhysicalValueError unless positive and finite."""
     if not (_finite(value) and value > 0.0):
         raise NonPhysicalValueError(
             f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 def _require_non_negative(name, value):
-    """Raise NonPhysicalValueError unless `value` is >= 0 and finite."""
+    """`value` as a float; NonPhysicalValueError unless >= 0 and finite."""
     if not (_finite(value) and value >= 0.0):
         raise NonPhysicalValueError(f"{name} must be >= 0, got {value!r}")
+    return float(value)
+
+
+def _require_finite(name, value):
+    """`value` as a float; NonPhysicalValueError unless finite."""
+    if not _finite(value):
+        raise NonPhysicalValueError(f"{name} must be finite")
+    return float(value)
 
 
 def _cube(name, value, error=NonPhysicalValueError):
@@ -183,8 +192,7 @@ class PhysicalConstants(Record):
     __slots__ = _fields = ("gamma",)
 
     def __init__(self, gamma=6.6743e-11):
-        _require_positive("gamma", gamma)
-        self._set(gamma)
+        self._set(_require_positive("gamma", gamma))
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
@@ -201,8 +209,8 @@ class UniformSphere(Record):
     __slots__ = _fields = ("mass", "radius")
 
     def __init__(self, mass, radius):
-        _require_positive("mass", mass)
-        _require_positive("radius", radius)
+        mass = _require_positive("mass", mass)
+        radius = _require_positive("radius", radius)
         if not ball_volume(_cube("radius", radius)):
             raise NonPhysicalValueError(
                 f"the volume of a body of radius {radius!r} m underflows to 0")
@@ -219,12 +227,14 @@ class UniformSphere(Record):
 
     @classmethod
     def from_density_radius(cls, density, radius):
+        density = _require_positive("density", density)
+        radius = _require_positive("radius", radius)
         return cls(ball_volume(_cube("radius", radius)) * density, radius)
 
     @classmethod
     def from_mass_density(cls, mass, density):
-        _require_positive("mass", mass)
-        _require_positive("density", density)
+        mass = _require_positive("mass", mass)
+        density = _require_positive("density", density)
         radius = _cbrt(3.0 * mass / (4.0 * math.pi * density))
         return cls(mass, radius)
 
@@ -241,10 +251,9 @@ class EarthParameters(Record):
 
     def __init__(self, mean_radius=6.371e6, mass=5.9737e24, mean_density=5515.0,
                  surface_first_cosmic_velocity=7910.0):
-        self._set(mean_radius, mass, mean_density,
-                  surface_first_cosmic_velocity)
-        for name, value in zip(self._fields, self._values()):
-            _require_positive(name, value)
+        self._set(*map(_require_positive, self._fields,
+                       (mean_radius, mass, mean_density,
+                        surface_first_cosmic_velocity)))
 
 
 class RadialProfile(Record):
@@ -389,11 +398,11 @@ class PotentialBreakdown(CheckedTuple, namedtuple(
     __slots__ = ()
 
     def __new__(cls, u_surface, equipotential_surface, compression_potential):
-        _require_positive("u_surface", u_surface)
-        _require_positive("equipotential_surface", equipotential_surface)
-        _require_non_negative("compression_potential", compression_potential)
-        return super().__new__(cls, u_surface, equipotential_surface,
-                               compression_potential)
+        return super().__new__(
+            cls, _require_positive("u_surface", u_surface),
+            _require_positive("equipotential_surface", equipotential_surface),
+            _require_non_negative("compression_potential",
+                                  compression_potential))
 
     @property
     def u_infinity(self):
@@ -414,10 +423,8 @@ class BackgroundState(CheckedTuple,
     __slots__ = ()
 
     def __new__(cls, u0, g0, u_infinity):
-        for name, value in (("u0", u0), ("g0", g0),
-                            ("u_infinity", u_infinity)):
-            _require_positive(name, value)
-        return super().__new__(cls, u0, g0, u_infinity)
+        return super().__new__(cls, *map(_require_positive, cls._fields,
+                                         (u0, g0, u_infinity)))
 
 
 def direct_problem(earth: EarthParameters, phi_g,
@@ -485,8 +492,8 @@ class InversionResult(CheckedTuple,
     __slots__ = ()
 
     def __new__(cls, r0, depth, trend):
-        _require_positive("r0", r0)
-        return super().__new__(cls, r0, depth, trend)
+        return super().__new__(cls, _require_positive("r0", r0),
+                               _require_finite("depth", depth), trend)
 
 
 class BoundaryReference(Record):
@@ -504,9 +511,9 @@ class BoundaryReference(Record):
             raise NonPhysicalValueError(
                 f"boundary name must be a string without a comma or line "
                 f"break, got {name!r}")
-        _require_positive("boundary radius", radius)
-        _require_non_negative("layer_half_thickness", layer_half_thickness)
-        self._set(name, radius, layer_half_thickness)
+        self._set(name, _require_positive("boundary radius", radius),
+                  _require_non_negative("layer_half_thickness",
+                                        layer_half_thickness))
 
 
 class AnomalySource(Record):
@@ -520,7 +527,7 @@ class AnomalySource(Record):
     __slots__ = _fields = ("depth", "radius", "density_contrast")
 
     def __init__(self, depth, radius, density_contrast):
-        _require_positive("radius", radius)
+        radius = _require_positive("radius", radius)
         _cube("radius", radius)
         if not (_finite(depth) and depth > radius):
             raise NonPhysicalValueError(
@@ -529,7 +536,7 @@ class AnomalySource(Record):
         if not _finite(density_contrast) or density_contrast == 0.0:
             raise NonPhysicalValueError(
                 f"density_contrast must be non-zero, got {density_contrast!r}")
-        self._set(depth, radius, density_contrast)
+        self._set(float(depth), radius, float(density_contrast))
 
 
 # The one table of segment kinds: each kind and the names of its
@@ -617,10 +624,10 @@ class CavitySchedule(Record):
         segments = tuple(segments)
         if not segments:
             raise ScheduleError("schedule has no segments")
-        _require_positive("source_mass", source_mass)
-        _require_positive("observer_radius", observer_radius)
-        if not _finite(host_density_contrast):
-            raise NonPhysicalValueError("host_density_contrast must be finite")
+        source_mass = _require_positive("source_mass", source_mass)
+        observer_radius = _require_positive("observer_radius", observer_radius)
+        host_density_contrast = _require_finite("host_density_contrast",
+                                                host_density_contrast)
         for i, seg in enumerate(segments):
             if i and seg.t_start != segments[i - 1].t_end:
                 raise ScheduleError(

@@ -109,7 +109,7 @@ def absolute_potential(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
         (2/3)*gamma*rho*pi*R^2 - gamma*M/r + gamma*M/R. Continuous at
         r = R, where the curve has its inflection.
     """
-    _require_non_negative("radius", r)
+    r = _require_non_negative("radius", r)
     if r <= sphere.radius:
         return kernels.uniform_sphere_potential(gamma, sphere.density, r)
     return kernels.exterior_potential(gamma, sphere.density,
@@ -122,7 +122,7 @@ def gravity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
     (4/3)*gamma*pi*rho*r inside, gamma*M/r^2 outside; equals dU/dr
     everywhere and peaks at the boundary r = R.
     """
-    _require_non_negative("radius", r)
+    r = _require_non_negative("radius", r)
     if r <= sphere.radius:
         return kernels.interior_gravity(gamma, sphere.density, r)
     return kernels.exterior_gravity(gamma * sphere.mass, r)

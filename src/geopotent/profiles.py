@@ -8,10 +8,10 @@ the innermost density is extended as a constant.
 With density linear between knots, the enclosed mass M(r) is a quartic
 on each knot interval and the integral of M(s)/s^2 over an interval has
 a closed form, so both are exact to roundoff. They are evaluated from
-one table of M at the knots, built once per profile
-(:attr:`RadialProfile.mass_table`). The pressure interpolant has a
-constant slope on each interval, so its steepest gradient is a knot
-segment, reported at its inner knot.
+the profile's own radii and densities and one table of M at its knots,
+built once per profile (:attr:`RadialProfile.mass_table`). The pressure
+interpolant has a constant slope on each interval, so its steepest
+gradient is a knot segment, reported at its inner knot.
 """
 
 from __future__ import annotations
@@ -42,14 +42,13 @@ class GradPResult(namedtuple("GradPResult", "radius_at_max pressure_at_max "
     __slots__ = ()
 
 
-class MassTable(namedtuple("MassTable", "knots densities mass shells")):
+class MassTable(namedtuple("MassTable", "mass shells")):
     """Enclosed mass at the knots of a profile, from the center outward.
 
-    ``knots`` are the sampled radii, preceded by ``0`` when the first
-    sampled radius is above zero; ``densities`` are the densities there,
-    the innermost one repeated at that added center knot. ``mass[i]`` is
-    M(knots[i]), and ``shells[i]`` the mass between knots[i] and
-    knots[i + 1]. All four are tuples of floats.
+    ``mass[i]`` is M(radii[i]) at the profile's own knots: ``mass[0]`` is
+    the uniform ball below the first sampled radius, 0 when that radius
+    is 0. ``shells[i]`` is the mass between radii[i] and radii[i + 1].
+    Both are tuples of floats.
     """
 
     __slots__ = ()
@@ -75,18 +74,17 @@ def build_mass_table(radii, densities):
     holds them. Raises OutOfDomainError at the first knot whose enclosed
     mass is not finite.
     """
-    if radii[0] > 0.0:
-        radii, densities = (0.0, *radii), densities[:1] + densities
     shells = [_shell_mass(r, rho, (rho_next - rho) / (r_next - r), r_next - r)
               for r, r_next, rho, rho_next
               in zip(radii, radii[1:], densities, densities[1:])]
-    # summed in order, from 0 at the center
-    mass = tuple(accumulate(shells, initial=0.0))
+    # summed in order, from the ball below the first knot
+    mass = tuple(accumulate(
+        shells, initial=_shell_mass(0.0, densities[0], 0.0, radii[0])))
     if not math.isfinite(mass[-1]):  # a non-finite sum stays non-finite
         i = next(i for i, m in enumerate(mass) if not math.isfinite(m))
         raise OutOfDomainError(
             f"enclosed mass at r = {radii[i]!r} m is not finite: {mass[i]!r}")
-    return MassTable(radii, densities, mass, tuple(shells))
+    return MassTable(mass, tuple(shells))
 
 
 def interpolate(profile: RadialProfile, r):
@@ -119,10 +117,13 @@ def enclosed_mass(profile: RadialProfile, r):
     if not (0.0 <= r <= profile.body_radius):
         raise OutOfDomainError(
             f"r = {r!r} outside [0, {profile.body_radius}]")
-    knots, rho, mass, _ = profile.mass_table
-    i = min(bisect_right(knots, r) - 1, len(knots) - 2)
-    slope = (rho[i + 1] - rho[i]) / (knots[i + 1] - knots[i])
-    return mass[i] + _shell_mass(knots[i], rho[i], slope, r - knots[i])
+    radii, rho = profile.radii, profile.densities
+    if r < radii[0]:  # in the uniform ball below the first knot
+        return _shell_mass(0.0, rho[0], 0.0, r)
+    i = min(bisect_right(radii, r) - 1, len(radii) - 2)
+    slope = (rho[i + 1] - rho[i]) / (radii[i + 1] - radii[i])
+    return (profile.mass_table.mass[i]
+            + _shell_mass(radii[i], rho[i], slope, r - radii[i]))
 
 
 def surface_potential_integral(profile: RadialProfile, gamma):
@@ -133,13 +134,10 @@ def surface_potential_integral(profile: RadialProfile, gamma):
     starting at zero radius poses no difficulty. A term past the float
     range raises OutOfDomainError naming its inner knot.
     """
-    knots, rho, mass, _ = profile.mass_table
-    # skip the interval below the first sampled radius, if the table has one
-    first = len(knots) - len(profile)
+    radii, rho = profile.radii, profile.densities
     terms = []
-    for r0, r1, rho0, rho1, mass0 in zip(knots[first:], knots[first + 1:],
-                                         rho[first:], rho[first + 1:],
-                                         mass[first:]):
+    for r0, r1, rho0, rho1, mass0 in zip(radii, radii[1:], rho, rho[1:],
+                                         profile.mass_table.mass):
         t = r1 - r0
         # M_i * (1/r_i - 1/r_{i+1}), 0 where no mass is enclosed, as where
         # r0 * r1 underflows: each mass-table product below r0 did too
@@ -206,14 +204,14 @@ def core_equilibrium_gravity(profile: RadialProfile, core_radius):
             f"core_radius = {core_radius!r} must lie strictly inside "
             f"(0, {profile.body_radius})")
     density, pressure = interpolate(profile, core_radius)
-    area = FOUR_PI * core_radius**2
-    knots, rho, _, shells = profile.mass_table
-    i = bisect_right(knots, core_radius)  # the first knot above the core
+    area = FOUR_PI * (core_radius * core_radius)
+    radii, rho = profile.radii, profile.densities
+    i = bisect_right(radii, core_radius)  # the first knot above the core
     # the shell from the core out to that knot, written in the offset from
     # the core, then the shells above it, exactly rounded
-    slope = (rho[i] - rho[i - 1]) / (knots[i] - knots[i - 1])
-    first = _shell_mass(core_radius, density, slope, knots[i] - core_radius)
-    outside = math.fsum((first, *shells[i:]))
+    slope = (rho[i] - rho[i - 1]) / (radii[i] - radii[i - 1])
+    first = _shell_mass(core_radius, density, slope, radii[i] - core_radius)
+    outside = math.fsum((first, *profile.mass_table.shells[i:]))
     if not outside:
         raise OutOfDomainError(
             f"the mass outside r = {core_radius!r} m rounds to 0")

@@ -67,9 +67,9 @@ def pulsating_potential(mass, radius_t, observer_r, gamma=_DEFAULT_GAMMA):
     1/R(t) term while the observer term stays put. The observer must be
     strictly outside the source.
     """
-    for name, value in (("mass", mass), ("radius_t", radius_t),
-                        ("observer_r", observer_r)):
-        _require_positive(name, value)
+    mass, radius_t, observer_r = map(
+        _require_positive, ("mass", "radius_t", "observer_r"),
+        (mass, radius_t, observer_r))
     if observer_r <= radius_t:
         raise OutOfDomainError(
             f"observer at {observer_r!r} is not outside the source "

@@ -56,8 +56,8 @@ class HomogeneityBoundReport(namedtuple(
 def compression_potential(p_g, rho_g):
     """Aggregate compression potential: characteristic pressure over mean
     density. A quotient past the float range raises OutOfDomainError."""
-    _require_positive("p_g", p_g)
-    _require_positive("rho_g", rho_g)
+    p_g = _require_positive("p_g", p_g)
+    rho_g = _require_positive("rho_g", rho_g)
     if (phi_g := p_g / rho_g) == math.inf:
         raise OutOfDomainError(
             f"phi_g = {p_g!r} / {rho_g!r} overflows the float range")
@@ -73,9 +73,9 @@ def inverse_problem(gm, u_infinity, body_radius) -> InversionResult:
     NonPhysicalValueError unless all three inputs are positive and finite,
     and OutOfDomainError when the quotient overflows or underflows to zero.
     """
-    for name, value in (("gm", gm), ("u_infinity", u_infinity),
-                        ("body_radius", body_radius)):
-        _require_positive(name, value)
+    gm, u_infinity, body_radius = map(
+        _require_positive, ("gm", "u_infinity", "body_radius"),
+        (gm, u_infinity, body_radius))
     r0 = gm / u_infinity
     if not (math.isfinite(r0) and r0 > 0.0):
         raise OutOfDomainError(

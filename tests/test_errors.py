@@ -2,7 +2,8 @@ import inspect
 import math
 import struct
 import warnings
-from itertools import product
+from enum import Enum
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -14,13 +15,17 @@ from geopotent.anomaly import (
     point_mass_signal,
     sensitivity_coefficients,
 )
+from geopotent.config import RunConfig
 from geopotent.core import (
     AnomalySource,
     CavitySchedule,
+    DensityTrend,
     EarthParameters,
+    InversionResult,
     PhysicalConstants,
     PotentialBreakdown,
     RadialProfile,
+    Record,
     ScheduleSegment,
     UniformSphere,
 )
@@ -31,6 +36,14 @@ from geopotent.field import (
     kinetic_potential,
     sample_field,
 )
+from geopotent.profiles import (
+    core_equilibrium_gravity,
+    enclosed_mass,
+    interpolate,
+    mean_density,
+    pressure_gradient_max,
+    surface_potential_integral,
+)
 from geopotent.pulse import (
     evaluate_schedule,
     pulsating_potential,
@@ -40,6 +53,7 @@ from geopotent.solver import (
     BoundaryReference,
     compression_potential,
     direct_problem,
+    homogeneity_bound,
     inverse_problem,
 )
 
@@ -282,6 +296,140 @@ def test_extreme_floats_raise_only_library_errors(arity, call):
         except Exception as exc:  # anything else escapes the library
             escaped.append(f"{args}: {type(exc).__name__}: {exc}")
     assert escaped == []
+
+
+def _extreme_profiles():
+    """Each 4-knot profile that builds from the extremes: radii a rising
+    4-subset of them, densities an inner and an outer one, and pressures
+    one, held over the inner two knots and 0 above them."""
+    positive = [v for v in EXTREMES if v > 0.0 and math.isfinite(v)]
+    radii = list(combinations([0.0, *positive], 4))
+    densities = [(inner, inner, outer, outer)
+                 for inner, outer in product((1e-320, 1.0, 1e308), repeat=2)]
+    pressures = [(p, p, 0.0, 0.0) for p in (0.0, 1e-320, 1.0, 1e308)]
+    built = []
+    for columns in product(radii, densities, pressures):
+        try:
+            built.append(RadialProfile(*columns))
+        except errors.GeopotentError:
+            pass
+    return built
+
+
+EXTREME_PROFILES = _extreme_profiles()
+
+# (id, call on a profile and one extreme value): every profile function;
+# the value is a radius, a core radius or gamma, or unused
+PROFILE_CALLS = [
+    ("enclosed_mass", enclosed_mass),
+    ("mean_density", lambda profile, _: mean_density(profile)),
+    ("surface_potential_integral", surface_potential_integral),
+    ("pressure_gradient_max",
+     lambda profile, _: pressure_gradient_max(profile)),
+    ("core_equilibrium_gravity", core_equilibrium_gravity),
+    ("interpolate", interpolate),
+    ("homogeneity_bound", homogeneity_bound),
+]
+
+
+@pytest.mark.parametrize("call", [c[1] for c in PROFILE_CALLS],
+                         ids=[c[0] for c in PROFILE_CALLS])
+def test_extreme_profiles_raise_only_library_errors(call):
+    assert len(EXTREME_PROFILES) > 300
+    escaped = []
+    for profile, value in product(EXTREME_PROFILES, EXTREMES):
+        try:
+            call(profile, value)
+        except errors.GeopotentError:
+            pass
+        except Exception as exc:  # anything else escapes the library
+            escaped.append(f"{profile.radii}, {profile.densities}, "
+                           f"{profile.pressures}, {value}: "
+                           f"{type(exc).__name__}: {exc}")
+    assert escaped == []
+
+
+def _numbers(value):
+    """The numbers a record holds, through its nested records and tuples."""
+    if isinstance(value, (str, Enum)):
+        return []
+    if isinstance(value, Record):
+        value = value._values()
+    if isinstance(value, tuple):
+        return [n for item in value for n in _numbers(item)]
+    return [value]
+
+
+# Every record stores its numbers as the Python floats its checks
+# return, whatever type of number it is built from. The grid holds ints
+# in and past the float range and numpy scalars. It reaches only record
+# fields and the arguments that a check reads; an int where no check
+# reads it, such as gamma, still reaches the arithmetic as an int.
+SEGMENT = ScheduleSegment(0, 10, "constant", (1,))
+NUMBERS = (0, -1, 3, 10**103, 10**160, 10**308, 10**400,
+           np.int64(3), np.float64(1e103), np.float32(3.0))
+RECORD_BUILDS = [
+    ("PhysicalConstants", 1, PhysicalConstants),
+    ("UniformSphere", 2, UniformSphere),
+    ("from_mass_radius", 2, UniformSphere.from_mass_radius),
+    ("from_density_radius", 2, UniformSphere.from_density_radius),
+    ("from_mass_density", 2, UniformSphere.from_mass_density),
+    ("EarthParameters", 4, EarthParameters),
+    ("RadialProfile", 1, lambda r: RadialProfile([0, 1, 2, r], [4, 3, 2, 1],
+                                                 [3, 2, 1, 0])),
+    ("BoundaryReference", 2, lambda radius, half: BoundaryReference(
+        "CMB", radius, half)),
+    ("AnomalySource", 3, AnomalySource),
+    ("ScheduleSegment", 1, lambda r: ScheduleSegment(0, 10, "constant",
+                                                     (r,))),
+    ("CavitySchedule", 3, lambda mass, observer, contrast: CavitySchedule(
+        (SEGMENT,), mass, observer, contrast)),
+    ("PotentialBreakdown", 3, PotentialBreakdown),
+    ("BackgroundState", 3, BackgroundState),
+    ("InversionResult", 2, lambda r0, depth: InversionResult(
+        r0, depth, DensityTrend.UNIFORM)),
+    ("RunConfig", 1, lambda p_g: RunConfig(p_g_override=p_g)),
+    # the functions that check their arguments compute with the floats
+    ("inverse_problem", 3, inverse_problem),
+    ("compression_potential", 2, compression_potential),
+    ("pulsating_potential", 3, pulsating_potential),
+    ("sensitivity_coefficients", 2, sensitivity_coefficients),
+    ("direct_problem", 1, lambda phi_g: direct_problem(EarthParameters(),
+                                                      phi_g)),
+]
+
+
+@pytest.mark.parametrize("arity, build", [c[1:] for c in RECORD_BUILDS],
+                         ids=[c[0] for c in RECORD_BUILDS])
+def test_records_hold_python_floats(arity, build):
+    escaped, kept, built = [], [], 0
+    for args in product(NUMBERS, repeat=arity):
+        try:
+            record = build(*args)
+        except errors.GeopotentError:
+            continue
+        except Exception as exc:  # anything else escapes the library
+            escaped.append(f"{args}: {type(exc).__name__}: {exc}")
+            continue
+        built += 1
+        kept += [f"{args}: {n!r}" for n in _numbers(record)
+                 if type(n) is not float]
+    assert escaped == []
+    assert kept == []
+    assert built
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UniformSphere(1e300, 10**103),
+    lambda: UniformSphere.from_density_radius(1.0, 10**103),
+    lambda: AnomalySource(10**105, 10**103, -1.0),
+], ids=["init", "from_density_radius", "anomaly_source"])
+def test_an_int_radius_whose_cube_overflows(build):
+    with pytest.raises(errors.InputError) as err:
+        build()
+    assert type(err.value) is errors.NonPhysicalValueError
+    assert str(err.value) == ("radius 1e+103 is too large: its cube "
+                              "overflows the float range")
 
 
 def test_array_and_scalar_field_paths_agree():

@@ -4,6 +4,7 @@ import os
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -176,19 +177,23 @@ class TestMassTable:
     def test_built_once_and_read_only(self, prem_profile):
         table = prem_profile.mass_table
         assert prem_profile.mass_table is table
+        assert profiles.MassTable._fields == ("mass", "shells")
         assert all(type(col) is tuple for col in table)
-        assert table.mass[0] == 0.0
-        assert table.knots[0] == 0.0
+        assert len(table.mass) == len(prem_profile)
+        assert len(table.shells) == len(prem_profile) - 1
+        assert prem_profile.radii[0] == table.mass[0] == 0.0
 
-    def test_center_knot_added_above_zero(self):
+    def test_center_ball_below_the_first_knot(self):
         profile = RadialProfile([1.0e5, 1.0e6, 2.0e6, 3.0e6],
                                 [9000.0, 8000.0, 5000.0, 3000.0],
                                 [3e11, 2e11, 1e11, 0.0])
-        knots, densities, mass, _ = profile.mass_table
-        assert list(knots) == [0.0, 1.0e5, 1.0e6, 2.0e6, 3.0e6]
-        assert densities[0] == densities[1] == 9000.0
-        assert mass[1] == pytest.approx(
+        mass, shells = profile.mass_table
+        assert len(mass) == len(profile)
+        assert mass[0] == pytest.approx(
             (4.0 / 3.0) * math.pi * 9000.0 * 1.0e5**3, rel=1e-15)
+        assert enclosed_mass(profile, 5.0e4) == pytest.approx(
+            mass[0] / 8.0, rel=1e-15)
+        assert list(mass) == list(accumulate(shells, initial=mass[0]))
 
     @pytest.mark.parametrize("radii,densities,message", [
         # M passes the float range
@@ -241,16 +246,15 @@ class TestNumpyParity:
         for profile in parity_profiles(prem_profile):
             radii = np.array(profile.radii)
             rho = np.array(profile.densities)
-            if radii[0] > 0.0:
-                radii = np.concatenate(([0.0], radii))
-                rho = np.concatenate((rho[:1], rho))
             t = np.diff(radii)
             shells = profiles._shell_mass(radii[:-1], rho[:-1],
                                           np.diff(rho) / t, t)
-            mass = np.concatenate(([0.0], np.cumsum(shells)))
+            # the uniform ball below the first knot, then the shells
+            center = profiles._shell_mass(0.0, rho[0], 0.0, radii[0])
+            mass = np.cumsum(np.concatenate(([center], shells)))
             table = profile.mass_table
-            assert list(table.knots) == radii.tolist()
-            assert list(table.densities) == rho.tolist()
+            assert list(map(float.hex, table.shells)) == \
+                list(map(float.hex, shells.tolist()))
             assert list(map(float.hex, table.mass)) == \
                 list(map(float.hex, mass.tolist()))
 

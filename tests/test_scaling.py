@@ -10,20 +10,31 @@ a speed, the square root of a potential, scales by a power of two too.
 """
 
 import ast
+import json
 import math
 import os
 import random
+import tempfile
+from itertools import accumulate
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from geopotent import (
     BackgroundState,
     CavitySchedule,
     PulseSample,
+    RadialProfile,
     ScheduleSegment,
     UniformSphere,
+    cli,
+    core_equilibrium_gravity,
+    enclosed_mass,
     evaluate_schedule,
+    homogeneity_bound,
+    mean_density,
+    pressure_gradient_max,
+    surface_potential_integral,
 )
 from geopotent.core import SEGMENT_PARAMS, _cbrt
 
@@ -41,6 +52,10 @@ UNITS = {
     "potential": (2, 1),
     "gravity": (1, 1),
     "speed": (1, 0.5),
+    "ratio": (0, 0),
+    # a pressure is a density times a potential
+    "pressure": (2, 2),
+    "pressure_gradient": (1, 2),
 }
 
 PULSE_UNITS = dict(zip(PulseSample._fields, (
@@ -105,6 +120,137 @@ def test_pulse_columns_scale_to_the_bit(case, ab):
             scaled(v, quantity, a, b) for v in getattr(unscaled, name)), name
 
 
+GAMMA = 6.6743e-11
+
+# the cells of the profile report, and the columns of its core_equilibrium
+# table; homogeneity_holds is a bool, the same at every scale
+PROFILE_UNITS = {
+    "body_radius_m": "length",
+    "total_mass_kg": "mass",
+    "mean_density_kg_m3": "density",
+    "grad_p_radius_m": "length",
+    "grad_p_pressure_pa": "pressure",
+    "grad_p_gradient_pa_m": "pressure_gradient",
+    "homogeneity_integral_j_kg": "potential",
+    "homogeneity_uniform_j_kg": "potential",
+    "homogeneity_relative_gap": "ratio",
+    "radius_m": "length",
+    "equilibrium_gravity_m_s2": "gravity",
+}
+
+
+@st.composite
+def profile_cases(draw):
+    """Radii, densities and pressures of a valid profile, unscaled, with
+    its first knot at the centre or above it."""
+    n = draw(st.integers(4, 12))
+    first = draw(st.one_of(st.just(0.0), st.floats(1.0, 1e5)))
+    steps = draw(st.lists(st.floats(1.0, 1e6), min_size=n - 1,
+                          max_size=n - 1))
+    densities = draw(st.lists(st.floats(1.0, 2e4), min_size=n, max_size=n))
+    pressures = draw(st.lists(st.one_of(st.just(0.0), st.floats(1.0, 4e11)),
+                              min_size=n, max_size=n))
+    return (list(accumulate(steps, initial=first)), densities,
+            sorted(pressures, reverse=True))
+
+
+def scaled_profile(case, a, b):
+    radii, densities, pressures = case
+    return RadialProfile([scaled(r, "length", a, b) for r in radii],
+                         [scaled(rho, "density", a, b) for rho in densities],
+                         [scaled(p, "pressure", a, b) for p in pressures])
+
+
+def inner_radii(profile):
+    """Radii at which the profile functions are evaluated: the knots and
+    the midpoints between them, and half the first knot below it."""
+    knots = profile.radii
+    mids = [0.5 * (r0 + r1) for r0, r1 in zip(knots, knots[1:])]
+    return [0.5 * knots[0], *knots, *mids]
+
+
+def profile_values(profile):
+    """(quantity, value) of every profile function on `profile`."""
+    radii = inner_radii(profile)
+    grad = pressure_gradient_max(profile)
+    bound = homogeneity_bound(profile, GAMMA)
+    cores = [r for r in radii if profile.radii[0] <= r < profile.body_radius
+             and r > 0.0]
+    return [
+        *(("mass", enclosed_mass(profile, r)) for r in radii),
+        ("density", mean_density(profile)),
+        ("potential", surface_potential_integral(profile, GAMMA)),
+        ("length", grad.radius_at_max),
+        ("pressure", grad.pressure_at_max),
+        ("pressure_gradient", grad.gradient_magnitude),
+        ("potential", bound.integral_side),
+        ("potential", bound.uniform_side),
+        ("ratio", bound.relative_gap),
+        *(("gravity", core_equilibrium_gravity(profile, r)) for r in cores),
+    ]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(case=profile_cases(), ab=exponents)
+def test_profile_functions_scale_to_the_bit(case, ab):
+    a, b = ab
+    unscaled, profile = scaled_profile(case, 0, 0), scaled_profile(case, a, b)
+    assume(unscaled.pressures[0] > unscaled.pressures[-1])
+    want = [(quantity, scaled(value, quantity, a, b).hex())
+            for quantity, value in profile_values(unscaled)]
+    assert [(quantity, value.hex())
+            for quantity, value in profile_values(profile)] == want
+    assert (homogeneity_bound(profile, GAMMA).holds
+            == homogeneity_bound(unscaled, GAMMA).holds)
+
+
+def run_profile_cli(case, a, b, folder):
+    """The result and tables of ``geopotent profile --format json`` on the
+    scaled profile, with reference boundaries at its inner radii."""
+    profile = scaled_profile(case, a, b)
+    csv_path = os.path.join(folder, f"profile_{a}_{b}.csv")
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write("radius_m,density_kg_m3,pressure_pa\n")
+        fh.writelines(f"{r!r},{rho!r},{p!r}\n" for r, rho, p in zip(
+            profile.radii, profile.densities, profile.pressures))
+    radii = inner_radii(profile)
+    config = {"boundaries": [
+        {"name": f"b{i}", "radius": r, "layer_half_thickness": 0.5 * r}
+        for i, r in enumerate(radii) if r > 0.0]}
+    config_path = os.path.join(folder, f"config_{a}_{b}.json")
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    out_path = os.path.join(folder, f"report_{a}_{b}.json")
+    assert cli.main(["profile", "--profile", csv_path, "--config",
+                     config_path, "--format", "json", "--out", out_path]) == 0
+    with open(out_path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    return report["result"], report["tables"]
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(case=profile_cases(), ab=exponents)
+def test_profile_report_scales_to_the_bit(case, ab):
+    a, b = ab
+    assume(case[2][0] > case[2][-1])
+    with tempfile.TemporaryDirectory() as folder:
+        result, tables = run_profile_cli(case, a, b, folder)
+        want_result, want_tables = run_profile_cli(case, 0, 0, folder)
+    assert result.pop("homogeneity_holds") == \
+        want_result.pop("homogeneity_holds")
+    assert {k: v.hex() for k, v in result.items()} == {
+        k: scaled(v, PROFILE_UNITS[k], a, b).hex()
+        for k, v in want_result.items()}
+    table, = tables
+    want, = want_tables
+    assert table["rows"] and table["columns"] == want["columns"]
+    assert [row.pop("boundary") for row in table["rows"]] == \
+        [row.pop("boundary") for row in want["rows"]]
+    assert [{k: v.hex() for k, v in row.items()} for row in table["rows"]] \
+        == [{k: scaled(v, PROFILE_UNITS[k], a, b).hex()
+             for k, v in row.items()} for row in want["rows"]]
+
+
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(mass=st.floats(1e3, 1e30), radius=st.floats(1e-3, 1e7),
        ab=exponents)
@@ -133,40 +279,31 @@ def test_cbrt_inverts_a_product_cube_within_an_ulp():
 
 
 # A power goes through libm pow, which need not be correctly rounded and
-# so need not scale exactly; a cube is a product and a cube root splits
-# off its exponent. These are the only functions that may hold either.
-POWER_HOMES = {("core.py", "_cube"), ("core.py", "_cbrt")}
+# so need not scale exactly; a square or a cube is a product, and a cube
+# root splits off its exponent. Only the cube root may hold a power.
+POWER_HOMES = {("core.py", "_cbrt")}
 
 
-def _constant(node):
-    """The value of an expression of number literals, else None."""
-    if all(isinstance(n, (ast.Constant, ast.BinOp, ast.UnaryOp,
-                          ast.operator, ast.unaryop))
-           for n in ast.walk(node)):
-        return eval(compile(ast.Expression(node), "<exponent>", "eval"))
-    return None
-
-
-def _cube_powers(node, function=None):
-    """(enclosing function, source) of each ``** 3`` and ``** (1/3)``."""
+def _powers(node, function=None):
+    """(enclosing function, source) of each ``**`` and ``**=``."""
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = child.name
         else:
             inner = function
-        if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow)
-                and _constant(child.right) in (3, 1.0 / 3.0)):
+        if (isinstance(child, (ast.BinOp, ast.AugAssign))
+                and isinstance(child.op, ast.Pow)):
             yield function, ast.unparse(child)
-        yield from _cube_powers(child, inner)
+        yield from _powers(child, inner)
 
 
-def test_cubes_and_cube_roots_stay_in_their_homes():
+def test_powers_stay_in_their_home():
     found = []
     for name in sorted(os.listdir(SRC)):
         if name.endswith(".py"):
             with open(os.path.join(SRC, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
-            found += [(name, *power) for power in _cube_powers(tree)]
+            found += [(name, *power) for power in _powers(tree)]
     assert [power for power in found if power[:2] not in POWER_HOMES] == []
     # the scan sees the one cube root that must stay a power
     assert ("core.py", "_cbrt") in {power[:2] for power in found}
