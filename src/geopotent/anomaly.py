@@ -24,6 +24,8 @@ from .core import (
     BackgroundState,
     _cube,
     _float_column,
+    _require_finite,
+    _require_float,
     _require_positive,
 )
 from .errors import NonPhysicalValueError, OutOfDomainError
@@ -96,9 +98,13 @@ def point_mass_signal(delta_mass, distance, background: BackgroundState,
     delta_u = gamma*dM/d, delta_g = gamma*dM/d^2; delta_v_s is the change
     of sqrt(2*(u_infinity - u)) when u0 is perturbed by delta_u
     (:func:`speed_changes`). A distance whose square underflows to 0
-    raises ``OutOfDomainError``.
+    raises ``OutOfDomainError``. A `delta_mass` that is inf or nan gives
+    the signal its arithmetic gives; one that is not a float, or a gamma
+    that is not finite, raises ``NonPhysicalValueError``.
     """
+    delta_mass = _require_float("delta_mass", delta_mass)
     distance = _require_positive("distance", distance)
+    gamma = _require_finite("gamma", gamma)
     if not distance * distance:
         raise OutOfDomainError(
             f"the square of the distance {distance!r} m underflows to 0")

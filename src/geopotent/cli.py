@@ -22,10 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 from bisect import bisect_right
 from collections import namedtuple
-from itertools import repeat
+from itertools import chain, repeat
 
 from . import __version__
 from .anomaly import (
@@ -44,6 +45,7 @@ from .core import (
     LINE_BREAKS,
     AnomalySource,
     RadialProfile,
+    _repeated,
 )
 from .errors import (
     DomainError,
@@ -69,10 +71,11 @@ PROFILE_HEADER = "radius_m,density_kg_m3,pressure_pa"
 PULSE_COLUMNS = ("t_s", "source_radius_m", "potential_j_kg", "delta_u_j_kg",
                  "delta_g_m_s2", "delta_v_s_m_s")
 
-# Largest --num-samples accepted. Every sample is held as a row of the
-# series' columns and as rendered text until the report is written; a
-# fresh run at the ceiling peaks near 62 MB RSS for CSV and 97 MB for
-# JSON.
+# Largest --num-samples accepted. Until the report is written, each
+# sample's time and rendered text are held, and the series' other columns
+# once per run of constant radius; a fresh run at the ceiling on
+# tests/fixtures/growth_schedule.json peaks near 49 MB RSS for CSV and
+# 82 MB for JSON.
 PULSE_MAX_SAMPLES = 100_000
 
 # The smallest float whose 10 significant digits read back as inf: a
@@ -172,13 +175,16 @@ def _preamble(report):
     return lines
 
 
-class Table(namedtuple("Table", "columns data name", defaults=("rows",))):
+class Table(namedtuple("Table", "columns data name runs",
+                       defaults=("rows", None))):
     """The rows of a report table, held as columns.
 
     ``columns`` names the columns and ``data`` holds one tuple of cells
     per column. JSON writes a table as its array of row objects, CSV as
     a header line and one line per row. ``name`` names the table in
-    errors; the pulse series is the report's ``rows``.
+    errors; the pulse series is the report's ``rows``. With ``runs``,
+    the run lengths, the first column holds one cell per row and every
+    other column one cell per run of rows.
     """
 
     __slots__ = ()
@@ -190,24 +196,51 @@ def _table(name, columns):
     return {"name": name, "columns": list(table.columns), "rows": table}
 
 
+def _fast(col, limit):
+    """Whether every cell of `col` is a float and their magnitudes sum
+    below `limit`; a nan or an inf fails the sum."""
+    return set(map(type, col)) <= {float} and sum(map(abs, col)) < limit
+
+
 def _row_slots(table, fast, limit, slow):
     """The row-template slots of a table's columns, and its rows to fill.
 
-    A column of floats whose magnitudes sum below `limit` takes the
-    `fast` slot and goes in as is; a nan or an inf fails the sum. Any
+    A ``_fast`` column takes the `fast` slot and goes in as is. Any
     other column takes a ``%s`` slot, filled with ``slow(cell,
     "<table>.<column>")``. Those cells are made as the rows are read, so
     a non-finite cell raises at the first one in row-major order.
     """
     slots, cells = [], []
     for name, col in zip(table.columns, table.data):
-        if set(map(type, col)) <= {float} and sum(map(abs, col)) < limit:
+        if _fast(col, limit):
             slots.append(fast)
             cells.append(col)
         else:
             slots.append("%s")
             cells.append(map(slow, col, repeat(f"{table.name}.{name}")))
     return slots, zip(*cells)
+
+
+def _row_texts(table, fast, limit, slow, pieces):
+    """The text of each row of a table, from the row template.
+
+    ``pieces(slots)`` gives the template cut after each column's slot.
+    A table held as runs, with a column after the first and every
+    column ``_fast``, fills its first piece once per row and the rest
+    once per run. Any other table, runs expanded, fills the whole
+    template once per row, with the slots of ``_row_slots``.
+    """
+    if table.runs is not None:
+        first, *rest = table.data
+        if rest and all(_fast(col, limit) for col in table.data):
+            head, *tail = pieces([fast] * len(table.columns))
+            tails = map("".join(tail).__mod__, zip(*rest))
+            return map(operator.add, map(head.__mod__, first),
+                       chain.from_iterable(map(repeat, tails, table.runs)))
+        table = table._replace(data=(first, *(_repeated(col, table.runs)
+                                              for col in rest)), runs=None)
+    slots, rows = _row_slots(table, fast, limit, slow)
+    return map("".join(pieces(slots)).__mod__, rows)
 
 
 def _csv_lines(table):
@@ -217,8 +250,10 @@ def _csv_lines(table):
     and ``format`` both format a float with ``.10g`` through
     ``PyOS_double_to_string``, so it reads as ``_fmt`` writes it.
     """
-    slots, rows = _row_slots(table, "%.10g", _FMT_LIMIT, _fmt)
-    return [",".join(table.columns), *map(",".join(slots).__mod__, rows)]
+    def pieces(slots):
+        return [*slots[:1], *map(",".__add__, slots[1:])]
+    return [",".join(table.columns),
+            *_row_texts(table, "%.10g", _FMT_LIMIT, _fmt, pieces)]
 
 
 def render_csv(report):
@@ -245,16 +280,18 @@ def _json_cell(value, where):
 def _json_rows(table, indent, out):
     """Append a table to `out` as ``json.dumps(..., indent=2)`` writes it.
 
-    Every row fills one template. A finite float column fills a ``%r``
-    slot: ``float.__repr__``, which ``json`` uses too.
+    Every row fills one template (see ``_row_texts``). A finite float
+    column fills a ``%r`` slot: ``float.__repr__``, which ``json`` uses
+    too.
     """
     inner = indent + "  "
-    slots, rows = _row_slots(table, "%r", math.inf, _json_cell)
-    fields = ",\n".join(
-        f"{inner}  {json.dumps(name).replace('%', '%%')}: {slot}"
-        for name, slot in zip(table.columns, slots))
-    template = f"{inner}{{\n{fields}\n{inner}}}"
-    rows = ",\n".join(map(template.__mod__, rows))
+    keys = [json.dumps(name).replace("%", "%%") for name in table.columns]
+
+    def pieces(slots):
+        fields = [f"{inner}  {key}: {slot}" for key, slot in zip(keys, slots)]
+        return [f"{inner}{{\n{fields[0]}", *map(",\n".__add__, fields[1:]),
+                f"\n{inner}}}"]
+    rows = ",\n".join(_row_texts(table, "%r", math.inf, _json_cell, pieces))
     out.extend(("[\n", rows, f"\n{indent}]") if rows else ("[]",))
 
 
@@ -493,7 +530,8 @@ def cmd_pulse(cfg: RunConfig, args):
         "observer_radius": schedule.observer_radius,
         "host_density_contrast": schedule.host_density_contrast,
     }
-    report["rows"] = Table(PULSE_COLUMNS, table.columns())
+    runs, lengths = table.runs()
+    report["rows"] = Table(PULSE_COLUMNS, (table.t, *runs), runs=lengths)
     return report
 
 

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from collections import namedtuple
 from enum import Enum
 from functools import cached_property, partial
-from itertools import groupby, repeat
+from itertools import chain, groupby, repeat
 
 from .errors import (
     NonMonotonicRadiusError,
@@ -63,6 +63,17 @@ def _require_finite(name, value):
     """`value` as a float; NonPhysicalValueError unless finite."""
     if not _finite(value):
         raise NonPhysicalValueError(f"{name} must be finite")
+    return float(value)
+
+
+def _require_float(name, value):
+    """`value` as a float, inf and nan kept; NonPhysicalValueError if it is
+    not a number or is an int past the float range."""
+    try:
+        math.isfinite(value)
+    except (TypeError, OverflowError):
+        raise NonPhysicalValueError(
+            f"{name} must be a number within the float range") from None
     return float(value)
 
 
@@ -148,10 +159,11 @@ class ColumnTable(Record):
         cls._fields = cls._row._fields
 
     def __init__(self, *columns, **named):
-        self._set(*map(self._column, self._row(*columns, **named)))
-        if len(set(map(len, self.columns()))) > 1:
+        columns = tuple(map(self._column, self._row(*columns, **named)))
+        if len(set(map(len, columns))) > 1:
             raise NonPhysicalValueError(
                 f"{type(self).__name__} columns must be of equal length")
+        self._set(*columns)
 
     def columns(self):
         """The columns, in the field order of the row class."""
@@ -328,6 +340,11 @@ def _float_column(name, values):
                     index=i) from None
     raise NonPhysicalValueError(
         f"{name} must be a one-dimensional column of numbers")
+
+
+def _repeated(values, lengths):
+    """A tuple of `values`, each repeated as many times as its length."""
+    return tuple(chain.from_iterable(map(repeat, values, lengths)))
 
 
 def _is_sequence(value):
@@ -593,19 +610,23 @@ class ScheduleSegment(Record):
         self._set(start, end, kind, radii)
 
     def radii_and_cubes(self, times):
-        """Lists of R(t) and R(t)^3 at each of `times`, all in this segment."""
+        """R(t) and R(t)^3 once per run of `times`, all in this segment,
+        with the run lengths, as three lists. A kind that holds R fixed
+        makes all of `times` one run; a linear segment makes each time
+        its own run."""
         n = len(times)
         if self.kind == "constant":
             radius, = self.params
-            return [radius] * n, [radius * radius * radius] * n
+            return [radius], [radius * radius * radius], [n]
         if self.kind == "linear":
             r_a, r_b = self.params
             t0, dr, span = self.t_start, r_b - r_a, self.t_end - self.t_start
             radii = [r_a + dr * ((t - t0) / span) for t in times]
-            return radii, [radius * radius * radius for radius in radii]
+            cubes = [radius * radius * radius for radius in radii]
+            return radii, cubes, [1] * n
         r_1, r_2 = self.params
         cube = r_1 * r_1 * r_1 + r_2 * r_2 * r_2
-        return [_cbrt(cube)] * n, [cube] * n
+        return [_cbrt(cube)], [cube], [n]
 
 
 class CavitySchedule(Record):
@@ -657,8 +678,13 @@ class CavitySchedule(Record):
         return self.segments[-1].t_end
 
     def radii_and_cubes(self, times):
-        """Lists of R(t) and R(t)^3 at `times`; an end time belongs to the
-        next segment."""
+        """R(t) and R(t)^3 once per run of `times`, with the run lengths,
+        as three lists; an end time belongs to the next segment.
+
+        A run is a stretch of consecutive times in one segment of a kind
+        that holds R fixed, or one time in a linear segment (see
+        :meth:`ScheduleSegment.radii_and_cubes`).
+        """
         t_start, t_end = self.t_start, self.t_end
         for t in times:
             try:
@@ -669,7 +695,9 @@ class CavitySchedule(Record):
             raise ScheduleError(
                 f"time {t} outside schedule span [{t_start}, {t_end}]")
         ends = [seg.t_end for seg in self.segments[:-1]]
-        runs = [self.segments[i].radii_and_cubes(list(run))
-                for i, run in groupby(times, partial(bisect_right, ends))]
-        return ([radius for radii, _ in runs for radius in radii],
-                [cube for _, cubes in runs for cube in cubes])
+        columns = ([], [], [])
+        for i, group in groupby(times, partial(bisect_right, ends)):
+            for column, part in zip(
+                    columns, self.segments[i].radii_and_cubes(list(group))):
+                column += part
+        return columns

@@ -12,13 +12,18 @@ survey time series are differenced in practice. A growing gas cavity
 equipotential velocity up.
 
 The schedule gives each R(t) with the cube the deficit is taken from; a
-coalesced cavity keeps the exact volume sum R1^3 + R2^3 of the two.
+coalesced cavity keeps the exact volume sum R1^3 + R2^3 of the two. It
+gives them once per run of sample times over which R(t) is held fixed,
+and the series is computed and stored once per run.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import namedtuple
+from functools import cached_property
+from itertools import accumulate
 
 from .anomaly import point_mass_signal, speed_changes
 from .core import (
@@ -27,10 +32,12 @@ from .core import (
     CavitySchedule,
     ColumnTable,
     _float_column,
+    _repeated,
+    _require_finite,
     _require_positive,
     surface_background,
 )
-from .errors import OutOfDomainError
+from .errors import NonPhysicalValueError, OutOfDomainError
 from .kernels import ball_volume, exterior_gravity, u_infinity
 
 _DEFAULT_GAMMA = DEFAULT_CONSTANTS.gamma
@@ -42,22 +49,82 @@ class PulseSample(namedtuple("PulseSample", "t source_radius potential "
 
     `potential` is the literal constant-mass value at the observer; the
     delta fields are the mass-deficit view differenced against the first
-    sample of the run.
+    sample of the series.
     """
 
     __slots__ = ()
 
 
-class PulseTable(ColumnTable):
-    """The precursor series as columns of plain floats.
+def _run_column(k):
+    """The property that reads run column `k` of a PulseTable in full."""
+    return property(lambda table: _repeated(table._runs[k], table._lengths))
 
-    Columns are named like the fields of PulseSample and stored as
-    tuples; the table reads like the list of PulseSample it stands for
-    (see :class:`geopotent.core.ColumnTable`).
+
+class PulseTable(ColumnTable):
+    """The precursor series as columns of plain floats, each value once.
+
+    Columns are named like the fields of PulseSample; the table reads
+    like the list of PulseSample it stands for (see
+    :class:`geopotent.core.ColumnTable`). ``t`` is stored as a tuple with
+    one time per row. The other five columns are stored once per run of
+    rows, which ``runs()`` gives as five tuples with the run lengths;
+    reading one of them, or ``columns()``, gives its full tuple. The
+    constructor takes full columns and makes each row its own run;
+    ``from_runs`` takes the run form.
     """
 
     _row = PulseSample
     _column = tuple
+
+    source_radius, potential, delta_u, delta_g, delta_v_s = map(
+        _run_column, range(5))
+
+    def _set(self, t, *columns):
+        self._set_runs(t, columns, (1,) * len(t))
+
+    def _set_runs(self, t, runs, lengths):
+        for name, value in zip(("t", "_runs", "_lengths"), (t, runs, lengths)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_runs(cls, t, runs, lengths):
+        """The table of the times `t`, the five other columns given once
+        per run in `runs`, and the run `lengths`, which sum to len(t)."""
+        t, lengths = tuple(t), tuple(lengths)
+        runs = tuple(map(tuple, runs))
+        if (len(runs) != len(cls._fields) - 1
+                or set(map(len, runs)) - {len(lengths)}
+                or min(lengths, default=1) < 1 or sum(lengths) != len(t)):
+            raise NonPhysicalValueError(
+                "PulseTable runs must be five columns of one cell per run, "
+                "with positive run lengths that sum to the number of times")
+        table = cls.__new__(cls)
+        table._set_runs(t, runs, lengths)
+        return table
+
+    def runs(self):
+        """The five columns after ``t``, one cell per run, and the run
+        lengths."""
+        return self._runs, self._lengths
+
+    def __len__(self):
+        return len(self.t)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return super().__getitem__(index)
+        i = range(len(self.t))[index]
+        run = bisect_right(self._ends, i)
+        return self._row(*map(float, (self.t[i],
+                                      *(col[run] for col in self._runs))))
+
+    @cached_property
+    def _ends(self):
+        """Where each run ends: the index after its last row."""
+        return tuple(accumulate(self._lengths))
+
+    def __reduce__(self):  # copy and pickle keep the run form
+        return type(self).from_runs, (self.t, self._runs, self._lengths)
 
 
 def pulsating_potential(mass, radius_t, observer_r, gamma=_DEFAULT_GAMMA):
@@ -70,6 +137,7 @@ def pulsating_potential(mass, radius_t, observer_r, gamma=_DEFAULT_GAMMA):
     mass, radius_t, observer_r = map(
         _require_positive, ("mass", "radius_t", "observer_r"),
         (mass, radius_t, observer_r))
+    gamma = _require_finite("gamma", gamma)
     if observer_r <= radius_t:
         raise OutOfDomainError(
             f"observer at {observer_r!r} is not outside the source "
@@ -102,15 +170,18 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
         One row per time, input order preserved: the schedule's R(t),
         then bit for bit what :func:`pulsating_potential` and
         :func:`point_mass_signal` give for it. A constant schedule
-        yields exactly zero deltas everywhere.
+        yields exactly zero deltas everywhere. Every column but ``t`` is
+        computed and stored once per run of times over which the
+        schedule holds R(t) fixed (see ``CavitySchedule.radii_and_cubes``).
     """
     times = _float_column("time", sample_times)
     if not times:
         return PulseTable([], [], [], [], [], [])
     background = (surface_background() if background is None
                   else BackgroundState(*background))
+    gamma = _require_finite("gamma", gamma)
     # a time outside the span is rejected before any sample is built
-    radii, cubes = schedule.radii_and_cubes(times)
+    radii, cubes, lengths = schedule.radii_and_cubes(times)
     deficits = [ball_volume(cubed) * schedule.host_density_contrast
                 for cubed in cubes]
     delta_masses = [deficit - deficits[0] for deficit in deficits]
@@ -118,9 +189,10 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
     delta_u = [gamma * dm / observer for dm in delta_masses]
     base = background.u_infinity - background.u0
     # The two scalar functions are the only home of the checks and their
-    # messages. Sample 0 runs the checks that do not depend on the sample;
-    # the first later sample whose radius or perturbed potential fails
-    # then raises from the same calls, in the same order, as a loop would.
+    # messages. Run 0 runs the checks that do not depend on the sample;
+    # the first later run whose radius or perturbed potential fails
+    # then raises from the same calls, in the same order, as a loop over
+    # the samples would at that run's first sample.
     bad = next((i for i, (radius, du) in enumerate(zip(radii, delta_u))
                 if not 0.0 < radius < observer or base - du < 0.0), 0)
     for i in (0, bad):
@@ -129,12 +201,10 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
     gm = gamma * mass
     outside = -gm / observer
     speed = math.sqrt(2.0 * base)
-    return PulseTable(
-        t=times,
-        source_radius=radii,
-        potential=[outside + u_infinity(gm, radius) for radius in radii],
-        delta_u=delta_u,
-        delta_g=[exterior_gravity(gamma * dm, observer)
-                 for dm in delta_masses],
-        delta_v_s=speed_changes(delta_u, base, speed),
-    )
+    return PulseTable.from_runs(times, (
+        radii,
+        [outside + u_infinity(gm, radius) for radius in radii],
+        delta_u,
+        [exterior_gravity(gamma * dm, observer) for dm in delta_masses],
+        speed_changes(delta_u, base, speed),
+    ), lengths)

@@ -213,7 +213,7 @@ def test_criterion_7_pulsating_model():
                   ScheduleSegment(10.0, 20.0, "coalesce_step", (500.0, 500.0))),
         source_mass=1e12, observer_radius=5000.0,
         host_density_contrast=-2700.0)
-    _, (before, after) = merged_schedule.radii_and_cubes([5.0, 15.0])
+    _, (before, after), _ = merged_schedule.radii_and_cubes([5.0, 15.0])
     assert after == 2.0 * before
     _ok(7, "pulsating model: literal value, zero baseline, cubic growth, "
            "coalescence")

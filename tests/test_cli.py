@@ -18,6 +18,7 @@ from geopotent import (
     EarthParameters,
     PulseTable,
     detectability_report,
+    evaluate_schedule,
     surface_background,
 )
 from geopotent.cli import (
@@ -32,7 +33,7 @@ from geopotent.cli import (
     render_csv,
     render_json,
 )
-from geopotent.config import resolve_config
+from geopotent.config import read_schedule_json, resolve_config
 from geopotent.errors import ConfigError, DomainError
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -60,6 +61,13 @@ GOLDEN_CASES = {
     "pulse.json": ["pulse", "--schedule",
                    "tests/fixtures/growth_schedule.json",
                    "--times", "0,43200,64800,86400", "--format", "json"],
+    # runs of equal rows in every held segment, and time on each segment end
+    "pulse_runs.csv": ["pulse", "--schedule",
+                       "tests/fixtures/mixed_schedule.json",
+                       "--num-samples", "41"],
+    "pulse_runs.json": ["pulse", "--schedule",
+                        "tests/fixtures/mixed_schedule.json",
+                        "--num-samples", "41", "--format", "json"],
 }
 
 
@@ -250,6 +258,32 @@ def tables(draw, cells=CELLS):
     return Table(tuple(names), data)
 
 
+@st.composite
+def run_tables(draw):
+    """A Table held as runs, and the same Table with its runs expanded."""
+    names = draw(st.lists(NAMES, min_size=1, max_size=6, unique=True))
+    lengths = draw(st.lists(st.integers(1, 4), max_size=6))
+    cells = st.one_of(CELLS, st.sampled_from([math.nan, math.inf, -math.inf]))
+    first = draw(st.lists(draw(st.sampled_from([FLOATS, cells])),
+                          min_size=sum(lengths), max_size=sum(lengths)))
+    runs = [draw(st.lists(draw(st.sampled_from([FLOATS, cells])),
+                          min_size=len(lengths), max_size=len(lengths)))
+            for _ in names[1:]]
+    expanded = [[cell for cell, n in zip(col, lengths) for _ in range(n)]
+                for col in runs]
+    return (Table(tuple(names), (tuple(first), *map(tuple, runs)),
+                  runs=tuple(lengths)),
+            Table(tuple(names), (tuple(first), *map(tuple, expanded))))
+
+
+def rendered(render, report):
+    """The text `render` gives `report`, or the message of its DomainError."""
+    try:
+        return render(report)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
 def plain(value):
     """`value` with each Table replaced by its list of row dicts."""
     if isinstance(value, Table):
@@ -293,6 +327,15 @@ class TestRowTemplates:
                 {"command": "pulse", "inputs": {}, "rows": series}):
             assert render_json(report) == json.dumps(
                 plain(report), indent=2) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(run_tables())
+    @pytest.mark.parametrize("render", [render_csv, render_json])
+    def test_runs_render_as_their_expansion(self, render, tables):
+        # the same text, or the same first bad cell in row-major order
+        held, expanded = tables
+        assert rendered(render, {"command": "pulse", "rows": held}) \
+            == rendered(render, {"command": "pulse", "rows": expanded})
 
     def test_columns_whose_magnitudes_sum_past_the_limit(self):
         # each cell is finite and below LIMIT, but the column's sum of
@@ -1020,6 +1063,90 @@ class TestPulseCommand:
                      "tests/fixtures/growth_schedule.json",
                      "--num-samples", "100000000"]) == 2
         assert str(PULSE_MAX_SAMPLES) in capsys.readouterr().err
+
+
+def random_schedule_file(rng, path):
+    """A schedule of 2 to 9 segments of every kind, written to `path`."""
+    segments, t = [], 0.0
+    for _ in range(rng.randint(2, 9)):
+        kind = rng.choice(["constant", "linear", "coalesce_step"])
+        names = {"constant": ["radius"],
+                 "linear": ["radius_start", "radius_end"],
+                 "coalesce_step": ["radius_1", "radius_2"]}[kind]
+        end = t + rng.choice([1.0, 7.5, rng.uniform(1.0, 1e4)])
+        segments.append({"t_start": t, "t_end": end, "kind": kind,
+                         "params": {name: rng.uniform(100.0, 2000.0)
+                                    for name in names}})
+        t = end
+    path.write_text(json.dumps({
+        "source_mass": rng.choice([1e12, 3.7e15]), "observer_radius": 5000.0,
+        "host_density_contrast": rng.choice([-2700.0, 2700.0, -1e4]),
+        "segments": segments}))
+    ends = [seg["t_start"] for seg in segments] + [t]
+    return ends
+
+
+def per_row_reference(text, fmt, table):
+    """`text` with its rows written by the per-row template over the
+    per-sample table `table`: ``%.10g`` per cell for CSV, as every cell
+    here is a finite float below the 10-digit limit, and the rows of
+    ``json.dumps(..., indent=2)`` for JSON."""
+    rows = list(table)
+    if fmt == "csv":
+        assert all(abs(cell) < LIMIT for row in rows for cell in row)
+        head = text[:text.index(",".join(PULSE_COLUMNS))]
+        return "\n".join([head + ",".join(PULSE_COLUMNS),
+                          *(",".join(["%.10g"] * 6) % row for row in rows),
+                          ""])
+    report = json.loads(text)
+    report["rows"] = [dict(zip(PULSE_COLUMNS, row)) for row in rows]
+    return json.dumps(report, indent=2) + "\n"
+
+
+class TestPulseRuns:
+    """The pulse writer formats each run's cells once; what it writes is
+    what the per-row template writes over the expanded table."""
+
+    def test_random_schedules_write_the_per_row_bytes(self, tmp_path,
+                                                      capsys):
+        rng = random.Random(34)
+        longest = 0
+        for case in range(40):
+            path = tmp_path / f"schedule{case}.json"
+            ends = random_schedule_file(rng, path)
+            # repeated times, times on segment ends, and times between
+            pool = ends + [rng.uniform(ends[0], ends[-1]) for _ in range(8)]
+            times = [rng.choice(pool) for _ in range(rng.randint(1, 30))]
+            table = evaluate_schedule(read_schedule_json(str(path)),
+                                      sorted(times))
+            longest = max(longest, *table.runs()[1])
+            for fmt in ("csv", "json"):
+                assert main(["pulse", "--schedule", str(path), "--times",
+                             ",".join(map(repr, times)),
+                             "--format", fmt]) == 0
+                out = capsys.readouterr().out
+                assert out == per_row_reference(out, fmt, table)
+        assert longest > 3
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_run_cell_past_the_float_range_is_named(self, fmt, tmp_path,
+                                                      capsys):
+        # the linear run is finite; the radius of the constant run is so
+        # small that its potential overflows to inf
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({
+            "source_mass": 1e300, "observer_radius": 5000.0,
+            "host_density_contrast": -2700.0,
+            "segments": [
+                {"t_start": 0.0, "t_end": 10.0, "kind": "linear",
+                 "params": {"radius_start": 500.0, "radius_end": 1000.0}},
+                {"t_start": 10.0, "t_end": 20.0, "kind": "constant",
+                 "params": {"radius": 1e-300}}]}))
+        assert main(["pulse", "--schedule", str(path), "--times",
+                     "0,5,12,15,18", "--format", fmt]) == 3
+        assert capsys.readouterr() == ("", (
+            "geopotent: domain error: report cell rows.potential_j_kg is "
+            "not finite: inf\n"))
 
 
 class TestConfigHandling:

@@ -326,7 +326,8 @@ class TestCavitySchedule:
             host_density_contrast=-2700.0)
         assert sched.t_start == 0 and sched.t_end == 200
         assert sched.radii_and_cubes([50, 150]) == ([500.0, 750.0],
-                                                    [500.0**3, 750.0**3])
+                                                    [500.0**3, 750.0**3],
+                                                    [1, 1])
 
     def test_segments_must_be_contiguous(self):
         with pytest.raises(ScheduleError) as err:
@@ -355,10 +356,10 @@ class TestCavitySchedule:
 
     def test_coalesce_conserves_volume(self):
         seg = _segment(0, 100, "coalesce_step", (500.0, 500.0))
-        radii, cubes = seg.radii_and_cubes([0.0, 50.0])
-        assert cubes == [2.0 * 500.0**3] * 2
-        assert radii[0] == radii[1] == pytest.approx(
-            500.0 * 2.0 ** (1.0 / 3.0), rel=1e-15)
+        # both times are one run: one radius and one cube serve them
+        radii, cubes, lengths = seg.radii_and_cubes([0.0, 50.0])
+        assert cubes == [2.0 * 500.0**3] and lengths == [2]
+        assert radii == [pytest.approx(500.0 * 2.0 ** (1.0 / 3.0), rel=1e-15)]
 
     def test_unknown_kind(self):
         with pytest.raises(ScheduleError):
@@ -443,7 +444,8 @@ class TestScheduleSegment:
                 min(params) <= 0.0
             return
         # a tiny radius may cube to 0.0, never to a negative number
-        [radius], [cubed] = seg.radii_and_cubes([100.0 * frac])
+        [radius], [cubed], [length] = seg.radii_and_cubes([100.0 * frac])
+        assert length == 1
         assert type(cubed) is float and cubed >= 0.0
         assert type(radius) is float and radius >= 0.0
 

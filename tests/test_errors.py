@@ -432,6 +432,29 @@ def test_an_int_radius_whose_cube_overflows(build):
                               "overflows the float range")
 
 
+BACKGROUND = BackgroundState(3.1e7, 9.8, 6.2e7)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: point_mass_signal(10**400, 5000.0, BACKGROUND),
+     "delta_mass must be a number within the float range"),
+    (lambda: point_mass_signal(1e12, 5000.0, BACKGROUND, gamma=10**400),
+     "gamma must be finite"),
+    (lambda: pulsating_potential(1e12, 500.0, 5000.0, gamma=10**400),
+     "gamma must be finite"),
+    (lambda: evaluate_schedule(SCHEDULE, [0.0, 5.0], gamma=10**400),
+     "gamma must be finite"),
+], ids=["point_mass_signal-delta_mass", "point_mass_signal-gamma",
+        "pulsating_potential-gamma", "evaluate_schedule-gamma"])
+def test_an_int_past_the_float_range_is_a_non_physical_value(call, message):
+    # each argument is read once per call as a float, before any
+    # arithmetic; as an int it would raise OverflowError there
+    with pytest.raises(errors.InputError) as err:
+        call()
+    assert type(err.value) is errors.NonPhysicalValueError
+    assert str(err.value) == message
+
+
 def test_array_and_scalar_field_paths_agree():
     # at one radius, sample_field gives the value bits of the four scalar
     # functions, or raises the library error the first of them raises,

@@ -1,5 +1,8 @@
+import copy
 import math
+import pickle
 import random
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -127,15 +130,15 @@ class TestEvaluateSchedule:
 
     def test_anomalous_mass_grows_eightfold(self):
         # R doubles over the run, so the raw cavity deficit scales by 8
-        radii, (start, end) = GROWTH.radii_and_cubes([0.0, 86400.0])
-        assert radii == [500.0, 1000.0]
+        radii, (start, end), lengths = GROWTH.radii_and_cubes([0.0, 86400.0])
+        assert radii == [500.0, 1000.0] and lengths == [1, 1]
         assert end == 8.0 * start
 
     def test_coalescence_exact_doubling(self):
         merged = make_schedule(
             [ScheduleSegment(0.0, 10.0, "constant", (500.0,)),
              ScheduleSegment(10.0, 20.0, "coalesce_step", (500.0, 500.0))])
-        _, (before, after) = merged.radii_and_cubes([5.0, 15.0])
+        _, (before, after), _ = merged.radii_and_cubes([5.0, 15.0])
         assert after == 2.0 * before
         samples = evaluate_schedule(merged, [0.0, 9.99, 10.0, 20.0])
         assert samples[1].delta_u == 0.0
@@ -296,6 +299,25 @@ def hexes(values):
     return [float.hex(v) for v in values]
 
 
+def scan_run_lengths(schedule, times):
+    """Reference run lengths: consecutive times in one segment that holds
+    R fixed are one run, and a time in a linear segment is a run alone;
+    the segment of each time is found by a scan, as above."""
+    segments = schedule.segments
+    index = [next((i for i, seg in enumerate(segments[:-1]) if t < seg.t_end),
+                  len(segments) - 1) for t in times]
+    lengths = []
+    for i, group in groupby(index):
+        n = len(list(group))
+        lengths += [1] * n if segments[i].kind == "linear" else [n]
+    return lengths
+
+
+def expanded(column, lengths):
+    """Each value of a run column repeated by its run length."""
+    return [value for value, n in zip(column, lengths) for _ in range(n)]
+
+
 class TestSegmentLookupParity:
     rng = np.random.default_rng(2024)
     schedule = random_schedule(rng, 1200)
@@ -303,24 +325,32 @@ class TestSegmentLookupParity:
     times = (boundaries
              + [math.nextafter(b, -math.inf) for b in boundaries[1:]]
              + rng.uniform(schedule.t_start, schedule.t_end, 2000).tolist())
-    shuffled = random.Random(7).sample(times, len(times))
+    orders = {"built": times,
+              "shuffled": random.Random(7).sample(times, len(times)),
+              # consecutive times share a segment, so held kinds make runs
+              "sorted": sorted(times)}
 
-    @pytest.mark.parametrize("order", ["built", "shuffled"])
+    @pytest.mark.parametrize("order", ["built", "shuffled", "sorted"])
     def test_radii_and_cubes_match_scan(self, order):
         kinds = {seg.kind for seg in self.schedule.segments}
         assert kinds == {"constant", "linear", "coalesce_step"}
-        times = self.times if order == "built" else self.shuffled
+        times = self.orders[order]
         want = zip(*(scan_radius_and_cube(self.schedule, t) for t in times))
-        assert [hexes(col) for col in self.schedule.radii_and_cubes(times)] \
+        radii, cubes, lengths = self.schedule.radii_and_cubes(times)
+        assert lengths == scan_run_lengths(self.schedule, times)
+        if order == "sorted":
+            assert max(lengths) > 1
+        assert [hexes(expanded(col, lengths)) for col in (radii, cubes)] \
             == [hexes(col) for col in want]
 
     def test_boundary_belongs_to_next_segment(self):
         segments = self.schedule.segments
         starts = [seg.t_start for seg in segments[1:]]
         want = [seg.radii_and_cubes([seg.t_start]) for seg in segments[1:]]
-        radii, cubes = self.schedule.radii_and_cubes(starts)
-        assert hexes(radii) == hexes(radius for [radius], _ in want)
-        assert hexes(cubes) == hexes(cube for _, [cube] in want)
+        radii, cubes, lengths = self.schedule.radii_and_cubes(starts)
+        assert lengths == [1] * len(starts)
+        assert hexes(radii) == hexes(radius for [radius], _, _ in want)
+        assert hexes(cubes) == hexes(cube for _, [cube], _ in want)
         end = self.schedule.t_end
         assert self.schedule.radii_and_cubes([end]) \
             == segments[-1].radii_and_cubes([end])
@@ -340,9 +370,9 @@ class TestSegmentLookupParity:
             assert str(err.value) == str(want.value)
             assert err.value.index is None
 
-    @pytest.mark.parametrize("order", ["built", "shuffled"])
+    @pytest.mark.parametrize("order", ["built", "shuffled", "sorted"])
     def test_evaluate_schedule_matches_scan_reference(self, order):
-        times = self.times if order == "built" else self.shuffled
+        times = self.orders[order]
         got = outcome(evaluate_schedule, self.schedule, times)
         assert got == outcome(scan_evaluate_schedule, self.schedule, times)
         assert len(got) == len(times)
@@ -436,6 +466,44 @@ class TestPulseTable:
         table = evaluate_schedule(GROWTH, self.times)
         with pytest.raises(AttributeError):
             table.t = ()
+
+    def test_series_is_stored_once_per_run(self):
+        schedule = make_schedule(
+            [ScheduleSegment(0.0, 10.0, "constant", (500.0,)),
+             ScheduleSegment(10.0, 20.0, "linear", (500.0, 600.0)),
+             ScheduleSegment(20.0, 30.0, "coalesce_step", (400.0, 400.0))])
+        times = [0.0, 2.0, 2.0, 5.0, 10.0, 12.0, 12.0, 20.0, 25.0, 30.0]
+        table = evaluate_schedule(schedule, times)
+        runs, lengths = table.runs()
+        assert lengths == (4, 1, 1, 1, 3)
+        assert len(runs) == 5 and all(len(col) == 5 for col in runs)
+        assert table.t == tuple(times)
+        rows = scan_evaluate_schedule(schedule, times)
+        assert table == rows and list(table) == rows and len(table) == 10
+        assert [table[i] for i in range(-10, 10)] == rows + rows
+        assert table[2:9:3] == rows[2:9:3]
+        # the full-column constructor holds the same table, a run per row
+        full = PulseTable(*table.columns())
+        assert full.runs()[1] == (1,) * 10
+        assert full == table and repr(full) == repr(table)
+        assert full.columns() == table.columns()
+        assert [hexes(col) for col in full.columns()] \
+            == [hexes(col) for col in zip(*rows)]
+        for kept in (copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+            assert kept == table and kept.runs() == table.runs()
+
+    @pytest.mark.parametrize("t, runs, lengths", [
+        ([0.0, 1.0], [[1.0]] * 5, [1]),            # lengths sum to 1, not 2
+        ([0.0], [[1.0, 2.0]] * 5, [1, 0]),         # an empty run
+        ([0.0, 1.0], [[1.0, 2.0]] * 5, [3, -1]),   # a negative run
+        ([0.0], [[1.0]] * 4, [1]),                 # four run columns
+        ([0.0, 1.0], [[1.0]] * 4 + [[1.0, 2.0]], [2]),  # ragged runs
+    ])
+    def test_from_runs_checks_the_run_form(self, t, runs, lengths):
+        with pytest.raises(NonPhysicalValueError):
+            PulseTable.from_runs(t, runs, lengths)
+        assert PulseTable.from_runs([0.0, 1.0], [[1.0]] * 5, [2]) \
+            == PulseTable([0.0, 1.0], *[[1.0, 1.0]] * 5)
 
     def test_exported(self):
         assert geopotent.PulseTable is PulseTable
