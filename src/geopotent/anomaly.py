@@ -64,6 +64,7 @@ def sensitivity_coefficients(r, r0, gamma=_DEFAULT_GAMMA) -> SensitivityPair:
     """
     r = _require_positive("r", r)
     r0 = _require_positive("r0", r0)
+    gamma = _require_finite("gamma", gamma)
     x = r / r0
     k1 = (2.0 / 3.0) * math.pi * gamma * (x * x)
     k2 = (4.0 / 3.0) * math.pi * gamma * x

@@ -45,7 +45,6 @@ from .core import (
     LINE_BREAKS,
     AnomalySource,
     RadialProfile,
-    _repeated,
 )
 from .errors import (
     DomainError,
@@ -184,7 +183,8 @@ class Table(namedtuple("Table", "columns data name runs",
     a header line and one line per row. ``name`` names the table in
     errors; the pulse series is the report's ``rows``. With ``runs``,
     the run lengths, the first column holds one cell per row and every
-    other column one cell per run of rows.
+    other column one cell per run of rows; without it, each row is its
+    own run.
     """
 
     __slots__ = ()
@@ -202,45 +202,30 @@ def _fast(col, limit):
     return set(map(type, col)) <= {float} and sum(map(abs, col)) < limit
 
 
-def _row_slots(table, fast, limit, slow):
-    """The row-template slots of a table's columns, and its rows to fill.
+def _row_texts(table, fast, limit, slow, template):
+    """The text of each row of a table, from the row template.
 
-    A ``_fast`` column takes the `fast` slot and goes in as is. Any
-    other column takes a ``%s`` slot, filled with ``slow(cell,
-    "<table>.<column>")``. Those cells are made as the rows are read, so
-    a non-finite cell raises at the first one in row-major order.
+    ``template(slots)`` gives the template cut after the first column's
+    slot. A ``_fast`` column takes the `fast` slot and goes in as is;
+    any other column takes a ``%s`` slot, filled with ``slow(cell,
+    "<table>.<column>")``. The head is filled once per row and the tail
+    once per run, a row's first cell made before its run's cells, so a
+    non-finite cell raises at the first one in row-major order.
     """
-    slots, cells = [], []
+    slots, cols = [], []
     for name, col in zip(table.columns, table.data):
         if _fast(col, limit):
             slots.append(fast)
-            cells.append(col)
+            cols.append(col)
         else:
             slots.append("%s")
-            cells.append(map(slow, col, repeat(f"{table.name}.{name}")))
-    return slots, zip(*cells)
-
-
-def _row_texts(table, fast, limit, slow, pieces):
-    """The text of each row of a table, from the row template.
-
-    ``pieces(slots)`` gives the template cut after each column's slot.
-    A table held as runs, with a column after the first and every
-    column ``_fast``, fills its first piece once per row and the rest
-    once per run. Any other table, runs expanded, fills the whole
-    template once per row, with the slots of ``_row_slots``.
-    """
-    if table.runs is not None:
-        first, *rest = table.data
-        if rest and all(_fast(col, limit) for col in table.data):
-            head, *tail = pieces([fast] * len(table.columns))
-            tails = map("".join(tail).__mod__, zip(*rest))
-            return map(operator.add, map(head.__mod__, first),
-                       chain.from_iterable(map(repeat, tails, table.runs)))
-        table = table._replace(data=(first, *(_repeated(col, table.runs)
-                                              for col in rest)), runs=None)
-    slots, rows = _row_slots(table, fast, limit, slow)
-    return map("".join(pieces(slots)).__mod__, rows)
+            cols.append(map(slow, col, repeat(f"{table.name}.{name}")))
+    head, tail = template(slots)
+    first, *rest = cols
+    # zip() of no columns is empty: a lone column's tail has no slots
+    per_run = map(tail.__mod__, zip(*rest)) if rest else repeat(tail)
+    tails = chain.from_iterable(map(repeat, per_run, table.runs or repeat(1)))
+    return map(operator.add, map(head.__mod__, first), tails)
 
 
 def _csv_lines(table):
@@ -250,10 +235,10 @@ def _csv_lines(table):
     and ``format`` both format a float with ``.10g`` through
     ``PyOS_double_to_string``, so it reads as ``_fmt`` writes it.
     """
-    def pieces(slots):
-        return [*slots[:1], *map(",".__add__, slots[1:])]
+    def template(slots):
+        return slots[0], "".join(map(",".__add__, slots[1:]))
     return [",".join(table.columns),
-            *_row_texts(table, "%.10g", _FMT_LIMIT, _fmt, pieces)]
+            *_row_texts(table, "%.10g", _FMT_LIMIT, _fmt, template)]
 
 
 def render_csv(report):
@@ -287,11 +272,11 @@ def _json_rows(table, indent, out):
     inner = indent + "  "
     keys = [json.dumps(name).replace("%", "%%") for name in table.columns]
 
-    def pieces(slots):
+    def template(slots):
         fields = [f"{inner}  {key}: {slot}" for key, slot in zip(keys, slots)]
-        return [f"{inner}{{\n{fields[0]}", *map(",\n".__add__, fields[1:]),
-                f"\n{inner}}}"]
-    rows = ",\n".join(_row_texts(table, "%r", math.inf, _json_cell, pieces))
+        return (f"{inner}{{\n{fields[0]}",
+                "".join(map(",\n".__add__, fields[1:])) + f"\n{inner}}}")
+    rows = ",\n".join(_row_texts(table, "%r", math.inf, _json_cell, template))
     out.extend(("[\n", rows, f"\n{indent}]") if rows else ("[]",))
 
 

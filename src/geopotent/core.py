@@ -464,6 +464,7 @@ def direct_problem(earth: EarthParameters, phi_g,
         v1k^2/2 and compression_potential = phi_g; u_infinity is their sum.
     """
     _require_non_negative("phi_g", phi_g)
+    gamma = _require_finite("gamma", gamma)
     v1k = earth.surface_first_cosmic_velocity
     return PotentialBreakdown(
         uniform_sphere_potential(gamma, earth.mean_density, earth.mean_radius),

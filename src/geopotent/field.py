@@ -23,6 +23,7 @@ from .core import (
     ColumnTable,
     UniformSphere,
     _float_column,
+    _require_finite,
     _require_non_negative,
 )
 from .errors import NonPhysicalValueError, OutOfDomainError
@@ -87,6 +88,7 @@ def _root(name, value):
 
 def u_infinity_homogeneous(sphere: UniformSphere, gamma=_DEFAULT_GAMMA):
     """At-infinity potential (3/2)*gamma*M/R of a homogeneous sphere."""
+    gamma = _require_finite("gamma", gamma)
     return kernels.u_infinity(gamma * sphere.mass, sphere.radius)
 
 
@@ -110,6 +112,7 @@ def absolute_potential(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
         r = R, where the curve has its inflection.
     """
     r = _require_non_negative("radius", r)
+    gamma = _require_finite("gamma", gamma)
     if r <= sphere.radius:
         return kernels.uniform_sphere_potential(gamma, sphere.density, r)
     return kernels.exterior_potential(gamma, sphere.density,
@@ -123,6 +126,7 @@ def gravity(sphere: UniformSphere, r, gamma=_DEFAULT_GAMMA):
     everywhere and peaks at the boundary r = R.
     """
     r = _require_non_negative("radius", r)
+    gamma = _require_finite("gamma", gamma)
     if r <= sphere.radius:
         return kernels.interior_gravity(gamma, sphere.density, r)
     return kernels.exterior_gravity(gamma * sphere.mass, r)
@@ -169,6 +173,7 @@ def sample_field(sphere: UniformSphere, radii, gamma=_DEFAULT_GAMMA):
     if bad.size:
         i = int(bad[0])
         raise NonPhysicalValueError(f"radii[{i}] must be >= 0, got {r[i]!r}")
+    gamma = _require_finite("gamma", gamma)
     radius, rho, gm = sphere.radius, sphere.density, gamma * sphere.mass
     # Both branches run on every radius, so a cell np.where discards can
     # divide by zero or make 0/0. A kept cell overflows to inf or turns

@@ -22,7 +22,7 @@ from collections import namedtuple
 from itertools import accumulate
 from operator import sub, truediv
 
-from .core import RadialProfile, _cube
+from .core import RadialProfile, _cube, _require_finite
 from .errors import DegenerateProfileError, OutOfDomainError
 from .kernels import ball_volume
 
@@ -134,6 +134,7 @@ def surface_potential_integral(profile: RadialProfile, gamma):
     starting at zero radius poses no difficulty. A term past the float
     range raises OutOfDomainError naming its inner knot.
     """
+    gamma = _require_finite("gamma", gamma)
     radii, rho = profile.radii, profile.densities
     terms = []
     for r0, r1, rho0, rho1, mass0 in zip(radii, radii[1:], rho, rho[1:],

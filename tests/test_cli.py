@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import geopotent.cli
 from geopotent import (
     AnomalySource,
     BackgroundState,
@@ -332,10 +333,39 @@ class TestRowTemplates:
     @given(run_tables())
     @pytest.mark.parametrize("render", [render_csv, render_json])
     def test_runs_render_as_their_expansion(self, render, tables):
-        # the same text, or the same first bad cell in row-major order
+        # the text of the expanded rows, or the first non-finite cell in
+        # their row-major order
         held, expanded = tables
-        assert rendered(render, {"command": "pulse", "rows": held}) \
-            == rendered(render, {"command": "pulse", "rows": expanded})
+        rows = list(zip(*expanded.data))
+        bad = [f"DomainError: report cell rows.{name} is not finite: {cell!r}"
+               for row in rows for name, cell in zip(expanded.columns, row)
+               if isinstance(cell, float) and not math.isfinite(cell)]
+        if bad:
+            want = bad[0]
+        elif render is render_csv:
+            want = "\n".join(["# geopotent pulse", ",".join(expanded.columns),
+                              *(",".join(map(_fmt, row)) for row in rows),
+                              ""])
+        else:
+            want = json.dumps(plain({"command": "pulse", "rows": expanded}),
+                              indent=2) + "\n"
+        assert rendered(render, {"command": "pulse", "rows": held}) == want
+
+    @pytest.mark.parametrize("render, slow", [(render_csv, "_fmt"),
+                                              (render_json, "_json_cell")])
+    def test_a_run_column_that_is_not_fast_is_formatted_once_per_run(
+            self, render, slow, monkeypatch):
+        table = Table(("t", "label"), ((0.0, 1.0, 2.0, 3.0, 4.0), ("a", "b")),
+                      runs=(3, 2))
+        real = getattr(geopotent.cli, slow)
+        calls = []
+
+        def counted(value, where=""):
+            calls.append(where)
+            return real(value, where)
+        monkeypatch.setattr(geopotent.cli, slow, counted)
+        render({"command": "pulse", "rows": table})
+        assert calls.count("rows.label") == 2
 
     def test_columns_whose_magnitudes_sum_past_the_limit(self):
         # each cell is finite and below LIMIT, but the column's sum of
@@ -351,7 +381,8 @@ class TestRowTemplates:
     @pytest.mark.parametrize("render", [render_csv, render_json])
     @pytest.mark.parametrize("first", [PULSE_COLUMNS[0], "boundary"])
     def test_first_non_finite_cell_is_named(self, render, first):
-        # one text column sends the second table down the per-cell path
+        # row-major order meets the -inf before the nan, though the nan's
+        # column comes first; the first column holds floats or text
         values = [["a", 1.0, 2.0, 3.0, -math.inf, 5.0],
                   ["b", 1.0, math.nan, 3.0, 4.0, 5.0]]
         if first == PULSE_COLUMNS[0]:

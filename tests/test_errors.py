@@ -35,6 +35,7 @@ from geopotent.field import (
     gravity,
     kinetic_potential,
     sample_field,
+    u_infinity_homogeneous,
 )
 from geopotent.profiles import (
     core_equilibrium_gravity,
@@ -433,6 +434,7 @@ def test_an_int_radius_whose_cube_overflows(build):
 
 
 BACKGROUND = BackgroundState(3.1e7, 9.8, 6.2e7)
+PROFILE = ([0.0, 1.0, 2.0, 3.0], [4.0, 3.0, 2.0, 1.0], [3.0, 2.0, 1.0, 0.0])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -444,8 +446,31 @@ BACKGROUND = BackgroundState(3.1e7, 9.8, 6.2e7)
      "gamma must be finite"),
     (lambda: evaluate_schedule(SCHEDULE, [0.0, 5.0], gamma=10**400),
      "gamma must be finite"),
+    (lambda: surface_background(EarthParameters(), 10**400),
+     "gamma must be finite"),
+    (lambda: direct_problem(EarthParameters(), 1e7, 10**400),
+     "gamma must be finite"),
+    (lambda: sensitivity_coefficients(5000.0, 500.0, 10**400),
+     "gamma must be finite"),
+    (lambda: surface_potential_integral(RadialProfile(*PROFILE), 10**400),
+     "gamma must be finite"),
+    (lambda: homogeneity_bound(RadialProfile(*PROFILE), 10**400),
+     "gamma must be finite"),
+    (lambda: u_infinity_homogeneous(SPHERE, 10**400), "gamma must be finite"),
+    (lambda: absolute_potential(SPHERE, 5.0, 10**400), "gamma must be finite"),
+    (lambda: gravity(SPHERE, 5.0, 10**400), "gamma must be finite"),
+    (lambda: equipotential_velocity(SPHERE, 5.0, 10**400),
+     "gamma must be finite"),
+    (lambda: kinetic_potential(SPHERE, 5.0, 10**400), "gamma must be finite"),
+    (lambda: sample_field(SPHERE, [5.0], 10**400), "gamma must be finite"),
 ], ids=["point_mass_signal-delta_mass", "point_mass_signal-gamma",
-        "pulsating_potential-gamma", "evaluate_schedule-gamma"])
+        "pulsating_potential-gamma", "evaluate_schedule-gamma",
+        *(f"{name}-gamma" for name in (
+            "surface_background", "direct_problem",
+            "sensitivity_coefficients", "surface_potential_integral",
+            "homogeneity_bound", "u_infinity_homogeneous",
+            "absolute_potential", "gravity", "equipotential_velocity",
+            "kinetic_potential", "sample_field"))])
 def test_an_int_past_the_float_range_is_a_non_physical_value(call, message):
     # each argument is read once per call as a float, before any
     # arithmetic; as an int it would raise OverflowError there
