@@ -635,7 +635,7 @@ class CavitySchedule(Record):
 
     ``host_density_contrast`` is the cavity-minus-host density difference
     used by the anomaly (mass-deficit) view of the time series; a gas
-    cavity has a negative value.
+    cavity has a negative value. Every R(t) lies in (0, observer_radius).
     """
 
     __slots__ = _fields = ("segments", "source_mass", "observer_radius",
@@ -650,6 +650,7 @@ class CavitySchedule(Record):
         observer_radius = _require_positive("observer_radius", observer_radius)
         host_density_contrast = _require_finite("host_density_contrast",
                                                 host_density_contrast)
+        lows = []
         for i, seg in enumerate(segments):
             if i and seg.t_start != segments[i - 1].t_end:
                 raise ScheduleError(
@@ -657,18 +658,27 @@ class CavitySchedule(Record):
                     f"ends at {segments[i - 1].t_end}; segments must be "
                     f"contiguous", index=i)
             # R(t) is monotone within a segment: its ends bound it
-            radius = max(seg.radii_and_cubes([seg.t_start, seg.t_end])[0])
+            ends = seg.radii_and_cubes([seg.t_start, seg.t_end])[0]
+            radius = max(ends)
             if radius >= observer_radius:
                 raise ScheduleError(
                     f"segment {i}: radius reaches {radius}, observer at "
                     f"{observer_radius} must stay outside the source",
                     index=i)
+            lows.append(min(ends))
         self._set(segments, source_mass, observer_radius,
                   host_density_contrast)
         if not math.isfinite(self.t_end - self.t_start):
             raise ScheduleError(
                 f"schedule span [{self.t_start}, {self.t_end}] is too long: "
                 f"t_end - t_start overflows the float range")
+        # checked last, so that a schedule with one of the faults above
+        # reports that fault whatever its radii
+        for i, radius in enumerate(lows):
+            if not radius > 0.0:
+                raise ScheduleError(
+                    f"segment {i}: radius falls to {radius}; a cavity "
+                    f"radius must stay positive", index=i)
 
     @property
     def t_start(self):

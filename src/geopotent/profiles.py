@@ -22,7 +22,7 @@ from collections import namedtuple
 from itertools import accumulate
 from operator import sub, truediv
 
-from .core import RadialProfile, _cube, _require_finite
+from .core import RadialProfile, _cube, _require_finite, _require_float
 from .errors import DegenerateProfileError, OutOfDomainError
 from .kernels import ball_volume
 
@@ -95,6 +95,7 @@ def interpolate(profile: RadialProfile, r):
     (float, float)
         (density kg/m^3, pressure Pa), linear between knots, exact at them.
     """
+    r = _require_float("r", r)
     radii = profile.radii
     if not (radii[0] <= r <= profile.body_radius):
         raise OutOfDomainError(
@@ -114,6 +115,7 @@ def enclosed_mass(profile: RadialProfile, r):
 
     Monotone non-decreasing in r; zero at r = 0.
     """
+    r = _require_float("r", r)
     if not (0.0 <= r <= profile.body_radius):
         raise OutOfDomainError(
             f"r = {r!r} outside [0, {profile.body_radius}]")
@@ -200,6 +202,7 @@ def core_equilibrium_gravity(profile: RadialProfile, core_radius):
     which a dense core cancels away. An outside mass that rounds to 0
     raises OutOfDomainError, as does a quotient past the float range.
     """
+    core_radius = _require_float("core_radius", core_radius)
     if not (0.0 < core_radius < profile.body_radius):
         raise OutOfDomainError(
             f"core_radius = {core_radius!r} must lie strictly inside "

@@ -154,6 +154,7 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
     Parameters
     ----------
     schedule : CavitySchedule
+        Holds R(t) in (0, observer_radius), so only the signal is checked.
     sample_times : column of numbers, read once
         Times within the schedule span (``ScheduleError`` otherwise); the
         first entry is the baseline all delta fields are differenced
@@ -185,20 +186,15 @@ def evaluate_schedule(schedule: CavitySchedule, sample_times,
     deficits = [ball_volume(cubed) * schedule.host_density_contrast
                 for cubed in cubes]
     delta_masses = [deficit - deficits[0] for deficit in deficits]
-    mass, observer = schedule.source_mass, schedule.observer_radius
+    gm, observer = gamma * schedule.source_mass, schedule.observer_radius
     delta_u = [gamma * dm / observer for dm in delta_masses]
     base = background.u_infinity - background.u0
-    # The two scalar functions are the only home of the checks and their
-    # messages. Run 0 runs the checks that do not depend on the sample;
-    # the first later run whose radius or perturbed potential fails
-    # then raises from the same calls, in the same order, as a loop over
-    # the samples would at that run's first sample.
-    bad = next((i for i, (radius, du) in enumerate(zip(radii, delta_u))
-                if not 0.0 < radius < observer or base - du < 0.0), 0)
+    # point_mass_signal is the one home of the signal's checks. Run 0 runs
+    # those no sample changes; the first run whose perturbed potential
+    # fails then raises there, as a loop over the samples would.
+    bad = next((i for i, du in enumerate(delta_u) if base - du < 0.0), 0)
     for i in (0, bad):
-        pulsating_potential(mass, radii[i], observer, gamma)
         point_mass_signal(delta_masses[i], observer, background, gamma)
-    gm = gamma * mass
     outside = -gm / observer
     speed = math.sqrt(2.0 * base)
     return PulseTable.from_runs(times, (

@@ -901,6 +901,26 @@ class TestPulseCommand:
             f"geopotent: error: {path}: segment 1: {name} 1e+110 is too "
             f"large: its cube overflows the float range\n"))
 
+    @pytest.mark.parametrize("times", [["--times", "0,5"],
+                                       ["--times", "0,50000"], []],
+                             ids=["before_it", "in_it", "grid"])
+    @pytest.mark.parametrize("kind, params", [
+        ("coalesce_step", {"radius_1": 1e-110, "radius_2": 1e-110}),
+        ("linear", {"radius_start": 1e100, "radius_end": 1e-300}),
+    ], ids=["coalesce_step", "linear"])
+    def test_radius_that_rounds_to_0_names_segment(self, kind, params, times,
+                                                   tmp_path, capsys):
+        # the merged volume underflows to 0, or the linear end rounds to
+        # 0.0; the schedule is rejected whether or not a time reaches it
+        def edit(schedule):
+            schedule["observer_radius"] = 1e101
+            schedule["segments"][1].update(kind=kind, params=params)
+        path = self.write_schedule(tmp_path, edit)
+        assert main(["pulse", "--schedule", str(path), *times]) == 2
+        assert capsys.readouterr() == ("", (
+            f"geopotent: error: {path}: segment 1: radius falls to 0.0; a "
+            f"cavity radius must stay positive\n"))
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("contrast", [1e300, -1e300])
     def test_non_finite_delta_names_the_cell(self, contrast, fmt, tmp_path,

@@ -333,12 +333,16 @@ PROFILE_CALLS = [
 ]
 
 
+# the extremes, then values that are not numbers
+PROFILE_VALUES = (*EXTREMES, "1", None, [1.0])
+
+
 @pytest.mark.parametrize("call", [c[1] for c in PROFILE_CALLS],
                          ids=[c[0] for c in PROFILE_CALLS])
 def test_extreme_profiles_raise_only_library_errors(call):
     assert len(EXTREME_PROFILES) > 300
     escaped = []
-    for profile, value in product(EXTREME_PROFILES, EXTREMES):
+    for profile, value in product(EXTREME_PROFILES, PROFILE_VALUES):
         try:
             call(profile, value)
         except errors.GeopotentError:
@@ -463,6 +467,18 @@ PROFILE = ([0.0, 1.0, 2.0, 3.0], [4.0, 3.0, 2.0, 1.0], [3.0, 2.0, 1.0, 0.0])
      "gamma must be finite"),
     (lambda: kinetic_potential(SPHERE, 5.0, 10**400), "gamma must be finite"),
     (lambda: sample_field(SPHERE, [5.0], 10**400), "gamma must be finite"),
+    (lambda: enclosed_mass(RadialProfile(*PROFILE), 10**400),
+     "r must be a number within the float range"),
+    (lambda: interpolate(RadialProfile(*PROFILE), 10**400),
+     "r must be a number within the float range"),
+    (lambda: core_equilibrium_gravity(RadialProfile(*PROFILE), 10**400),
+     "core_radius must be a number within the float range"),
+    (lambda: enclosed_mass(RadialProfile(*PROFILE), "1"),
+     "r must be a number within the float range"),
+    (lambda: interpolate(RadialProfile(*PROFILE), None),
+     "r must be a number within the float range"),
+    (lambda: core_equilibrium_gravity(RadialProfile(*PROFILE), [1.0]),
+     "core_radius must be a number within the float range"),
 ], ids=["point_mass_signal-delta_mass", "point_mass_signal-gamma",
         "pulsating_potential-gamma", "evaluate_schedule-gamma",
         *(f"{name}-gamma" for name in (
@@ -470,10 +486,14 @@ PROFILE = ([0.0, 1.0, 2.0, 3.0], [4.0, 3.0, 2.0, 1.0], [3.0, 2.0, 1.0, 0.0])
             "sensitivity_coefficients", "surface_potential_integral",
             "homogeneity_bound", "u_infinity_homogeneous",
             "absolute_potential", "gravity", "equipotential_velocity",
-            "kinetic_potential", "sample_field"))])
+            "kinetic_potential", "sample_field")),
+        "enclosed_mass-r", "interpolate-r", "core_equilibrium_gravity-r",
+        "enclosed_mass-text", "interpolate-None",
+        "core_equilibrium_gravity-list"])
 def test_an_int_past_the_float_range_is_a_non_physical_value(call, message):
     # each argument is read once per call as a float, before any
-    # arithmetic; as an int it would raise OverflowError there
+    # arithmetic; as an int it would raise OverflowError there, and a
+    # profile radius that is not a number would raise TypeError
     with pytest.raises(errors.InputError) as err:
         call()
     assert type(err.value) is errors.NonPhysicalValueError

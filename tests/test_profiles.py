@@ -296,6 +296,12 @@ class TestInterpolate:
             interpolate(prem_profile, -1.0)
         with pytest.raises(OutOfDomainError):
             interpolate(prem_profile, prem_profile.body_radius * 1.01)
+        for r in (math.inf, -math.inf, math.nan):
+            with pytest.raises(OutOfDomainError) as err:
+                interpolate(prem_profile, r)
+            assert str(err.value) == (
+                f"r = {r!r} outside sampled range "
+                f"[{prem_profile.radii[0]}, {prem_profile.body_radius}]")
 
 
 class TestEnclosedMass:
@@ -324,6 +330,11 @@ class TestEnclosedMass:
             enclosed_mass(prem_profile, -1.0)
         with pytest.raises(OutOfDomainError):
             enclosed_mass(prem_profile, prem_profile.body_radius * 2.0)
+        for r in (math.inf, -math.inf, math.nan):
+            with pytest.raises(OutOfDomainError) as err:
+                enclosed_mass(prem_profile, r)
+            assert str(err.value) == (
+                f"r = {r!r} outside [0, {prem_profile.body_radius}]")
 
 
 class TestSurfacePotentialIntegral:
@@ -664,3 +675,9 @@ class TestCoreEquilibriumGravity:
             core_equilibrium_gravity(prem_profile, prem_profile.body_radius)
         with pytest.raises(OutOfDomainError):
             core_equilibrium_gravity(prem_profile, 0.0)
+        for r in (math.inf, -math.inf, math.nan):
+            with pytest.raises(OutOfDomainError) as err:
+                core_equilibrium_gravity(prem_profile, r)
+            assert str(err.value) == (
+                f"core_radius = {r!r} must lie strictly inside "
+                f"(0, {prem_profile.body_radius})")

@@ -1,8 +1,10 @@
 import copy
+import json
 import math
 import pickle
 import random
 from itertools import groupby
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,8 +26,10 @@ from geopotent import (
     sample_field,
     surface_background,
 )
+from geopotent.config import read_schedule_json
 from geopotent.core import _cbrt
 from geopotent.errors import (
+    InputError,
     NonPhysicalValueError,
     OutOfDomainError,
     ScheduleError,
@@ -210,15 +214,8 @@ def random_schedule(rng, n_segments):
     return make_schedule(segments)
 
 
-def scan_radius_and_cube(schedule, t):
-    """Reference (R(t), R(t)^3): scan the segments in order (end times
-    belong to the next segment), then apply the segment kind's formula."""
-    segments = schedule.segments
-    t_start, t_end = segments[0].t_start, segments[-1].t_end
-    if not (t_start <= t <= t_end):
-        raise ScheduleError(
-            f"time {t} outside schedule span [{t_start}, {t_end}]")
-    seg = next((seg for seg in segments[:-1] if t < seg.t_end), segments[-1])
+def scan_segment_radius_and_cube(seg, t):
+    """Reference (R(t), R(t)^3) of segment `seg`: its kind's formula."""
     if seg.kind == "constant":
         radius = seg.params[0]
     elif seg.kind == "linear":
@@ -230,6 +227,33 @@ def scan_radius_and_cube(schedule, t):
         volume = r_1 * r_1 * r_1 + r_2 * r_2 * r_2
         return _cbrt(volume), volume
     return radius, radius * radius * radius
+
+
+def scan_radius_and_cube(schedule, t):
+    """Reference (R(t), R(t)^3): scan the segments in order (end times
+    belong to the next segment), then apply the segment kind's formula."""
+    segments = schedule.segments
+    t_start, t_end = segments[0].t_start, segments[-1].t_end
+    if not (t_start <= t <= t_end):
+        raise ScheduleError(
+            f"time {t} outside schedule span [{t_start}, {t_end}]")
+    seg = next((seg for seg in segments[:-1] if t < seg.t_end), segments[-1])
+    return scan_segment_radius_and_cube(seg, t)
+
+
+def scan_schedule(segments, observer, contrast, mass):
+    """Reference schedule: the fields of a CavitySchedule, after the rule
+    that each segment's end radii are positive, checked in segment order.
+    (Contiguity and the observer bound hold for every adversarial case.)"""
+    for i, seg in enumerate(segments):
+        radius = min(scan_segment_radius_and_cube(seg, t)[0]
+                     for t in (seg.t_start, seg.t_end))
+        if not radius > 0.0:
+            raise ScheduleError(f"segment {i}: radius falls to {radius}; "
+                                f"a cavity radius must stay positive")
+    return SimpleNamespace(segments=tuple(segments), source_mass=mass,
+                           observer_radius=observer,
+                           host_density_contrast=contrast)
 
 
 def scan_evaluate_schedule(schedule, times, background=None, gamma=GAMMA):
@@ -265,13 +289,14 @@ def outcome(fn, *args, **kwargs):
 
 
 def adversarial_case(rng):
-    """Schedule, times, background and gamma drawn to reach each check of
-    the scalar functions, late in the series too, and the overflows.
+    """Schedule fields, times, background and gamma drawn to reach each
+    check of the schedule and the scalar functions, late in the series
+    too, and the overflows.
 
-    Radii near 1e-110 cube to 0, and a coalesced radius with them;
-    contrasts of +-1e300 overflow the deficit to inf and the deltas to
-    nan; u0 > u_infinity fails every signal; gamma = 1e300 pushes the
-    perturbed potential out of its domain.
+    Radii near 1e-110 cube to 0, so a coalesced radius of them is 0 and
+    the schedule rejects it; contrasts of +-1e300 overflow the deficit to
+    inf and the deltas to nan; u0 > u_infinity fails every signal; gamma =
+    1e300 pushes the perturbed potential out of its domain.
     """
     segments, t = [], 0.0
     for _ in range(rng.randint(1, 4)):
@@ -284,15 +309,14 @@ def adversarial_case(rng):
         t = segments[-1].t_end
     biggest = max(max(*seg.radii_and_cubes([seg.t_start, seg.t_end])[0],
                       *seg.params) for seg in segments)
-    schedule = make_schedule(
-        segments, observer=biggest * rng.choice([1.0000001, 2.0, 1e3]),
-        contrast=rng.choice([-2700.0, 2700.0, 1e13, -1e300, 1e300]),
-        mass=rng.choice([1e12, 1e-300, 1e300]))
+    fields = (segments, biggest * rng.choice([1.0000001, 2.0, 1e3]),
+              rng.choice([-2700.0, 2700.0, 1e13, -1e300, 1e300]),
+              rng.choice([1e12, 1e-300, 1e300]))
     times = sorted(rng.uniform(0.0, t) for _ in range(rng.randint(1, 12)))
     background = rng.choice([None, BackgroundState(3.1e7, 9.8, 6.2e7),
                              BackgroundState(6.2e7, 9.8, 3.1e7)])
     gamma = rng.choice([GAMMA, 1e300, 1e-300])
-    return schedule, times, background, gamma
+    return fields, times, background, gamma
 
 
 def hexes(values):
@@ -383,30 +407,138 @@ class TestColumnarParity:
         rng = random.Random(99)
         seen = set()
         for _ in range(600):
-            schedule, times, background, gamma = adversarial_case(rng)
-            got = outcome(evaluate_schedule, schedule, times,
-                          background=background, gamma=gamma)
-            want = outcome(scan_evaluate_schedule, schedule, times,
-                           background=background, gamma=gamma)
+            fields, times, background, gamma = adversarial_case(rng)
+            kwargs = {"background": background, "gamma": gamma}
+            got = outcome(lambda: evaluate_schedule(
+                make_schedule(*fields), times, **kwargs))
+            want = outcome(lambda: scan_evaluate_schedule(
+                scan_schedule(*fields), times, **kwargs))
             assert got == want
             if isinstance(want, tuple):
                 seen.add(want[1].split(" ")[0])
             elif any("nan" in cell for row in want for cell in row):
                 seen.add("nan")
-        # no "observer": a sample radius is exact, so the schedule's check
-        # at each segment's ends keeps every sample inside the observer
-        assert seen == {"nan", "radius_t", "background", "perturbed"}
+        # a zero radius is a "segment" error of the schedule; no sample
+        # then raises "radius_t" or "observer", as the schedule's check at
+        # each segment's ends keeps every sample radius in (0, observer)
+        assert seen == {"nan", "segment", "background", "perturbed"}
 
-    def test_failure_late_in_the_series_is_reported_there(self):
+    def test_failure_late_in_the_series_is_reported_there(self, tmp_path):
         # the merged volume, and so the radius, underflows to 0 only in
-        # the second segment
-        schedule = make_schedule(
-            [ScheduleSegment(0.0, 10.0, "constant", (500.0,)),
-             ScheduleSegment(10.0, 20.0, "coalesce_step",
-                             (1e-110, 1e-110))])
-        with pytest.raises(NonPhysicalValueError,
-                           match="radius_t must be positive and finite, got 0.0"):
-            evaluate_schedule(schedule, [0.0, 5.0, 15.0])
+        # the second segment: the schedule names it where it is built
+        segments = [ScheduleSegment(0.0, 10.0, "constant", (500.0,)),
+                    ScheduleSegment(10.0, 20.0, "coalesce_step",
+                                    (1e-110, 1e-110))]
+        message = ("segment 1: radius falls to 0.0; a cavity radius must "
+                   "stay positive")
+        with pytest.raises(ScheduleError) as err:
+            make_schedule(segments)
+        assert str(err.value) == message
+        assert err.value.index == 1
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({
+            "segments": [{"t_start": seg.t_start, "t_end": seg.t_end,
+                          "kind": seg.kind, "params": dict(zip(
+                              ("radius",) if seg.kind == "constant"
+                              else ("radius_1", "radius_2"), seg.params))}
+                         for seg in segments],
+            "source_mass": 1e12, "observer_radius": 5000.0,
+            "host_density_contrast": -2700.0}))
+        with pytest.raises(InputError) as err:
+            read_schedule_json(str(path))
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_a_linear_end_that_rounds_to_0_is_rejected(self):
+        # 1e100 + (1e-300 - 1e100) is 0.0 at t_end
+        with pytest.raises(ScheduleError) as err:
+            make_schedule([ScheduleSegment(0.0, 10.0, "linear",
+                                           (1e100, 1e-300))], observer=1e101)
+        assert str(err.value) == ("segment 0: radius falls to 0.0; a cavity "
+                                  "radius must stay positive")
+        assert err.value.index == 0
+
+    @pytest.mark.parametrize("start, second, message", [
+        (0.0, ScheduleSegment(11.0, 20.0, "constant", (1.0,)),
+         "segment 1: starts at 11.0, previous segment ends at 10.0; "
+         "segments must be contiguous"),
+        (0.0, ScheduleSegment(10.0, 20.0, "constant", (1e101,)),
+         "segment 1: radius reaches 1e+101, observer at 1e+101 must stay "
+         "outside the source"),
+        (-1e308, ScheduleSegment(10.0, 1e308, "constant", (1.0,)),
+         "schedule span [-1e+308, 1e+308] is too long: t_end - t_start "
+         "overflows the float range"),
+    ], ids=["contiguity", "observer", "span"])
+    def test_a_zero_radius_is_reported_after_every_other_fault(
+            self, start, second, message):
+        # segment 0 ends at radius 0.0 and the schedule has another
+        # fault: the zero radius is checked last, so the other fault is
+        # the one reported
+        first = ScheduleSegment(start, 10.0, "linear", (1e100, 1e-300))
+        with pytest.raises(ScheduleError) as err:
+            make_schedule([first, second], observer=1e101)
+        assert str(err.value) == message
+
+
+def wide_schedule(rng):
+    """Segments of mixed kinds with radii from 1e-110 to 1e100 m: each
+    segment's radii lie within a few decades or up to 60 of one another,
+    so that some linear ends and coalesced volumes round to 0. The
+    observer lies at the largest end radius, just beyond it or well
+    beyond it."""
+    segments, t = [], 0.0
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice(["constant", "linear", "coalesce_step"])
+        decade, width = rng.uniform(-110.0, 100.0), rng.choice([0.3, 3, 60])
+        params = tuple(
+            10.0 ** min(100.0, max(-110.0, decade + rng.uniform(-width, width)))
+            for _ in range(1 if kind == "constant" else 2))
+        span = 10.0 ** rng.uniform(-3.0, 6.0)
+        segments.append(ScheduleSegment(t, t + span, kind, params))
+        t = segments[-1].t_end
+    biggest = max(max(seg.radii_and_cubes([seg.t_start, seg.t_end])[0])
+                  for seg in segments) or 1e-300  # every radius rounds to 0
+    observer = rng.choice([biggest, math.nextafter(biggest, math.inf),
+                           biggest * 1.0000001, biggest * 1e3])
+    return segments, observer
+
+
+class TestScheduleBoundsTheRadius:
+    def test_every_accepted_schedule_keeps_each_sample_radius_inside(self):
+        # the schedule checks each segment's end radii only, so every
+        # time of the span must give 0 < R(t) < observer: at each segment
+        # end, at its nextafter neighbours and at random in-span times
+        rng = random.Random(36)
+        accepted, rejected, kinds, extremes = 0, set(), set(), []
+        for _ in range(600):
+            segments, observer = wide_schedule(rng)
+            try:
+                schedule = make_schedule(segments, observer=observer)
+            except ScheduleError as err:
+                rejected.add(str(err).split()[3])  # "falls" or "reaches"
+                continue
+            accepted += 1
+            kinds |= {seg.kind for seg in segments}
+            times = []
+            for seg in segments:
+                for end in (seg.t_start, seg.t_end):
+                    times += [end, math.nextafter(end, -math.inf),
+                              math.nextafter(end, math.inf)]
+                times += [rng.uniform(seg.t_start, seg.t_end)
+                          for _ in range(5)]
+            times = [t for t in times
+                     if schedule.t_start <= t <= schedule.t_end]
+            radii, _, lengths = schedule.radii_and_cubes(times)
+            for radius in expanded(radii, lengths):
+                assert 0.0 < radius < observer
+                # the check the series no longer replays: no radius error
+                pulsating_potential(schedule.source_mass, radius, observer)
+            extremes += [min(radii), max(radii)]
+            assert outcome(evaluate_schedule, schedule, times) \
+                == outcome(scan_evaluate_schedule, schedule, times)
+        assert accepted > 300
+        assert rejected == {"falls", "reaches"}
+        assert kinds == {"constant", "linear", "coalesce_step"}
+        assert min(extremes) < 1e-100 and max(extremes) > 1e90
 
 
 class TestPulseTable:

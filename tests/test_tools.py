@@ -16,3 +16,22 @@ def test_prem_fixture_rebuilds_byte_identical(tmp_path):
     with open(os.path.join(ROOT, "tests", "fixtures", "prem20.csv"),
               "rb") as fh:
         assert built == fh.read()
+
+
+def test_bench_record_summarizes_pairs_by_the_better_side():
+    # a win is a pair where the head is better in the metric's direction;
+    # a tie is no win, and the ratio is of the medians, head over base
+    sys.path.insert(0, os.path.join(ROOT, "tools"))
+    try:
+        from bench_record import summarize
+    finally:
+        sys.path.pop(0)
+    pairs = [[2.0, 1.0], [4.0, 4.0], [1.0, 3.0], [3.0, 2.0], [5.0, 5.0]]
+    lower, higher = summarize(pairs, "lower"), summarize(pairs, "higher")
+    assert (lower["head_wins"], higher["head_wins"]) == (2, 1)
+    assert lower["base_median"] == 3.0 and lower["head_median"] == 3.0
+    assert lower["median_ratio"] == 1.0
+    assert lower["base_quartiles"] == [1.5, 4.5]
+    assert lower["head_quartiles"] == [1.5, 4.5]
+    assert {k: v for k, v in lower.items() if k != "head_wins"} \
+        == {k: v for k, v in higher.items() if k != "head_wins"}
